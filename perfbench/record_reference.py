@@ -1,17 +1,16 @@
 #!/usr/bin/env python3
 """Record reference output hashes for this numpy/BLAS build.
 
-    python3 perfbench/record_reference.py --seeds 0-19
+    python3 perfbench/record_reference.py
 
-Runs one untraced pass of every workload per seed and stores its output
-hashes in perfbench/reference.json, together with the build fingerprint
-(interpreter, numpy, BLAS configuration, CPU features) that decides the
-output bits. run.py compares each run's warm-up pass with these hashes
-when its build fingerprint matches. Recording for a different build
-replaces the file's contents.
+Runs one untraced pass of every workload for each of seeds 0-19 and
+stores its output hashes in perfbench/reference.json, together with the
+build fingerprint (interpreter, numpy, BLAS configuration, CPU features)
+that decides the output bits. run.py compares each run's warm-up pass
+with these hashes when its build fingerprint matches. Every recording
+replaces the whole file, so all workloads and seeds come from one build.
 """
 
-import argparse
 import json
 import os
 import shutil
@@ -19,32 +18,22 @@ import sys
 
 import run
 
-
-def parse_seeds(text: str) -> list[int]:
-    lo, _, hi = text.partition("-")
-    return list(range(int(lo), int(hi or lo) + 1))
+SEEDS = range(20)
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seeds", default="0", help="seed or inclusive range, e.g. 0-19")
-    parser.add_argument("--workload", action="append", choices=sorted(run.ALIASES))
-    args = parser.parse_args()
     sys.path.insert(0, str(run.SRC))
     from workloads import WORKLOADS
 
-    build = run.build_fingerprint()
-    ref = json.loads(run.REFERENCE.read_text()) if run.REFERENCE.exists() else {}
-    if ref.get("build") != build:
-        ref = {"build": build, "hashes": {}}
-    for name in args.workload or sorted(WORKLOADS):
-        for seed in parse_seeds(args.seeds):
+    ref = {"build": run.build_fingerprint(), "hashes": {}}
+    for name in sorted(WORKLOADS):
+        for seed in SEEDS:
             work_dir = run.OUT / "work" / f"reference-{name}-{seed}-{os.getpid()}"
             shutil.rmtree(work_dir, ignore_errors=True)
-            runner = run.Runner(WORKLOADS[name](seed), work_dir)
+            runner = run.Runner(WORKLOADS[name](seed), work_dir, probe=False)
             try:
                 runner.setup(1)
-                result, _wall, hashes = runner.one_pass()
+                result, _wall, _scaled, hashes = runner.one_pass()
             finally:
                 shutil.rmtree(work_dir, ignore_errors=True)
             if result.error or result.failed:

@@ -7,10 +7,12 @@ Run from the repository root (the program is imported from ./src). The
 run builds the workload's inputs from the seed (timed as set-up, several
 times), runs one untimed warm-up pass, then repeats passes for --seconds:
 
-* --trace 0: no layer spans; prints the end-to-end metrics.
-* --trace 1: half the time untraced, half with a span around every layer
-  function; prints the per-layer metrics, the tracing overhead and how
-  much of the traced wall the layer spans account for.
+* --trace 0: no layer spans; prints the end-to-end metrics, with every
+  time scaled to an uncontended core by probes timed between ops
+  (hostspeed.py).
+* --trace 1: untraced passes alternate with passes that have a span
+  around every layer function; prints the per-layer metrics, the tracing
+  overhead and how much of the traced wall the layer spans account for.
 
 Every pass's deterministic outputs are hashed and must equal the warm-up
 pass's; the warm-up hashes must equal the reference recorded for this
@@ -31,6 +33,9 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
+
+from hostspeed import HostSpeed
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
@@ -53,19 +58,30 @@ ALIASES = {
 
 
 # import time of the program in a fresh interpreter: what every `groupcast`
-# invocation pays before it does any work
-IMPORT_PROBE = (
-    "import sys, time; sys.path.insert(0, sys.argv[1]); t = time.perf_counter(); "
-    "import groupcast.cli; print(time.perf_counter() - t)"
-)
+# invocation pays before it does any work. The interpreter then times the
+# host-speed probe, so that the import can be scaled like the rest. It is
+# a single reading for the whole import, so it takes more repetitions.
+IMPORT_PROBE = """
+import sys, time
+sys.path[:0] = sys.argv[1:3]
+t = time.perf_counter()
+import groupcast.cli
+import_s = time.perf_counter() - t
+import hostspeed
+probe = hostspeed.PROBES[sys.argv[3]][0]
+hostspeed.time_probe(probe)  # warm-up
+print(import_s, hostspeed.time_probe(probe, reps=15))
+"""
 
 
-def program_import_s() -> float:
+def program_import_s(kind: str) -> tuple[float, float]:
+    """Seconds to import groupcast.cli afresh, and the probe time just after."""
     proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE, str(SRC)],
+        [sys.executable, "-c", IMPORT_PROBE, str(SRC), str(HERE), kind],
         capture_output=True, text=True, timeout=120, check=True,
     )
-    return float(proc.stdout.strip())
+    import_s, probe_s = proc.stdout.split()
+    return float(import_s), float(probe_s)
 
 
 def _p90(values: list[float]) -> float:
@@ -138,49 +154,67 @@ def reference_status(workload, hashes: dict) -> str:
     return "match" if expected == hashes else "mismatch"
 
 
+class Pass(NamedTuple):
+    result: object  # workloads.PassResult
+    wall: float  # seconds, probes excluded
+    scaled: float  # wall at the reference speed (= wall when not probing)
+    hashes: dict
+
+
 class Runner:
-    def __init__(self, workload, work_dir: Path):
+    def __init__(self, workload, work_dir: Path, probe: bool):
         self.workload = workload
         self.work_dir = work_dir
         self.n_passes = 0
+        self.speed = HostSpeed(workload.probe if probe else None)
 
-    def setup(self, reps: int) -> list[float]:
-        """Set-up seconds per repetition: program import plus the workload's inputs."""
-        times = []
+    def setup(self, reps: int) -> tuple[list[float], list[float]]:
+        """Set-up seconds per repetition, program import plus the workload's
+        inputs: as measured, and at the reference speed."""
+        speed = self.speed
+        times, scaled = [], []
         for i in range(reps):
-            startup = program_import_s()
+            startup, startup_probe = program_import_s(self.workload.probe)
             d = self.work_dir / f"inputs{i}"
             d.mkdir(parents=True)
-            t0 = time.perf_counter()
+            speed.sample()
+            t0 = speed.now()
             self.workload.setup(d)
-            times.append(startup + time.perf_counter() - t0)
-        return times
+            t1 = speed.now()
+            speed.sample()
+            times.append(startup + t1 - t0)
+            startup_scale = speed.ref_s / startup_probe if speed.probe else 1.0
+            scaled.append(startup * startup_scale + speed.scaled(t0, t1))
+        return times, scaled
 
-    def one_pass(self, tracer=None):
+    def one_pass(self, tracer=None) -> Pass:
         out = self.work_dir / f"pass{self.n_passes}"
         self.n_passes += 1
+        speed = self.speed
         frame = tracer.enter(self.workload.entry) if tracer is not None else None
-        t0 = time.perf_counter()
-        result = self.workload.run_pass(out)
-        wall = time.perf_counter() - t0
+        speed.sample()
+        t0 = speed.now()
+        result = self.workload.run_pass(out, speed)
+        t1 = speed.now()
+        speed.sample()
         if tracer is not None:
             tracer.exit(frame)
         hashes = self.workload.pass_hashes(out)
         shutil.rmtree(out, ignore_errors=True)
-        return result, wall, hashes
+        return Pass(result, t1 - t0, speed.scaled(t0, t1), hashes)
 
-    def passes_for(self, seconds: float, tracer=None) -> list:
+    def passes_for(self, seconds: float) -> list[Pass]:
         runs = []
         deadline = time.perf_counter() + seconds
         while not runs or time.perf_counter() < deadline:
-            runs.append(self.one_pass(tracer))
+            runs.append(self.one_pass())
         return runs
 
 
 def tally(runs, expected_hashes: dict, reference_ok: bool):
     """(attempted, failed, hash mismatches) over timed passes."""
     attempted = failed = mismatches = 0
-    for result, _wall, hashes in runs:
+    for result, _wall, _scaled, hashes in runs:
         attempted += result.ops
         if hashes != expected_hashes or not reference_ok:
             mismatches += hashes != expected_hashes
@@ -191,69 +225,83 @@ def tally(runs, expected_hashes: dict, reference_ok: bool):
 
 
 def end_to_end(runner, seconds: float):
-    setup_times = runner.setup(SETUP_REPS)
-    warm, _wall, warm_hashes = runner.one_pass()
+    setup_times, setup_scaled = runner.setup(SETUP_REPS)
+    warm = runner.one_pass()
     runs = runner.passes_for(seconds)
-    walls = [w for _r, w, _h in runs]
-    work = [r.work for r, _w, _h in runs]
-    latencies = [ms for r, _w, _h in runs for ms in r.latencies_ms]
-    # The host's speed drifts in phases of 10-30 s, so every figure pools
-    # the whole measured window rather than picking one pass.
+    speed = runner.speed
+    work = sum(p.result.work for p in runs)
+    latencies = [ms for p in runs for ms in p.result.latencies_ms]
+    scaled_latencies = [
+        speed.scaled(end - ms / 1e3, end) * 1e3
+        for p in runs for ms, end in zip(p.result.latencies_ms, p.result.op_ends)
+    ]
+    # Every figure pools the whole measured window, at the reference speed.
     metrics = {
-        "setup_s": (statistics.median(setup_times), "s"),
-        "throughput": (sum(work) / sum(walls), "1/s"),
-        "op_ms.p50": (statistics.median(latencies), "ms"),
-        "op_ms.p90": (_p90(latencies), "ms"),
+        "setup_s": (statistics.median(setup_scaled), "s"),
+        "throughput": (work / sum(p.scaled for p in runs), "1/s"),
+        "op_ms.p50": (statistics.median(scaled_latencies), "ms"),
+        "op_ms.p90": (_p90(scaled_latencies), "ms"),
         "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, "MB"),
     }
+    scale = [speed.ref_s / s for s in speed.probe_s]
     detail = {
+        "as_measured": {
+            "setup_s": statistics.median(setup_times),
+            "throughput": work / sum(p.wall for p in runs),
+            "op_ms.p50": statistics.median(latencies),
+            "op_ms.p90": _p90(latencies),
+        },
+        "speed_scale": {"probes": len(scale), "min": min(scale), "median": statistics.median(scale),
+                        "max": max(scale)},
         "setup_s_samples": setup_times,
-        "pass_walls_s": walls,
-        "work_per_pass": work,
+        "setup_s_scaled_samples": setup_scaled,
+        "pass_walls_s": [p.wall for p in runs],
+        "pass_scaled_s": [p.scaled for p in runs],
+        "work_per_pass": [p.result.work for p in runs],
         "latency_samples": len(latencies),
-        "op_ms_p50_per_pass": [statistics.median(r.latencies_ms) for r, _w, _h in runs],
-        "op_ms_p90_per_pass": [_p90(r.latencies_ms) for r, _w, _h in runs],
     }
-    return warm, warm_hashes, runs, metrics, detail
+    return warm, runs, metrics, detail
 
 
-def per_layer(runner, seconds: float, spans_path: Path):
+def per_layer(runner, seconds: float):
     from layers import instrument, layer_metrics, metric_units
     from spans import Patcher, Tracer
 
     runner.setup(1)
-    warm, _wall, warm_hashes = runner.one_pass()
-    plain_runs = runner.passes_for(seconds / 2)
+    warm = runner.one_pass()
     tracer = Tracer()
-    with Patcher() as patcher:
-        instrument(tracer, patcher)
-        traced = [runner.one_pass(tracer)]
-        tracer.write_spans(spans_path)
-        tracer.clear_spans()
-        traced += runner.passes_for(seconds / 2 - traced[0][1], tracer)
-    ops = sum(r.ops for r, _w, _h in traced)
+    plain_runs, traced = [], []
+    # Untraced and traced passes alternate, so the host's drift in speed
+    # falls on both alike and each pair's difference is the cost of tracing.
+    deadline = time.perf_counter() + seconds
+    while not traced or time.perf_counter() < deadline:
+        plain_runs.append(runner.one_pass())
+        with Patcher() as patcher:
+            instrument(tracer, patcher)
+            traced.append(runner.one_pass(tracer))
+    ops = sum(p.result.ops for p in traced)
     per_pass_ops = ops / len(traced)
-    traced_wall = sum(w for _r, w, _h in traced)
+    traced_wall = sum(p.wall for p in traced)
     unattributed = tracer.self_time[runner.workload.entry]
-    plain_med = statistics.median(w for _r, w, _h in plain_runs)
-    traced_med = statistics.median(w for _r, w, _h in traced)
+    pairs = [(p.wall, t.wall) for p, t in zip(plain_runs, traced)]
     values = layer_metrics(tracer, ops, len(traced))
     units = metric_units()
     metrics = {name: (values[name], units[name]) for name in values}
     metrics["trace.coverage"] = ((traced_wall - unattributed) / traced_wall, "ratio")
     metrics["trace.unattributed_ms"] = (unattributed * 1e3 / ops, "ms")
-    metrics["trace.overhead_ms"] = ((traced_med - plain_med) * 1e3 / per_pass_ops, "ms")
-    metrics["trace.overhead_frac"] = (traced_med / plain_med - 1.0, "ratio")
+    metrics["trace.overhead_ms"] = (
+        statistics.median(t - p for p, t in pairs) * 1e3 / per_pass_ops, "ms")
+    metrics["trace.overhead_frac"] = (statistics.median(t / p for p, t in pairs) - 1.0, "ratio")
     detail = {
-        "untraced_pass_walls_s": [w for _r, w, _h in plain_runs],
-        "traced_pass_walls_s": [w for _r, w, _h in traced],
+        "untraced_pass_walls_s": [p.wall for p in plain_runs],
+        "traced_pass_walls_s": [p.wall for p in traced],
         "spans": {
             name: {"calls": tracer.calls[name], "total_ms": tracer.total[name] * 1e3,
                    "self_ms": tracer.self_time[name] * 1e3}
             for name in sorted(tracer.total)
         },
     }
-    return warm, warm_hashes, plain_runs + traced, metrics, detail
+    return warm, plain_runs + traced, metrics, detail
 
 
 def main(argv=None) -> int:
@@ -279,23 +327,22 @@ def main(argv=None) -> int:
     shutil.rmtree(work_dir, ignore_errors=True)
     work_dir.mkdir(parents=True)
     results_dir.mkdir(parents=True, exist_ok=True)
-    runner = Runner(workload, work_dir)
+    runner = Runner(workload, work_dir, probe=not args.trace)
     try:
         if args.trace:
-            warm, warm_hashes, runs, metrics, detail = per_layer(
-                runner, args.seconds, results_dir / f"{tag}.spans.csv"
-            )
+            warm, runs, metrics, detail = per_layer(runner, args.seconds)
         else:
-            warm, warm_hashes, runs, metrics, detail = end_to_end(runner, args.seconds)
+            warm, runs, metrics, detail = end_to_end(runner, args.seconds)
     finally:
         shutil.rmtree(work_dir, ignore_errors=True)
 
+    warm_hashes = warm.hashes
     ref = reference_status(workload, warm_hashes)
     reference_ok = ref != "mismatch"
     attempted, failed, mismatches = tally(runs, warm_hashes, reference_ok)
     problems = []
-    if warm.error or warm.failed:
-        problems.append(f"warm-up pass failed: {warm.error or f'{warm.failed} ops'}")
+    if warm.result.error or warm.result.failed:
+        problems.append(f"warm-up pass failed: {warm.result.error or f'{warm.result.failed} ops'}")
     if not reference_ok:
         problems.append("warm-up output hashes differ from the recorded reference")
     if mismatches:

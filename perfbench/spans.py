@@ -13,12 +13,10 @@ from collections import defaultdict
 
 
 class Tracer:
-    """Span stack plus per-name aggregates for one traced pass."""
+    """Span stack plus per-name aggregates over the traced passes."""
 
     def __init__(self):
-        # frame: [name, start, child_seconds, scope, span_index, parent_index]
-        self._stack: list[list] = []
-        self.spans: list = []  # (name, parent index or -1, start_s, end_s)
+        self._stack: list[list] = []  # frame: [name, start, child_seconds, scope]
         self.total = defaultdict(float)
         self.self_time = defaultdict(float)
         self.calls = defaultdict(int)
@@ -26,12 +24,9 @@ class Tracer:
         self.samples = defaultdict(list)  # per-call durations (s) for percentiles
 
     def enter(self, name: str, scope: str | None = None) -> list:
-        parent = self._stack[-1] if self._stack else None
-        if scope is None and parent is not None:
-            scope = parent[3]
-        index = len(self.spans)
-        self.spans.append(None)
-        frame = [name, 0.0, 0.0, scope, index, parent[4] if parent is not None else -1]
+        if scope is None and self._stack:
+            scope = self._stack[-1][3]
+        frame = [name, 0.0, 0.0, scope]
         self._stack.append(frame)
         frame[1] = time.perf_counter()
         return frame
@@ -41,12 +36,11 @@ class Tracer:
         popped = self._stack.pop()
         if popped is not frame:
             raise RuntimeError(f"span {frame[0]} closed out of order (top was {popped[0]})")
-        name, start, child, _scope, index, parent_index = frame
+        name, start, child, _scope = frame
         dur = end - start
         self.total[name] += dur
         self.self_time[name] += dur - child
         self.calls[name] += 1
-        self.spans[index] = (name, parent_index, start, end)
         if self._stack:
             self._stack[-1][2] += dur
         return dur
@@ -77,20 +71,6 @@ class Tracer:
             return result
 
         return wrapper
-
-    def clear_spans(self) -> None:
-        """Drop recorded spans (aggregates stay); call only with no span open."""
-        if self._stack:
-            raise RuntimeError("clear_spans with open spans")
-        self.spans = []
-
-    def write_spans(self, path) -> None:
-        """One line per span: index,parent,name,start_us,end_us (relative)."""
-        t0 = min((s[2] for s in self.spans), default=0.0)
-        with open(path, "w") as fh:
-            fh.write("index,parent,name,start_us,end_us\n")
-            for i, (name, parent, start, end) in enumerate(self.spans):
-                fh.write(f"{i},{parent},{name},{(start - t0) * 1e6:.1f},{(end - t0) * 1e6:.1f}\n")
 
 
 class Patcher:

@@ -1,5 +1,5 @@
-"""The benchmark's exact per-layer counts repeat bit for bit, and tracing
-does not change a single output bit.
+"""The benchmark's exact per-layer counts repeat bit for bit, and neither
+tracing nor the host-speed probes change a single output bit.
 
 Run from the repository root:  python3 -m pytest -q perfbench/tests
 """
@@ -16,6 +16,7 @@ BENCH = Path(__file__).resolve().parents[1]
 ROOT = BENCH.parent
 sys.path[:0] = [str(ROOT / "src"), str(BENCH)]
 
+from hostspeed import HostSpeed  # noqa: E402
 from layers import EXACT_COUNTS, instrument, layer_metrics  # noqa: E402
 from spans import Patcher, Tracer  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
@@ -24,14 +25,18 @@ SEED = 3
 
 
 def _pass(workload, out_dir: Path, traced: bool):
+    # as in run.py: untraced passes probe the host speed, traced ones do not
     tracer = Tracer()
+    speed = HostSpeed(None if traced else workload.probe)
     with Patcher() as patcher:
         if traced:
             instrument(tracer, patcher)
         frame = tracer.enter(workload.entry)
-        result = workload.run_pass(out_dir)
+        result = workload.run_pass(out_dir, speed)
         tracer.exit(frame)
     assert result.error is None and result.failed == 0
+    assert len(result.op_ends) == len(result.latencies_ms) > 0
+    assert not traced or speed.probe_s == []
     values = layer_metrics(tracer, result.ops, 1)
     return {k: values[k] for k in EXACT_COUNTS}, workload.pass_hashes(out_dir)
 

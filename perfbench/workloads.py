@@ -7,6 +7,9 @@ directory. ``pass_hashes`` digests the pass's deterministic outputs so that
 every pass, traced or not, can be compared with the first one and with the
 recorded reference.
 
+``run_pass`` gets a ``HostSpeed`` and probes it between ops; op latencies
+and their end times are read on its clock, which excludes the probes.
+
 * ``train-desk`` - the acceptance fixture's desk curriculum (both stages,
   fewer steps): autodiff tape, backward, Adam and task sampling.
 * ``eval-grid`` - ``groupcast evaluate`` over stocks/rates/combined panels,
@@ -19,7 +22,6 @@ import contextlib
 import hashlib
 import io
 import json
-import time
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from pathlib import Path
@@ -45,6 +47,7 @@ class PassResult:
     failed: int  # operations that failed
     work: int  # throughput units: train steps, grid cells, series points
     latencies_ms: list[float] = field(default_factory=list)
+    op_ends: list[float] = field(default_factory=list)  # HostSpeed clock at each op's end
     error: str | None = None
 
 
@@ -84,6 +87,7 @@ def build_training_corpus(seed: int) -> TR.Corpus:
 class TrainDesk:
     name = "train-desk"
     entry = "train.run_curriculum"
+    probe = "mixed"  # hostspeed probe
     op_label = "train step"
     work_label = "train steps"
     # The fixture trains 1500 + 1000 steps; a pass keeps the 3:2 stage split.
@@ -117,20 +121,34 @@ class TrainDesk:
     def setup(self, input_dir: Path) -> None:
         self.corpus = build_training_corpus(self.corpus_seed)
 
-    def run_pass(self, out_dir: Path) -> PassResult:
+    def run_pass(self, out_dir: Path, speed) -> PassResult:
         steps = sum(self.train_config.stage_steps)
         error = None
-        try:
-            TR.run_curriculum(self.model_config, self.train_config, self.corpus, out_dir)
-        except GroupcastError as exc:
-            error = f"{type(exc).__name__}: {exc}"
+        # sample_task opens every step: probe there, and take the probe's
+        # time back out of that step's wallclock_ms
+        starts: list[float] = []
+        probe_ms: list[float] = []
+        sample_task = TR.sample_task
+
+        def probed_sample_task(*args, **kwargs):
+            probe_ms.append(speed.tick() * 1e3)
+            starts.append(speed.now())
+            return sample_task(*args, **kwargs)
+
+        with Patcher() as patcher:
+            patcher.set(TR, "sample_task", probed_sample_task)
+            try:
+                TR.run_curriculum(self.model_config, self.train_config, self.corpus, out_dir)
+            except GroupcastError as exc:
+                error = f"{type(exc).__name__}: {exc}"
         latencies = []
         log = out_dir / "train_log.csv"
         if log.exists():
             rows = log.read_text().splitlines()[1:]
-            latencies = [float(r.rsplit(",", 1)[1]) for r in rows]
+            latencies = [float(r.rsplit(",", 1)[1]) - p for r, p in zip(rows, probe_ms)]
         done = len(latencies)
-        return PassResult(ops=steps, failed=steps - done, work=done, latencies_ms=latencies, error=error)
+        return PassResult(ops=steps, failed=steps - done, work=done, latencies_ms=latencies,
+                          op_ends=[t + ms / 1e3 for t, ms in zip(starts, latencies)], error=error)
 
     def pass_hashes(self, out_dir: Path) -> dict[str, str]:
         out = {}
@@ -188,6 +206,7 @@ def make_rate_panel(ids, start: date, n_days: int, seed: int) -> SeriesPanel:
 class EvalGrid:
     name = "eval-grid"
     entry = "cli.main"
+    probe = "numpy"
     op_label = "grid cell"
     work_label = "grid cells"
     START = date(2019, 1, 1)
@@ -240,16 +259,19 @@ class EvalGrid:
         for m in self.HORIZONS:
             self.argv_inputs += ["--m", str(m)]
 
-    def run_pass(self, out_dir: Path) -> PassResult:
+    def run_pass(self, out_dir: Path, speed) -> PassResult:
         latencies: list[float] = []
+        ends: list[float] = []
         failed = 0
         evaluate_cell = E.evaluate_cell
 
         def timed_cell(*args, **kwargs):
             nonlocal failed
-            t0 = time.perf_counter()
+            t0 = speed.now()
             records, skips = evaluate_cell(*args, **kwargs)
-            latencies.append((time.perf_counter() - t0) * 1e3)
+            ends.append(speed.now())
+            latencies.append((ends[-1] - t0) * 1e3)
+            speed.tick()
             if any(s["reason"].startswith("forecast error") for s in skips):
                 failed += 1
             return records, skips
@@ -260,9 +282,9 @@ class EvalGrid:
         cells = len(latencies)
         if rc != 0:  # the grid did not finish: count the whole pass as failed
             ops = max(cells, 1)
-            return PassResult(ops=ops, failed=ops, work=cells, latencies_ms=latencies,
+            return PassResult(ops=ops, failed=ops, work=cells, latencies_ms=latencies, op_ends=ends,
                               error=f"groupcast evaluate exited {rc}")
-        return PassResult(ops=cells, failed=failed, work=cells, latencies_ms=latencies)
+        return PassResult(ops=cells, failed=failed, work=cells, latencies_ms=latencies, op_ends=ends)
 
     def pass_hashes(self, out_dir: Path) -> dict[str, str]:
         return {
@@ -279,6 +301,7 @@ class EvalGrid:
 class SynthCorpus:
     name = "synth-corpus"
     entry = "cli.main"
+    probe = "mixed"
     op_label = "dataset"
     work_label = "series points"
     # README's example config: the four generator families at length 1024.
@@ -308,29 +331,35 @@ class SynthCorpus:
         self.config_path = input_dir / "synth.json"
         self.config_path.write_text(json.dumps(self.CONFIG, sort_keys=True))
 
-    def run_pass(self, out_dir: Path) -> PassResult:
+    def run_pass(self, out_dir: Path, speed) -> PassResult:
         # a dataset is done when its provenance file is written; latency is
         # the time between consecutive completions (all specs are sampled
         # before the first dataset, so the first interval is dropped)
         done_at: list[float] = []
+        points = 0
         save_provenance = S.save_provenance
+        save_panel_dataset = S.save_panel_dataset
 
         def timed_save(*args, **kwargs):
             save_provenance(*args, **kwargs)
-            done_at.append(time.perf_counter())
+            done_at.append(speed.now())
+            speed.tick()
+
+        def counted_save(path, panel, *args, **kwargs):
+            # one CSV row per value: the points are the size of the panel written
+            nonlocal points
+            save_panel_dataset(path, panel, *args, **kwargs)
+            points += np.size(panel)
 
         with Patcher() as patcher:
             patcher.set(S, "save_provenance", timed_save)
+            patcher.set(S, "save_panel_dataset", counted_save)
             rc = _run_cli(["synth", "--config", str(self.config_path), "--out", str(out_dir),
                            "--seed", str(self.seed)])
         latencies = [(b - a) * 1e3 for a, b in zip(done_at, done_at[1:])]
-        points = 0
-        for f in out_dir.glob("*.csv"):
-            with open(f, "rb") as fh:
-                points += sum(1 for _ in fh) - 1
         return PassResult(
             ops=self.n_jobs, failed=self.n_jobs - len(done_at), work=points, latencies_ms=latencies,
-            error=None if rc == 0 else f"groupcast synth exited {rc}",
+            op_ends=done_at[1:], error=None if rc == 0 else f"groupcast synth exited {rc}",
         )
 
     def pass_hashes(self, out_dir: Path) -> dict[str, str]:
