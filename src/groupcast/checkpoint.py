@@ -17,6 +17,7 @@ training precision, and round-trip bit-exactly.
 """
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -37,7 +38,11 @@ def save_checkpoint(
     extra: dict | None = None,
     moments: dict[str, np.ndarray] | None = None,
 ) -> None:
-    """Write weights (and optional optimizer moments as opt.* records)."""
+    """Write weights (and optional optimizer moments as opt.* records).
+
+    The file appears at ``path`` whole or not at all (written to a
+    temporary sibling, then renamed over ``path``).
+    """
     records: dict[str, np.ndarray] = {name: t.data for name, t in weights.items()}
     if moments:
         for name, arr in moments.items():
@@ -59,7 +64,16 @@ def save_checkpoint(
         blob += struct.pack("<B", arr.ndim)
         blob += struct.pack(f"<{arr.ndim}I", *arr.shape)
         blob += arr.tobytes()
-    Path(path).write_bytes(bytes(blob))
+    # write beside the target, then rename: a failed write leaves the old file
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path):

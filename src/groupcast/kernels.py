@@ -11,7 +11,8 @@ The public name binds to the loop version under the numba backend and to
 the numpy version otherwise. The two are bit-identical by construction:
 loops use the same per-element expressions in the same order, integer ops
 are exact, and no reduction whose float summation order matters lives in a
-kernel. ``benchmarks/bench_kernels.py`` times both sides.
+kernel. A traced ``perfbench/run.py`` run times the active backend's
+kernels in their workloads (the ``kernels.*`` per-layer metrics).
 """
 
 import numpy as np

@@ -164,8 +164,8 @@ def embed_patches(patches: T.Tensor, weights: dict) -> T.Tensor:
             f"patch width {patches.shape[-1]} does not match embedding input "
             f"width {weights['embed.w1'].shape[0]}"
         )
-    h = T.tanh(T.add(T.matmul(patches, weights["embed.w1"]), weights["embed.b1"]))
-    out = T.add(T.matmul(h, weights["embed.w2"]), weights["embed.b2"])
+    h = T.tanh(T.linear(patches, weights["embed.w1"], weights["embed.b1"]))
+    out = T.linear(h, weights["embed.w2"], weights["embed.b2"])
     return T.add(out, T.matmul(patches, weights["embed.skip"]))
 
 
@@ -223,9 +223,9 @@ def _attention(
     """Multi-head attention over axis 1 of (B, L, D), with residual + norm."""
     D = x.shape[-1]
     dh = D // n_heads
-    q = T.add(T.matmul(x, weights[f"{prefix}.wq"]), weights[f"{prefix}.bq"])
-    k = T.add(T.matmul(x, weights[f"{prefix}.wk"]), weights[f"{prefix}.bk"])
-    v = T.add(T.matmul(x, weights[f"{prefix}.wv"]), weights[f"{prefix}.bv"])
+    q = T.linear(x, weights[f"{prefix}.wq"], weights[f"{prefix}.bq"])
+    k = T.linear(x, weights[f"{prefix}.wk"], weights[f"{prefix}.bk"])
+    v = T.linear(x, weights[f"{prefix}.wv"], weights[f"{prefix}.bv"])
     q, k, v = (_split_heads(t, n_heads) for t in (q, k, v))
     if rope is not None:
         cos, sin = rope
@@ -236,7 +236,7 @@ def _attention(
         logits = T.add(logits, T.constant(mask_bias, dtype=x.dtype))
     attn = T.softmax_rows(logits)
     ctx = _merge_heads(T.matmul(attn, v))
-    out = T.add(T.matmul(ctx, weights[f"{prefix}.wo"]), weights[f"{prefix}.bo"])
+    out = T.linear(ctx, weights[f"{prefix}.wo"], weights[f"{prefix}.bo"])
     return T.layer_norm(
         T.add(x, out), weights[f"{prefix}.ln_gain"], weights[f"{prefix}.ln_bias"]
     )
@@ -248,8 +248,8 @@ def attention_logits(
     """Rotary-rotated attention logits (probe hook for position tests)."""
     D = x.shape[-1]
     dh = D // n_heads
-    q = T.add(T.matmul(x, weights[f"{prefix}.wq"]), weights[f"{prefix}.bq"])
-    k = T.add(T.matmul(x, weights[f"{prefix}.wk"]), weights[f"{prefix}.bk"])
+    q = T.linear(x, weights[f"{prefix}.wq"], weights[f"{prefix}.bq"])
+    k = T.linear(x, weights[f"{prefix}.wk"], weights[f"{prefix}.bk"])
     q, k = (_split_heads(t, n_heads) for t in (q, k))
     cos, sin = _rope_tables_for_positions(positions, dh, x.dtype)
     q = T.rope_rotate(q, cos, sin)
@@ -332,7 +332,7 @@ def forward(batch: GroupBatch, weights: dict, config: ModelConfig) -> T.Tensor:
         )
     n_future = L - batch.reg_position - 1
     fut = T.narrow(x, 1, batch.reg_position + 1, n_future)
-    out = T.add(T.matmul(fut, weights["head.w"]), weights["head.b"])
+    out = T.linear(fut, weights["head.w"], weights["head.b"])
     S = out.shape[0]
     return T.reshape(out, (S, n_future * config.patch_len, len(config.quantile_levels)))
 

@@ -48,8 +48,13 @@ class Tensor:
         return self.data.dtype
 
     def zero_grad(self):
-        if self.requires_grad:
+        """Zero the accumulator in place, so views into it stay valid."""
+        if not self.requires_grad:
+            return
+        if self.grad is None:
             self.grad = np.zeros_like(self.data)
+        else:
+            self.grad.fill(0)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
@@ -105,14 +110,19 @@ def make_op(inputs, out_data, backward) -> Tensor:
 def backward(loss: Tensor, tape: Tape) -> None:
     """Reverse sweep: accumulate dLoss/dLeaf into every requiring leaf.
 
-    Accumulation is additive across fan-out and across calls; inputs with
-    no path to the loss end up with (or keep) zero gradient.
+    Only leaves (tensors that are no op's output on this tape) receive a
+    gradient; intermediate outputs keep ``grad is None``. Accumulation is
+    additive across fan-out and across calls and happens in place, so a
+    leaf's ``grad`` array keeps its identity. Leaves with no path to the
+    loss end up with (or keep) a zero gradient.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward expects a scalar loss, got shape {loss.data.shape}")
     buffers: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     holders: dict[int, Tensor] = {id(loss): loss}
+    outputs: set[int] = set()
     for inputs, out, bwd in reversed(tape.entries):
+        outputs.add(id(out))
         g = buffers.pop(id(out), None)
         holders.pop(id(out), None)
         if g is None:
@@ -123,6 +133,7 @@ def backward(loss: Tensor, tape: Tape) -> None:
                 continue
             key = id(inp)
             if key in buffers:
+                # out of place: closures may hand the same array to several inputs
                 buffers[key] = buffers[key] + gi
             else:
                 buffers[key] = gi
@@ -130,17 +141,12 @@ def backward(loss: Tensor, tape: Tape) -> None:
     for key, t in holders.items():
         if t.grad is None:
             t.grad = np.zeros_like(t.data)
-        t.grad = t.grad + buffers[key]
+        t.grad += buffers[key]
     # leaves on the tape with no path to the loss still get an accumulator
     for inputs, _, _ in tape.entries:
         for inp in inputs:
-            if inp.requires_grad and inp.grad is None:
+            if inp.requires_grad and inp.grad is None and id(inp) not in outputs:
                 inp.grad = np.zeros_like(inp.data)
-
-
-def zero_grads(tensors) -> None:
-    for t in tensors:
-        t.zero_grad()
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +265,23 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return _reduce_to(ga, a.shape), _reduce_to(gb, b.shape)
 
     return make_op((a, b), out, bwd)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` as one tape entry; bitwise equal to ``add(matmul(x, w), b)``.
+
+    x is (..., n), w is (n, k) and b is (k,).
+    """
+    if x.data.ndim < 2 or w.data.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError(f"linear needs x (..., n), w (n, k), b (k,), got {x.shape}, {w.shape}, {b.shape}")
+    out = x.data @ w.data + b.data
+
+    def bwd(g):
+        gx = g @ w.data.T
+        gw = _reduce_to(np.swapaxes(x.data, -1, -2) @ g, w.shape)
+        return gx, gw, _reduce_to(g, b.shape)
+
+    return make_op((x, w, b), out, bwd)
 
 
 def softmax_rows(x: Tensor) -> Tensor:

@@ -15,7 +15,7 @@ from . import kernels
 from . import model as M
 from . import tensor as T
 from .checkpoint import load_checkpoint, save_checkpoint
-from .errors import ConfigError, DegenerateInputError, TrainingAbort
+from .errors import ConfigError, ContractError, DegenerateInputError, TrainingAbort
 from .preprocess import apply_scaling
 from .rng import PortableRng
 
@@ -71,20 +71,42 @@ class TrainConfig:
 
 @dataclass
 class TrainState:
+    """Step counter, weights and Adam moments of one training run.
+
+    ``fresh`` makes every weight's ``data`` and ``grad`` and its two moments
+    views into one flat array per role (``flat`` keys "data", "grad", "m"
+    and "v"), so ``adam_update`` is a few whole-array calls. Write through
+    the views (``state.m[name][...] = ...``): a rebound array is no longer
+    updated.
+    """
+
     step: int
     weights: dict[str, T.Tensor]
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
+    flat: dict[str, np.ndarray]
     loss_history: list[float] = field(default_factory=list)
 
     @classmethod
     def fresh(cls, weights: dict[str, T.Tensor]) -> "TrainState":
-        return cls(
-            step=0,
-            weights=weights,
-            m={k: np.zeros_like(t.data) for k, t in weights.items()},
-            v={k: np.zeros_like(t.data) for k, t in weights.items()},
-        )
+        """Zero moments; rebinds each weight's data and grad to flat views."""
+        dtypes = {t.data.dtype for t in weights.values()}
+        if len(dtypes) != 1:
+            raise ContractError(f"training needs weights of one dtype, got {sorted(map(str, dtypes))}")
+        dtype = dtypes.pop()
+        n = sum(t.data.size for t in weights.values())
+        flat = {role: np.zeros(n, dtype=dtype) for role in ("data", "grad", "m", "v")}
+        m, v = {}, {}
+        off = 0
+        for name, t in weights.items():
+            shape, end = t.data.shape, off + t.data.size
+            data = flat["data"][off:end].reshape(shape)
+            data[...] = t.data
+            t.data, t.grad = data, flat["grad"][off:end].reshape(shape)
+            m[name] = flat["m"][off:end].reshape(shape)
+            v[name] = flat["v"][off:end].reshape(shape)
+            off = end
+        return cls(step=0, weights=weights, m=m, v=v, flat=flat)
 
 
 @dataclass
@@ -240,17 +262,14 @@ def sample_task(
     )
 
 
-def _scaled_targets(sample: TaskSample, batch: M.GroupBatch, n_positions: int):
-    """Targets in the model's scaled space, padded to the patch grid."""
-    S = sample.target_values.shape[0]
+def _scaled_targets(target_values, target_mask, scaling, n_positions: int):
+    """(S, m) targets in the model's scaled space, padded to the patch grid."""
+    S, m = target_values.shape
     tv = np.zeros((S, n_positions))
     tm = np.zeros((S, n_positions))
-    m = sample.horizon_len
     for s in range(S):
-        tv[s, :m] = apply_scaling(
-            sample.target_values[s], np.ones(m), batch.scaling[s]
-        )
-        tm[s, :m] = sample.target_mask[s]
+        tv[s, :m] = apply_scaling(target_values[s], np.ones(m), scaling[s])
+        tm[s, :m] = target_mask[s]
     return tv, tm
 
 
@@ -266,16 +285,30 @@ def _lr_at(config: TrainConfig, step: int, total_steps: int) -> float:
 
 
 def adam_update(state: TrainState, config: TrainConfig, lr: float) -> None:
+    """Bias-corrected Adam over the flat arrays, in place.
+
+    Per element this is ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*(g*g)``
+    and ``w = w - lr*mh / (sqrt(vh)+eps)``, each product and sum rounded
+    in the same order as the per-parameter formula.
+    """
     t = state.step
-    for name, w in state.weights.items():
-        dt = w.data.dtype.type
-        g = w.grad
-        b1, b2, eps = dt(config.beta1), dt(config.beta2), dt(config.eps)
-        state.m[name] = b1 * state.m[name] + (dt(1.0) - b1) * g
-        state.v[name] = b2 * state.v[name] + (dt(1.0) - b2) * (g * g)
-        mh = state.m[name] / (dt(1.0) - dt(config.beta1) ** t)
-        vh = state.v[name] / (dt(1.0) - dt(config.beta2) ** t)
-        w.data = w.data - dt(lr) * mh / (np.sqrt(vh) + eps)
+    w, g, m, v = (state.flat[role] for role in ("data", "grad", "m", "v"))
+    dt = w.dtype.type
+    b1, b2, eps = dt(config.beta1), dt(config.beta2), dt(config.eps)
+    m *= b1
+    mh = np.multiply(g, dt(1.0) - b1)
+    m += mh
+    v *= b2
+    vh = np.multiply(g, g)
+    vh *= dt(1.0) - b2
+    v += vh
+    np.divide(m, dt(1.0) - b1**t, out=mh)
+    np.divide(v, dt(1.0) - b2**t, out=vh)
+    np.sqrt(vh, out=vh)
+    vh += eps
+    mh *= dt(lr)
+    mh /= vh
+    w -= mh
 
 
 def train_step(
@@ -299,7 +332,7 @@ def train_step(
             future_known_mask=sample.future_known_mask,
         )
         pred = M.forward(batch, weights, model_config)
-        tv, tm = _scaled_targets(sample, batch, pred.shape[1])
+        tv, tm = _scaled_targets(sample.target_values, sample.target_mask, batch.scaling, pred.shape[1])
         loss = pinball_loss(pred, tv, tm, model_config.quantile_levels)
     loss_val = float(loss.data)
     if not np.isfinite(loss_val):
@@ -308,7 +341,7 @@ def train_step(
             f"(batch: {sample.context_values.shape[0]} rows, ctx {sample.context_values.shape[1]}, "
             f"horizon {sample.horizon_len})"
         )
-    T.zero_grads(weights.values())
+    state.flat["grad"].fill(0)
     T.backward(loss, tape)
     state.step += 1
     adam_update(state, train_config, train_config.learning_rate if lr is None else lr)
@@ -337,17 +370,21 @@ def evaluate_pinball(
     mask = np.ones_like(ctx)
     batch = M.assemble_batch(ctx, mask, gids, horizon_len, weights, model_config)
     pred = M.forward(batch, weights, model_config)
-    n_pos = pred.shape[1]
-    tv = np.zeros((K, n_pos))
-    tm = np.zeros((K, n_pos))
-    for s in range(K):
-        tv[s, :horizon_len] = apply_scaling(fut[s], np.ones(horizon_len), batch.scaling[s])
-        tm[s, :horizon_len] = 1.0
+    tv, tm = _scaled_targets(fut, np.ones_like(fut), batch.scaling, pred.shape[1])
     return float(pinball_loss(pred, tv, tm, model_config.quantile_levels).data)
 
 
 # ---------------------------------------------------------------------------
 # curriculum
+
+
+def _truncate_log(log_path: Path, step: int) -> None:
+    """Keep the header and the complete rows of steps <= step."""
+    if not log_path.exists():
+        return
+    lines = log_path.read_text().splitlines(keepends=True)
+    rows = [ln for ln in lines[1:] if ln.endswith("\n") and int(ln.split(",", 1)[0]) <= step]
+    log_path.write_text("".join(lines[:1] + rows))
 
 
 def run_curriculum(
@@ -361,9 +398,10 @@ def run_curriculum(
     """Two-stage training over increasing context limits.
 
     Stage 2 continues from stage-1 weights. Writes checkpoints at the
-    configured cadence plus stage boundaries, an append-only CSV log
-    (step, stage, loss, lr, wallclock_ms), and returns the final
-    checkpoint path (<out_dir>/model.ckpt).
+    configured cadence plus stage boundaries, a CSV log (step, stage,
+    loss, lr, wallclock_ms), and returns the final checkpoint path
+    (<out_dir>/model.ckpt). Resuming cuts the log back to the checkpoint's
+    step, so a run resumed in place logs every step once.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -376,9 +414,10 @@ def run_curriculum(
         state.step = int(extra.get("step", 0))
         for name in state.m:
             if f"m.{name}" in moments:
-                state.m[name] = moments[f"m.{name}"].astype(state.m[name].dtype)
+                state.m[name][...] = moments[f"m.{name}"]
             if f"v.{name}" in moments:
-                state.v[name] = moments[f"v.{name}"].astype(state.v[name].dtype)
+                state.v[name][...] = moments[f"v.{name}"]
+        _truncate_log(log_path, state.step)
     else:
         weights = M.init_weights(model_config, seed=train_config.seed)
         state = TrainState.fresh(weights)

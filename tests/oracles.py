@@ -70,6 +70,25 @@ def mape_loop(actual, forecast, threshold=1e-8):
     return total / count, skipped
 
 
+def adam_per_parameter(params, grads, m, v, t, lr, beta1, beta2, eps):
+    """One bias-corrected Adam step, parameter by parameter, out of place.
+
+    Every dict maps a name to an array of one float dtype; the scalars are
+    cast to that dtype first. Returns the new (params, m, v) dicts.
+    """
+    new_p, new_m, new_v = {}, {}, {}
+    for name, w in params.items():
+        dt = w.dtype.type
+        g = grads[name]
+        b1, b2, e = dt(beta1), dt(beta2), dt(eps)
+        new_m[name] = b1 * m[name] + (dt(1.0) - b1) * g
+        new_v[name] = b2 * v[name] + (dt(1.0) - b2) * (g * g)
+        mh = new_m[name] / (dt(1.0) - b1**t)
+        vh = new_v[name] / (dt(1.0) - b2**t)
+        new_p[name] = w - dt(lr) * mh / (np.sqrt(vh) + e)
+    return new_p, new_m, new_v
+
+
 def splitmix64_reference(seed: int, n: int) -> list[int]:
     """Pure-int SplitMix64 in counter form; the documented algorithm."""
     mask = (1 << 64) - 1

@@ -293,6 +293,42 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_checkpoint_failed_write_keeps_previous_file(tmp_path, monkeypatch):
+    from groupcast import checkpoint as C
+
+    w = M.init_weights(CFG, seed=20, dtype=np.float32)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, w, CFG, extra={"step": 1})
+    before = path.read_bytes()
+
+    class TornFile:
+        """Writes half of what it is given, then fails like a full disk."""
+
+        def __init__(self, f):
+            self.f = f
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, data):
+            self.f.write(bytes(data[: len(data) // 2]))
+            raise OSError("no space left on device")
+
+    monkeypatch.setattr(C, "open", lambda p, mode: TornFile(open(p, mode)), raising=False)
+    with pytest.raises(OSError):
+        save_checkpoint(path, M.init_weights(CFG, seed=21), CFG, extra={"step": 2})
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+    w2, _, extra, _ = load_checkpoint(path)
+    assert extra["step"] == 1
+    for k in w:
+        assert np.array_equal(w[k].data, w2[k].data)
+
+
 def test_scaling_never_uses_horizon_values():
     w = _weights()
     rng = np.random.default_rng(16)

@@ -98,11 +98,16 @@ def test_backward_sum_of_squares():
 def test_backward_independent_leaf_gets_zero():
     x = T.parameter(np.ones(3), dtype=np.float64)
     y = T.parameter(np.ones(3), dtype=np.float64)
+    x_grad = x.grad
     with T.record() as tape:
-        _unused = T.mul(y, y)
-        loss = T.sum_all(T.mul(x, x))
+        unused = T.mul(y, y)
+        square = T.mul(x, x)
+        loss = T.sum_all(square)
     T.backward(loss, tape)
     assert np.array_equal(y.grad, np.zeros(3))
+    # only leaves get gradients, accumulated into their own arrays
+    assert unused.grad is None and square.grad is None and loss.grad is None
+    assert x.grad is x_grad and np.array_equal(x.grad, [2.0, 2.0, 2.0])
 
 
 def test_backward_rejects_non_scalar_loss():
@@ -193,6 +198,10 @@ OP_CASES = {
     "tanh": lambda r: (lambda a: T.sum_all(T.mul(T.tanh(a), T.tanh(a))), [(3, 3)]),
     "scale": lambda r: (lambda a: T.sum_all(T.mul(T.scale(a, 1.7), T.scale(a, 1.7))), [(2, 6)]),
     "matmul": lambda r: (lambda a, b: T.sum_all(T.mul(T.matmul(a, b), T.matmul(a, b))), [(3, 4), (4, 2)]),
+    "linear": lambda r: (
+        lambda x, w, b: T.sum_all(T.mul(T.linear(x, w, b), T.linear(x, w, b))),
+        [(2, 3, 4), (4, 5), (5,)],
+    ),
     "matmul_batched": lambda r: (
         lambda a, b: T.sum_all(T.mul(T.matmul(a, b), T.matmul(a, b))),
         [(2, 3, 4), (4, 2)],
@@ -241,6 +250,27 @@ def test_gradients_match_finite_differences(name):
         _fd_check(lambda ps=params: build_fn(*ps), params)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_linear_equals_add_matmul_bitwise(dtype):
+    rng = np.random.default_rng(12)
+    leaves = [T.parameter(rng.normal(size=s), dtype=dtype) for s in ((2, 7, 16), (16, 8), (8,))]
+    probe = T.constant(rng.normal(size=(2, 7, 8)), dtype=dtype)
+
+    def run(op):
+        for p in leaves:
+            p.zero_grad()
+        with T.record() as tape:
+            out = op(*leaves)
+            loss = T.sum_all(T.mul(out, probe))
+        T.backward(loss, tape)
+        return [out.data.copy()] + [p.grad.copy() for p in leaves]
+
+    fused = run(T.linear)
+    split = run(lambda x, w, b: T.add(T.matmul(x, w), b))
+    for a, b in zip(fused, split):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def test_gradient_single_precision_tolerance():
     rng = np.random.default_rng(9)
     a = T.parameter(rng.normal(size=(4, 4)), dtype=np.float32)
@@ -261,6 +291,8 @@ def test_elementwise_shape_mismatch_raises():
         T.add(T.constant(np.zeros((2, 3))), T.constant(np.zeros((2, 4))))
     with pytest.raises(ShapeError):
         T.mul(T.constant(np.zeros((3, 1))), T.constant(np.zeros((1, 4))))
+    with pytest.raises(ShapeError):
+        T.linear(T.constant(np.zeros((2, 3))), T.constant(np.zeros((4, 5))), T.constant(np.zeros(5)))
 
 
 def test_grad_present_iff_requires_grad():

@@ -8,10 +8,11 @@ from groupcast import model as M
 from groupcast import tensor as T
 from groupcast import train as TR
 from groupcast.checkpoint import load_checkpoint
-from groupcast.errors import ConfigError, DegenerateInputError, TrainingAbort
+from groupcast.errors import ConfigError, ContractError, DegenerateInputError, TrainingAbort
 from groupcast.rng import PortableRng
 
 from conftest import build_training_corpus
+from oracles import adam_per_parameter
 
 CFG = M.ModelConfig(d_model=16, n_blocks=1, n_heads=2, patch_len=4, max_context=64, horizon_patches=2)
 
@@ -141,6 +142,33 @@ def test_adam_zero_gradient_leaves_weights(corpus):
         assert np.array_equal(before[k], w[k].data)
 
 
+def test_flat_adam_matches_per_parameter_oracle_bitwise(corpus):
+    tc = TR.TrainConfig(learning_rate=3e-3, seed=4)
+    state = TR.TrainState.fresh(M.init_weights(CFG, seed=4))
+    params = {k: t.data.copy() for k, t in state.weights.items()}
+    m = {k: np.zeros_like(a) for k, a in params.items()}
+    v = {k: np.zeros_like(a) for k, a in params.items()}
+    for step in range(6):
+        sample = TR.sample_task(corpus, tc.task_mix, PortableRng(4).spawn(step), 3, 16, 4)
+        TR.train_step(state, sample, CFG, tc)
+        grads = {k: t.grad.copy() for k, t in state.weights.items()}
+        params, m, v = adam_per_parameter(
+            params, grads, m, v, state.step, tc.learning_rate, tc.beta1, tc.beta2, tc.eps
+        )
+        for k, t in state.weights.items():
+            assert t.data.tobytes() == params[k].tobytes(), (step, k)
+            assert state.m[k].tobytes() == m[k].tobytes(), (step, k)
+            assert state.v[k].tobytes() == v[k].tobytes(), (step, k)
+            assert np.shares_memory(t.data, state.flat["data"]), k
+
+
+def test_fresh_state_rejects_mixed_dtypes():
+    w = M.init_weights(CFG, seed=1)
+    w["reg"] = T.parameter(w["reg"].data, dtype=np.float64)
+    with pytest.raises(ContractError):
+        TR.TrainState.fresh(w)
+
+
 def test_zero_learning_rate_is_identity(corpus):
     w = M.init_weights(CFG, seed=2)
     state = TR.TrainState.fresh(w)
@@ -225,6 +253,27 @@ def test_resume_continues_step_counter(tmp_path, corpus):
     assert ef["step"] == er["step"] == 40
     for k in wf:
         assert np.array_equal(wf[k].data, wr[k].data), k
+
+
+def test_resume_in_place_matches_uninterrupted_run(tmp_path, corpus):
+    tc = TR.TrainConfig(
+        stage_contexts=(16, 32), stage_steps=(20, 20), batch_groups=2,
+        learning_rate=1e-3, seed=9, checkpoint_every=20,
+    )
+    full = TR.run_curriculum(CFG, tc, corpus, tmp_path / "full")
+    TR.run_curriculum(CFG, tc, corpus, tmp_path / "run")
+    resumed = TR.run_curriculum(
+        CFG, tc, corpus, tmp_path / "run", resume_from=tmp_path / "run" / "ckpt_step000020.ckpt"
+    )
+    assert resumed.read_bytes() == full.read_bytes()
+
+    def log_without_wallclock(run_dir):
+        lines = (run_dir / "train_log.csv").read_text().splitlines()
+        return [line.rsplit(",", 1)[0] for line in lines]
+
+    logged = log_without_wallclock(tmp_path / "run")
+    assert logged == log_without_wallclock(tmp_path / "full")
+    assert len(logged) == 41
 
 
 def test_non_finite_loss_aborts(corpus):
