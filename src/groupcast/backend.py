@@ -1,47 +1,20 @@
-"""Kernel backend selection.
+"""Optional numba jit for the sequential kernel in kernels.py.
 
-Hot inner-loop kernels (see kernels.py) are compiled with numba when it is
-importable. Set ``GROUPCAST_BACKEND=numpy`` to force the pure-numpy/Python
-fallback, or ``GROUPCAST_BACKEND=numba`` to require numba (ImportError if
-absent). Default is ``auto``.
-
-Both backends produce bit-identical results: jitted kernels are restricted
-to order-stable arithmetic (no fastmath, no reassociation) and every
-reduction whose summation order matters stays in shared numpy code.
+``USING_NUMBA`` is true when numba can be imported. The jitted kernel is
+compiled without fastmath, so it returns the same bits as plain Python.
 """
 
-import os
+try:
+    from numba import njit as _njit
 
-_CHOICE = os.environ.get("GROUPCAST_BACKEND", "auto").strip().lower()
+    USING_NUMBA = True
+except ImportError:
+    USING_NUMBA = False
 
-if _CHOICE not in ("auto", "numba", "numpy"):
-    raise RuntimeError(
-        f"GROUPCAST_BACKEND must be one of auto|numba|numpy, got {_CHOICE!r}"
-    )
 
-USING_NUMBA = False
-
-if _CHOICE in ("auto", "numba"):
-    try:
-        from numba import njit as _njit
-
-        USING_NUMBA = True
-    except ImportError:
-        if _CHOICE == "numba":
-            raise
-        USING_NUMBA = False
-
-if USING_NUMBA:
-
-    def jit_kernel(func):
-        """Compile a kernel with strict IEEE semantics (no fastmath)."""
-        return _njit(cache=True)(func)
-
-else:
-
-    def jit_kernel(func):
-        """Fallback: run the kernel as plain Python."""
-        return func
+def jit_kernel(func):
+    """Compile a kernel with strict IEEE semantics (no fastmath); needs USING_NUMBA."""
+    return _njit(cache=True)(func)
 
 
 def backend_name() -> str:

@@ -19,7 +19,9 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Callable
 from datetime import date
+from functools import partial
 from pathlib import Path
 
 
@@ -157,21 +159,24 @@ def cmd_synth(args) -> int:
     out_dir = Path(cfg.get("out_dir") or _default_out())
     seed = int(cfg.get("seed", 0))
     root = PortableRng(seed)
-    jobs: list[tuple[str, object]] = []
+    # (kind, make) in output order; make() returns (panel, provenance)
+    jobs: list[tuple[str, Callable[[], tuple]]] = []
 
     tsi_cfg = cfg.get("tsi") or {}
-    for i in range(int(tsi_cfg.get("count", 0))):
-        spec = S.sample_tsi_spec(root.spawn(10_000 + i), int(tsi_cfg.get("length", 1024)), seed=seed * 1_000_003 + i)
-        jobs.append(("tsi", spec))
-    for i, d in enumerate(cfg.get("explicit_tsi") or []):
+    tsi_specs = [
+        S.sample_tsi_spec(root.spawn(10_000 + i), int(tsi_cfg.get("length", 1024)), seed=seed * 1_000_003 + i)
+        for i in range(int(tsi_cfg.get("count", 0)))
+    ]
+    for d in cfg.get("explicit_tsi") or []:
         d = dict(d)
         d.pop("kind", None)
         d["seasonal"] = tuple(tuple(s) for s in d.get("seasonal", ()))
-        jobs.append(("tsi", S.TsiSpec(**d)))
+        tsi_specs.append(S.TsiSpec(**d))
+    jobs += [("tsi", lambda spec=spec: (S.tsi_generate(spec), spec.to_dict())) for spec in tsi_specs]
 
     tcm_cfg = cfg.get("tcm") or {}
-    for i in range(int(tcm_cfg.get("count", 0))):
-        spec = S.sample_tcm_spec(
+    tcm_specs = [
+        S.sample_tcm_spec(
             root.spawn(20_000 + i),
             int(tcm_cfg.get("length", 1024)),
             seed=seed * 2_000_003 + i,
@@ -180,54 +185,53 @@ def cmd_synth(args) -> int:
             edge_prob=float(tcm_cfg.get("edge_prob", 0.4)),
             radius_range=tuple(tcm_cfg.get("radius_range", (0.5, 0.95))),
         )
-        jobs.append(("tcm", spec))
+        for i in range(int(tcm_cfg.get("count", 0)))
+    ]
     for d in cfg.get("explicit_tcm") or []:
         d = dict(d)
         d.pop("kind", None)
         d["adjacency"] = tuple(tuple(tuple(r) for r in m) for m in d["adjacency"])
-        jobs.append(("tcm", S.TcmSpec(**d)))
+        tcm_specs.append(S.TcmSpec(**d))
+    jobs += [("tcm", lambda spec=spec: (S.tcm_generate(spec), spec.to_dict())) for spec in tcm_specs]
 
     der_cfg = cfg.get("derived") or {}
-    for i in range(int(der_cfg.get("count", 0))):
-        jobs.append(("derived", (der_cfg, root.spawn(30_000 + i))))
+
+    def derived(rng):
+        return S.make_cross_link_panel(
+            rng,
+            int(der_cfg.get("length", 1024)),
+            n_followers=int(der_cfg.get("n_followers", 2)),
+            lag_choices=tuple(der_cfg.get("lag_choices", (8, 16))),
+            noise_scale=float(der_cfg.get("noise_scale", 0.05)),
+        )
+
+    jobs += [
+        ("derived", partial(derived, root.spawn(30_000 + i)))
+        for i in range(int(der_cfg.get("count", 0)))
+    ]
 
     ind_cfg = cfg.get("independent") or {}
-    for i in range(int(ind_cfg.get("count", 0))):
-        jobs.append(("independent", (ind_cfg, root.spawn(40_000 + i))))
+
+    def independent(rng):
+        return S.make_independent_panel(
+            rng, int(ind_cfg.get("length", 1024)), n_series=int(ind_cfg.get("n_series", 3))
+        )
+
+    jobs += [
+        ("independent", partial(independent, root.spawn(40_000 + i)))
+        for i in range(int(ind_cfg.get("count", 0)))
+    ]
 
     if jobs:
         out_dir.mkdir(parents=True, exist_ok=True)
     counters: dict[str, int] = {}
-    for kind, payload in jobs:
+    for kind, make in jobs:
         idx = counters.get(kind, 0)
         counters[kind] = idx + 1
         stem = out_dir / f"{kind}_{idx:04d}"
-        if kind == "tsi":
-            series = S.tsi_generate(payload)
-            S.save_panel_dataset(f"{stem}.csv", series)
-            S.save_provenance(f"{stem}.json", payload.to_dict())
-        elif kind == "tcm":
-            panel = S.tcm_generate(payload)
-            S.save_panel_dataset(f"{stem}.csv", panel)
-            S.save_provenance(f"{stem}.json", payload.to_dict())
-        elif kind == "derived":
-            dcfg, rng = payload
-            panel, prov = S.make_cross_link_panel(
-                rng,
-                int(dcfg.get("length", 1024)),
-                n_followers=int(dcfg.get("n_followers", 2)),
-                lag_choices=tuple(dcfg.get("lag_choices", (8, 16))),
-                noise_scale=float(dcfg.get("noise_scale", 0.05)),
-            )
-            S.save_panel_dataset(f"{stem}.csv", panel)
-            S.save_provenance(f"{stem}.json", prov)
-        else:
-            icfg, rng = payload
-            panel, prov = S.make_independent_panel(
-                rng, int(icfg.get("length", 1024)), n_series=int(icfg.get("n_series", 3))
-            )
-            S.save_panel_dataset(f"{stem}.csv", panel)
-            S.save_provenance(f"{stem}.json", prov)
+        panel, prov = make()
+        S.save_panel_dataset(f"{stem}.csv", panel)
+        S.save_provenance(f"{stem}.json", prov)
     print(f"wrote {len(jobs)} datasets to {out_dir}" if jobs else "no generator specs; nothing to do")
     return EXIT_OK
 
@@ -352,9 +356,6 @@ def cmd_evaluate(args) -> int:
             panel=p, mode=mo, n=n, m=m,
             start_years_after=int(cfg.get("start_years_after", 3)),
             cutoff=cutoff,
-            point_quantile=float(cfg.get("point_quantile", 0.5)),
-            checkpoint=cfg.get("checkpoint"),
-            seed=int(cfg.get("seed", 0)),
         )
         for p in sorted(panels, key=E.panel_sort_key)
         for mo in modes

@@ -8,13 +8,15 @@ EvalRecord is written per (panel, mode, series, n, m, origin), averaging
 within the origin first.
 
 Grid cells are independent; with workers > 1 they run on a fork pool and
-results are placed back in canonical order, so worker count never changes
-the output bytes.
+results come back in canonical order, so worker count never changes the
+output bytes.
 """
 
 import csv
 import logging
 import multiprocessing
+import os
+from contextlib import ExitStack
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
@@ -22,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import model as M
-from .errors import DegenerateInputError
+from .errors import DataError, DegenerateInputError
 from .panels import SeriesPanel, slice_context
 
 logger = logging.getLogger(__name__)
@@ -50,9 +52,6 @@ class ExperimentSpec:
     start_years_after: int = 3
     cadence: str = "monthly"
     cutoff: date = DEFAULT_CUTOFF
-    point_quantile: float = 0.5
-    checkpoint: str | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.cadence != "monthly":
@@ -293,14 +292,20 @@ def run_grid(
 ) -> tuple[list[EvalRecord], list[dict]]:
     """Evaluate every (spec, origin) cell; stream records incrementally.
 
-    Cells already present in records_path are skipped, making long grids
-    resumable by origin. Output order is canonical regardless of workers.
+    Each cell's rows are written and flushed as soon as the cell completes,
+    in canonical order regardless of workers. Cells already present in
+    records_path are skipped, so a rerun after a crash resumes where the
+    file ends and writes the same bytes as an uninterrupted run.
     """
     specs = sorted(specs, key=_canonical_spec_key)
     done: set = set()
     existing: list[EvalRecord] = []
-    if records_path is not None and Path(records_path).exists():
-        existing = read_records(records_path)
+    path = None if records_path is None else Path(records_path)
+    if path is not None and path.exists():
+        _cut_torn_cell(path)
+    new_file = path is not None and (not path.exists() or path.stat().st_size == 0)
+    if path is not None and not new_file:
+        existing = read_records(path)
         done = {(r.panel, r.mode, r.n, r.m, r.origin) for r in existing}
     cells = []
     for spec in specs:
@@ -310,33 +315,30 @@ def run_grid(
                 continue
             cells.append((spec, origin))
 
-    if workers > 1 and len(cells) > 1:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(workers, initializer=_init_pool, initargs=(panels, forecaster)) as pool:
-            results = pool.map(_eval_cell, cells, chunksize=max(1, len(cells) // (workers * 4)))
-    else:
-        results = [evaluate_cell(panels[s.panel], s, o, forecaster) for s, o in cells]
-
-    writer = None
-    fh = None
-    if records_path is not None:
-        new_file = not Path(records_path).exists()
-        fh = open(records_path, "a", newline="")
-        writer = csv.writer(fh)
-        if new_file:
-            writer.writerow(RECORD_FIELDS)
     records: list[EvalRecord] = list(existing)
     skips: list[dict] = []
-    try:
+    with ExitStack() as stack:
+        writer = None
+        if path is not None:
+            fh = stack.enter_context(open(path, "a", newline=""))
+            writer = csv.writer(fh)
+            if new_file:
+                writer.writerow(RECORD_FIELDS)
+                fh.flush()
+        if workers > 1 and len(cells) > 1:
+            ctx = multiprocessing.get_context("fork")
+            pool = stack.enter_context(
+                ctx.Pool(workers, initializer=_init_pool, initargs=(panels, forecaster))
+            )
+            results = pool.imap(_eval_cell, cells, chunksize=max(1, len(cells) // (workers * 4)))
+        else:
+            results = (evaluate_cell(panels[s.panel], s, o, forecaster) for s, o in cells)
         for cell_records, cell_skips in results:
             records.extend(cell_records)
             skips.extend(cell_skips)
             if writer is not None:
-                for r in cell_records:
-                    writer.writerow(_record_row(r))
-    finally:
-        if fh is not None:
-            fh.close()
+                writer.writerows(_record_row(r) for r in cell_records)
+                fh.flush()
     return records, skips
 
 
@@ -347,37 +349,58 @@ def _record_row(r: EvalRecord) -> list:
     ]
 
 
-def write_records(path, records: list[EvalRecord]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RECORD_FIELDS)
-        for r in records:
-            writer.writerow(_record_row(r))
+def _cell_of(line: bytes) -> list[bytes]:
+    fields = line.split(b",")
+    return fields[:2] + fields[3:6]  # panel, mode, n, m, origin
+
+
+def _cut_torn_cell(path: Path) -> None:
+    """Cut an unterminated final row together with the rows of the last cell.
+
+    A crash can tear the row being written. Rows are written a cell at a
+    time, so the torn row's cell may be incomplete; the rerun computes the
+    last cell again.
+    """
+    with open(path, "r+b") as fh:
+        lines = fh.read().splitlines(keepends=True)
+        if not lines or lines[-1].endswith(b"\n"):
+            return
+        torn = lines.pop()
+        keep = len(lines)
+        while keep > 1 and _cell_of(lines[keep - 1]) == _cell_of(lines[-1]):
+            keep -= 1
+        fh.truncate(sum(map(len, lines[:keep])))
+    logger.warning(
+        "%s: cut unterminated final row %r and the %d rows of the last cell",
+        path, torn, len(lines) - keep,
+    )
 
 
 def read_records(path) -> list[EvalRecord]:
-    from .errors import DataError
-
-    out = []
+    """Parse records.csv; an unterminated final row is dropped and logged."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(RECORD_FIELDS):
-            raise DataError(f"{path}: unexpected records header {header}")
-        for li, row in enumerate(reader, start=2):
-            if len(row) != len(RECORD_FIELDS):
-                raise DataError(f"{path}: row {li} malformed")
-            try:
-                out.append(
-                    EvalRecord(
-                        panel=row[0], mode=row[1], series=row[2], n=int(row[3]),
-                        m=int(row[4]), origin=date.fromisoformat(row[5]),
-                        rmse=float(row[6]), mape=float(row[7]), skipped=int(row[8]),
-                        regime=row[9],
-                    )
+        lines = fh.readlines()
+    if lines and not lines[-1].endswith("\n"):
+        logger.warning("%s: dropped unterminated final row %r", path, lines.pop())
+    reader = csv.reader(lines)
+    header = next(reader, None)
+    if header != list(RECORD_FIELDS):
+        raise DataError(f"{path}: unexpected records header {header}")
+    out = []
+    for li, row in enumerate(reader, start=2):
+        if len(row) != len(RECORD_FIELDS):
+            raise DataError(f"{path}: row {li} malformed")
+        try:
+            out.append(
+                EvalRecord(
+                    panel=row[0], mode=row[1], series=row[2], n=int(row[3]),
+                    m=int(row[4]), origin=date.fromisoformat(row[5]),
+                    rmse=float(row[6]), mape=float(row[7]), skipped=int(row[8]),
+                    regime=row[9],
                 )
-            except ValueError as exc:
-                raise DataError(f"{path}: row {li}: {exc}") from exc
+            )
+        except ValueError as exc:
+            raise DataError(f"{path}: row {li}: {exc}") from exc
     return out
 
 
@@ -438,19 +461,6 @@ def compare_series(records: list[EvalRecord]) -> list[dict]:
     return rows
 
 
-def regime_report(records: list[EvalRecord], cutoff: date = DEFAULT_CUTOFF) -> dict:
-    """aggregate_mode computed separately before vs on/after the cutoff."""
-    pre = [r for r in records if r.origin < cutoff]
-    post = [r for r in records if r.origin >= cutoff]
-    return {
-        "cutoff": cutoff.isoformat(),
-        "pre": aggregate_mode(pre) if pre else None,
-        "post": aggregate_mode(post) if post else None,
-        "pre_count": len(pre),
-        "post_count": len(post),
-    }
-
-
 # ---------------------------------------------------------------------------
 # artifacts
 
@@ -462,11 +472,18 @@ def _canonical_records(records: list[EvalRecord]) -> list[EvalRecord]:
     )
 
 
-def _write_csv(path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+    """Write beside the target, then rename: a failed write leaves the old file."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _fmt(x) -> str:

@@ -186,15 +186,21 @@ def insert_reg(context_tokens: T.Tensor, future_tokens: T.Tensor, reg_param: T.T
 _rope_cache: dict = {}
 
 
+def _rope_tables_at(positions: np.ndarray, d_head: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """(cos, sin) rotary tables, (len(positions), d_head // 2), in dtype."""
+    half = d_head // 2
+    inv_freq = ROPE_BASE ** (-np.arange(half, dtype=np.float64) * 2.0 / d_head)
+    ang = np.asarray(positions, dtype=np.float64)[:, None] * inv_freq[None, :]
+    return np.cos(ang).astype(dtype), np.sin(ang).astype(dtype)
+
+
 def _rope_tables(n_pos: int, d_head: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Cached tables for positions 0..n_pos-1."""
     key = (n_pos, d_head, np.dtype(dtype).str)
     hit = _rope_cache.get(key)
     if hit is not None:
         return hit
-    half = d_head // 2
-    inv_freq = ROPE_BASE ** (-np.arange(half, dtype=np.float64) * 2.0 / d_head)
-    ang = np.arange(n_pos, dtype=np.float64)[:, None] * inv_freq[None, :]
-    tables = (np.cos(ang).astype(dtype), np.sin(ang).astype(dtype))
+    tables = _rope_tables_at(np.arange(n_pos), d_head, dtype)
     if len(_rope_cache) > 256:
         _rope_cache.clear()
     _rope_cache[key] = tables
@@ -251,30 +257,16 @@ def attention_logits(
     q = T.linear(x, weights[f"{prefix}.wq"], weights[f"{prefix}.bq"])
     k = T.linear(x, weights[f"{prefix}.wk"], weights[f"{prefix}.bk"])
     q, k = (_split_heads(t, n_heads) for t in (q, k))
-    cos, sin = _rope_tables_for_positions(positions, dh, x.dtype)
+    cos, sin = _rope_tables_at(positions, dh, x.dtype)
     q = T.rope_rotate(q, cos, sin)
     k = T.rope_rotate(k, cos, sin)
     logits = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
     return logits.data
 
 
-def _rope_tables_for_positions(positions: np.ndarray, d_head: int, dtype):
-    half = d_head // 2
-    inv_freq = ROPE_BASE ** (-np.arange(half, dtype=np.float64) * 2.0 / d_head)
-    ang = np.asarray(positions, dtype=np.float64)[:, None] * inv_freq[None, :]
-    return np.cos(ang).astype(dtype), np.sin(ang).astype(dtype)
-
-
-def time_attention(
-    tokens: T.Tensor, weights: dict, prefix: str, n_heads: int, positions: np.ndarray | None = None
-) -> T.Tensor:
+def time_attention(tokens: T.Tensor, weights: dict, prefix: str, n_heads: int) -> T.Tensor:
     """Bidirectional attention along each series row's patch axis."""
-    L = tokens.shape[1]
-    dh = tokens.shape[-1] // n_heads
-    if positions is None:
-        rope = _rope_tables(L, dh, tokens.dtype)
-    else:
-        rope = _rope_tables_for_positions(positions, dh, tokens.dtype)
+    rope = _rope_tables(tokens.shape[1], tokens.shape[-1] // n_heads, tokens.dtype)
     return _attention(tokens, weights, prefix, n_heads, rope=rope)
 
 
@@ -353,7 +345,6 @@ def assemble_batch(
     config: ModelConfig,
     future_values: np.ndarray | None = None,
     future_known_mask: np.ndarray | None = None,
-    scaling_estimator: str = "meanstd",
 ) -> GroupBatch:
     """Scale, patch, embed and separator-tag a panel of context windows.
 
@@ -403,7 +394,7 @@ def assemble_batch(
     pad = (-Lc) % P
     rel_full = preprocess.make_rel_time(Lc, Lh, pad_count=pad)
     for s in range(S):
-        scaled, state = preprocess.robust_scale(ctx[s], msk[s], estimator=scaling_estimator)
+        scaled, state = preprocess.robust_scale(ctx[s], msk[s])
         states.append(state)
         meta = MetaFeatures(rel_time=rel_full[pad : pad + Lc], observed_mask=msk[s])
         seq = preprocess.patchify(scaled, meta, P)

@@ -1,4 +1,4 @@
-"""Series preprocessing: robust scaling, categorical encoding, patching.
+"""Series preprocessing: robust scaling and patching.
 
 The scaling transform is asinh((x - loc) / scale) with loc/scale estimated
 from observed context points only, so statistics can never leak future
@@ -43,32 +43,19 @@ class PatchSequence:
     pad_count: int
 
 
-def fit_scaling(
-    series: np.ndarray, mask: np.ndarray, estimator: str = "meanstd"
-) -> ScalingState:
-    """Estimate (loc, scale) from observed points; scale is floored."""
+def fit_scaling(series: np.ndarray, mask: np.ndarray) -> ScalingState:
+    """Estimate (loc, scale) = (mean, std) of observed points; scale is floored."""
     series = np.asarray(series, dtype=np.float64)
     mask = np.asarray(mask)
     obs = series[mask > 0]
     if obs.size == 0:
         raise DegenerateInputError("cannot scale an all-missing series")
-    if estimator == "meanstd":
-        loc = float(np.mean(obs))
-        scale = float(np.std(obs))
-    elif estimator == "medianiqr":
-        loc = float(np.median(obs))
-        q75, q25 = np.percentile(obs, [75.0, 25.0])
-        scale = float(q75 - q25)
-    else:
-        raise ConfigError(f"unknown scaling estimator {estimator!r}")
-    return ScalingState(loc=loc, scale=max(scale, SCALE_FLOOR))
+    return ScalingState(loc=float(np.mean(obs)), scale=max(float(np.std(obs)), SCALE_FLOOR))
 
 
-def robust_scale(
-    series: np.ndarray, mask: np.ndarray, estimator: str = "meanstd"
-) -> tuple[np.ndarray, ScalingState]:
+def robust_scale(series: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, ScalingState]:
     """asinh-scale a series; unobserved positions become exactly 0."""
-    state = fit_scaling(series, mask, estimator)
+    state = fit_scaling(series, mask)
     return apply_scaling(series, mask, state), state
 
 
@@ -82,63 +69,6 @@ def apply_scaling(series: np.ndarray, mask: np.ndarray, state: ScalingState) -> 
 def inverse_scale(scaled: np.ndarray, state: ScalingState) -> np.ndarray:
     """Map scaled values back to original units: sinh(s)*scale + loc."""
     return np.sinh(np.asarray(scaled, dtype=np.float64)) * state.scale + state.loc
-
-
-class CategoricalEncoder:
-    """Target or ordinal encoding of a finite category set.
-
-    Target mode maps a category to the mean of the target over its context
-    occurrences; categories unseen at fit time map to the global target
-    mean. Ordinal mode ranks categories by first appearance; unseen
-    categories take the next free ordinal.
-    """
-
-    def __init__(self, mode: str):
-        if mode not in ("target", "ordinal"):
-            raise ConfigError(f"unknown categorical mode {mode!r}")
-        self.mode = mode
-        self._codes: dict = {}
-        self._fallback = 0.0
-
-    def fit(self, values, target=None) -> "CategoricalEncoder":
-        values = list(values)
-        if self.mode == "target":
-            if target is None:
-                raise ConfigError("target encoding needs a target sequence")
-            target = np.asarray(target, dtype=np.float64)
-            if len(target) != len(values):
-                raise ConfigError("categorical values and target lengths differ")
-            sums: dict = {}
-            counts: dict = {}
-            for v, t in zip(values, target):
-                sums[v] = sums.get(v, 0.0) + float(t)
-                counts[v] = counts.get(v, 0) + 1
-            self._codes = {v: sums[v] / counts[v] for v in sums}
-            self._fallback = float(np.mean(target)) if len(target) else 0.0
-        else:
-            for v in values:
-                if v not in self._codes:
-                    self._codes[v] = float(len(self._codes))
-        return self
-
-    def transform(self, values) -> np.ndarray:
-        out = np.empty(len(values), dtype=np.float64)
-        for i, v in enumerate(values):
-            if v in self._codes:
-                out[i] = self._codes[v]
-            elif self.mode == "target":
-                out[i] = self._fallback
-            else:
-                code = float(len(self._codes))
-                self._codes[v] = code
-                out[i] = code
-        return out
-
-
-def encode_categorical(values, target=None) -> np.ndarray:
-    """One-shot encoding: target mode when a target is given, else ordinal."""
-    mode = "target" if target is not None else "ordinal"
-    return CategoricalEncoder(mode).fit(values, target).transform(values)
 
 
 def make_rel_time(context_len: int, horizon_len: int, pad_count: int = 0) -> np.ndarray:
@@ -182,8 +112,3 @@ def patchify(scaled: np.ndarray, meta: MetaFeatures, patch_len: int) -> PatchSeq
     patches = chans.reshape(-1, patch_len, 3)
     return PatchSequence(patches=patches, patch_len=patch_len, pad_count=pad)
 
-
-def unpatchify_values(seq: PatchSequence) -> np.ndarray:
-    """Flatten the value channel back to a series, dropping padding."""
-    flat = seq.patches[:, :, 0].reshape(-1)
-    return flat[seq.pad_count :]

@@ -3,7 +3,7 @@
 Every stochastic component in the package (dataset generation, weight
 initialization, task sampling) draws from this generator rather than from
 numpy's, so that identical seeds reproduce identical streams bit-for-bit
-across runs, platforms, and kernel backends.
+across runs and platforms.
 
 Algorithm (SplitMix64 in counter form), written out so other
 implementations can reproduce the streams exactly:
@@ -25,9 +25,6 @@ counter .. counter+n-1) and advancing the counter. Derived quantities:
     spawn(key)  = child stream with
                   state' = mix(state + (key + 1) * 0xD1B54A32D192ED03),
                   counter' = 0
-
-Box-Muller runs on vectorized numpy in both backends, so streams do not
-depend on the kernel backend.
 """
 
 import numpy as np

@@ -175,8 +175,7 @@ def pinball_loss(pred: T.Tensor, target: np.ndarray, mask: np.ndarray, levels) -
     if n_obs == 0:
         raise DegenerateInputError("pinball loss needs at least one observed cell")
     flat = T.reshape(pred, (S * N, Q))
-    # loss math runs in float64 in both backends (numba promotes mixed
-    # float32/literal arithmetic differently from numpy)
+    # loss math runs in float64 whatever the model dtype
     pred64 = flat.data.astype(np.float64, copy=False)
     cells = kernels.pinball_cells(target, pred64, levels_arr, mask)
     denom = n_obs * Q

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from groupcast import cli
+from groupcast import evalharness as E
 from groupcast.checkpoint import load_checkpoint, save_checkpoint
 from groupcast import model as M
 from groupcast.panels import RATE_IDS, STOCK_IDS, save_csv_panel
@@ -279,6 +280,24 @@ def test_report_malformed_records_exits_5(tmp_path):
     records = tmp_path / "records.csv"
     records.write_text("wrong,header\n1,2\n")
     assert cli.main(["report", "--records", str(records), "--out", str(tmp_path / "x")]) == 5
+    # a complete row with missing fields is malformed, not torn
+    records.write_text(",".join(E.RECORD_FIELDS) + "\nstocks,MV,AAPL,30\n")
+    assert cli.main(["report", "--records", str(records), "--out", str(tmp_path / "y")]) == 5
+
+
+def test_report_drops_torn_final_row(tmp_path, market_csvs):
+    sp, rp = market_csvs
+    out = tmp_path / "eval"
+    cli.main([
+        "evaluate", "--stocks", str(sp), "--rates", str(rp), "--out", str(out),
+        "--stub", "last-value", "--n", "30", "--m", "5", "--set", "start_years_after=1",
+    ])
+    records = out / "records.csv"
+    with open(records, "ab") as fh:
+        fh.write(b"stocks,MV,AAPL,30,5,20")
+    rep = tmp_path / "rep"
+    assert cli.main(["report", "--records", str(records), "--out", str(rep)]) == 0
+    assert _dir_bytes(rep)["table1.csv"] == (out / "table1.csv").read_bytes()
 
 
 def test_panel_validate_prints_summary(tmp_path, market_csvs, capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from groupcast import evalharness as E
-from groupcast.errors import DegenerateInputError
+from groupcast.errors import DataError, DegenerateInputError
 from groupcast.panels import RATE_IDS, STOCK_IDS, SeriesPanel, build_combined
 
 from conftest import make_price_panel, make_rate_panel, weekday_calendar
@@ -212,6 +212,67 @@ def test_run_grid_streams_and_resumes(tmp_path, toy_panel):
         assert r.rmse == orig.rmse and r.mape == orig.mape
 
 
+def _toy_grid(toy_panel):
+    specs = [_spec(panel="toy", mode=mo, n=30, m=5, start_years_after=0) for mo in ("MV", "UV")]
+    return specs, {"toy": toy_panel}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_grid_crash_then_resume_is_byte_identical(tmp_path, toy_panel, monkeypatch, workers):
+    specs, panels = _toy_grid(toy_panel)
+    whole = tmp_path / "whole.csv"
+    E.run_grid(specs, panels, E.LastValueStub(), records_path=whole, workers=workers)
+
+    crash_at = ("UV", E.rolling_origins(toy_panel, specs[1])[3])
+    evaluate_cell = E.evaluate_cell
+
+    def crashing(panel, spec, origin, forecaster):
+        if (spec.mode, origin) == crash_at:
+            raise RuntimeError("injected crash")
+        return evaluate_cell(panel, spec, origin, forecaster)
+
+    monkeypatch.setattr(E, "evaluate_cell", crashing)
+    path = tmp_path / "records.csv"
+    with pytest.raises(RuntimeError, match="injected crash"):
+        E.run_grid(specs, panels, E.LastValueStub(), records_path=path, workers=workers)
+    written = E.read_records(path)
+    # the cells finished before the crash were streamed to the file
+    assert 0 < len(written) < len(E.read_records(whole))
+    assert all(r.mode == "MV" or r.origin < crash_at[1] for r in written)
+
+    monkeypatch.setattr(E, "evaluate_cell", evaluate_cell)
+    E.run_grid(specs, panels, E.LastValueStub(), records_path=path, workers=workers)
+    assert path.read_bytes() == whole.read_bytes()
+
+
+def test_torn_final_row_is_dropped_and_resume_completes(tmp_path, toy_panel, caplog):
+    specs, panels = _toy_grid(toy_panel)
+    whole = tmp_path / "whole.csv"
+    E.run_grid(specs, panels, E.LastValueStub(), records_path=whole)
+    lines = whole.read_bytes().splitlines(keepends=True)
+    path = tmp_path / "records.csv"
+    # header, cell 1 (3 series), one row of cell 2, then half a row of cell 2
+    path.write_bytes(b"".join(lines[:5]) + lines[5][:20])
+    with caplog.at_level("WARNING"):
+        records = E.read_records(path)
+    assert len(records) == 4
+    assert "dropped unterminated final row" in caplog.text
+    E.run_grid(specs, panels, E.LastValueStub(), records_path=path)
+    assert path.read_bytes() == whole.read_bytes()
+
+
+def test_complete_malformed_row_still_raises(tmp_path, toy_panel):
+    specs, panels = _toy_grid(toy_panel)
+    path = tmp_path / "records.csv"
+    E.run_grid(specs, panels, E.LastValueStub(), records_path=path)
+    with open(path, "ab") as fh:
+        fh.write(b"toy,MV,s0,30\r\n")
+    with pytest.raises(DataError, match="malformed"):
+        E.read_records(path)
+    with pytest.raises(DataError, match="malformed"):
+        E.run_grid(specs, panels, E.LastValueStub(), records_path=path)
+
+
 def test_workers_do_not_change_results(tmp_path, toy_panel):
     specs = [
         _spec(panel="toy", mode=mo, n=30, m=5, start_years_after=0) for mo in ("MV", "UV")
@@ -301,20 +362,27 @@ def test_compare_series_combined_label():
     }
 
 
-def test_regime_partition_and_boundaries():
+def _regime_rows(records, out_dir, cutoff=E.DEFAULT_CUTOFF):
+    paths = E.emit_artifacts(records, out_dir, cutoff=cutoff)
+    rows = [ln.split(",") for ln in paths["regime"].read_text().splitlines()[1:]]
+    return rows, paths
+
+
+def test_regime_partition_and_boundaries(tmp_path):
     records = [
         _rec(origin=date(2022, 6, 1), regime="pre"),
         _rec(origin=date(2023, 6, 1), regime="post"),
         _rec(origin=date(2024, 6, 1), regime="post"),
     ]
-    rep = E.regime_report(records)
-    assert rep["pre_count"] + rep["post_count"] == len(records)
-    only_pre = E.regime_report([records[0]])
-    assert only_pre["post"] is None and only_pre["pre"] is not None
+    rows, _ = _regime_rows(records, tmp_path / "split")
+    assert sum(int(r[-1]) for r in rows) == len(records)
+    assert [r[0] for r in rows] == ["pre", "post"]
+    only_pre, _ = _regime_rows([records[0]], tmp_path / "only_pre")
+    assert [r[0] for r in only_pre] == ["pre"]
     # pushing the cutoff beyond the last origin reproduces the unsplit aggregate
-    far = E.regime_report(records, cutoff=date(2030, 1, 1))
-    assert far["post"] is None
-    assert far["pre"] == E.aggregate_mode(records)
+    far, paths = _regime_rows(records, tmp_path / "far", cutoff=date(2030, 1, 1))
+    assert {r[0] for r in far} == {"pre"}
+    assert [",".join(r[1:]) for r in far] == paths["table1"].read_text().splitlines()[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +434,20 @@ def test_timeseries_monthly_rows(tmp_path):
     assert header[0] == "month"
     months = {f"{r.origin.year:04d}-{r.origin.month:02d}" for r in records}
     assert len(lines) - 1 == len(months)
+
+
+def test_failed_artifact_write_keeps_previous_file(tmp_path):
+    path = tmp_path / "table1.csv"
+    path.write_text("previous\n")
+
+    def rows():
+        yield ["a", "1"]
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        E._write_csv(path, ["k", "v"], rows())
+    assert path.read_text() == "previous\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["table1.csv"]
 
 
 def test_empty_records_write_headers(tmp_path):

@@ -86,37 +86,6 @@ def test_scaling_is_odd_on_symmetric_inputs():
     assert np.abs(reflected + scaled).max() <= 1e-12
 
 
-def test_median_iqr_estimator_switch():
-    series = np.array([0.0, 1.0, 2.0, 3.0, 100.0])
-    _, state = P.robust_scale(series, np.ones(5), estimator="medianiqr")
-    assert state.loc == 2.0
-    assert state.scale == 2.0  # q75 - q25 of [0,1,2,3,100]
-    with pytest.raises(ConfigError):
-        P.robust_scale(series, np.ones(5), estimator="wat")
-
-
-def test_categorical_single_category_constant():
-    out = P.encode_categorical(["a", "a", "a"], target=[1.0, 2.0, 3.0])
-    assert out.tolist() == [2.0, 2.0, 2.0]
-
-
-def test_categorical_target_means():
-    out = P.encode_categorical(["a", "b", "a"], target=[1.0, 3.0, 2.0])
-    assert out.tolist() == [1.5, 3.0, 1.5]
-
-
-def test_categorical_ordinal_first_appearance():
-    out = P.encode_categorical(["x", "z", "y", "z"])
-    assert out.tolist() == [0.0, 1.0, 2.0, 1.0]
-
-
-def test_categorical_unseen_fallbacks():
-    enc = P.CategoricalEncoder("target").fit(["a", "b"], target=[1.0, 3.0])
-    assert enc.transform(["c"]).tolist() == [2.0]  # global mean
-    enc2 = P.CategoricalEncoder("ordinal").fit(["a", "b"])
-    assert enc2.transform(["z"]).tolist() == [2.0]  # next ordinal
-
-
 def _meta(n, horizon=0):
     return P.MetaFeatures(rel_time=P.make_rel_time(n, horizon)[:n], observed_mask=np.ones(n))
 
@@ -155,7 +124,7 @@ def test_patchify_flatten_roundtrip():
     for n in (1, 5, 8, 13, 31):
         x = rng.normal(n)
         seq = P.patchify(x, _meta(int(n)), 8)
-        assert np.array_equal(P.unpatchify_values(seq), x)
+        assert np.array_equal(seq.patches[:, :, 0].reshape(-1)[seq.pad_count :], x)
 
 
 def test_rel_time_strictly_increasing_and_normalized():
