@@ -19,6 +19,8 @@ import argparse
 import json
 import os
 import sys
+import time
+from collections import Counter
 from collections.abc import Callable
 from datetime import date
 from functools import partial
@@ -286,6 +288,13 @@ def _cell(v) -> str:
     return str(v)
 
 
+def _grid_summary(wall_s: float, skips: list[dict]) -> str:
+    """One stderr line: grid wall time and skip counts by reason, largest first."""
+    by_reason = sorted(Counter(s["reason"] for s in skips).items(), key=lambda kv: (-kv[1], kv[0]))
+    detail = "; ".join(f"{n} {reason}" for reason, n in by_reason)
+    return f"grid: {wall_s:.2f} s wall, {len(skips)} skips" + (f" ({detail})" if detail else "")
+
+
 def cmd_evaluate(args) -> int:
     cfg = _load_config(args.config, args.set, EVAL_KEYS)
     if args.seed is not None:
@@ -379,7 +388,9 @@ def cmd_evaluate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     records_path = out_dir / "records.csv"
     workers = int(cfg.get("workers") or os.cpu_count() or 1)
+    start = time.perf_counter()
     records, skips = E.run_grid(specs, panels, forecaster, records_path=records_path, workers=workers)
+    print(_grid_summary(time.perf_counter() - start, skips), file=sys.stderr)
     paths = E.emit_artifacts(records, out_dir, cutoff=cutoff)
     print(f"records: {records_path} ({len(records)} rows, {len(skips)} skips)")
     for name, p in sorted(paths.items()):

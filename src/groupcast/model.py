@@ -3,12 +3,16 @@
 Per series row the pipeline is: scale -> patch -> embed through a residual
 feed-forward block -> insert a learned separator token between context and
 future patch slots -> n_blocks of (time attention with rotary positions,
-then group attention masked to equal group IDs) -> linear head emitting 21
-quantiles per future position.
+then group attention among series with equal group IDs) -> linear head
+emitting 21 quantiles per future position.
 
 Group attention runs across the series axis at each fixed patch index, so
 series in different groups exchange no information; the separator token is
-passed through group attention untouched.
+passed through group attention untouched. Its computation follows the
+structure of the group IDs: all singletons (UV) take the closed form of
+attention to oneself, one shared group (MV) takes plain attention, and a
+mix of groups takes dense attention under an additive -1e9 mask. The three
+give the same bits as the masked form would.
 """
 
 import logging
@@ -274,11 +278,26 @@ def group_mask_bias(group_ids: np.ndarray, dtype) -> np.ndarray:
     """(S, S) additive bias: 0 for equal group IDs, a large penalty else.
 
     exp(penalty) underflows to exactly 0, so cross-group attention weights
-    are exactly zero and isolation is bitwise.
+    are exactly zero and isolation is bitwise. Only batches with several
+    groups, not all of them singletons, use it; group_attention needs no
+    mask for all-singleton (UV) and single-group (MV) batches.
     """
     g = np.asarray(group_ids)
     same = g[:, None] == g[None, :]
     return np.where(same, 0.0, GROUP_MASK_PENALTY).astype(dtype)
+
+
+def _self_attention(x: T.Tensor, weights: dict, prefix: str) -> T.Tensor:
+    """Attention of every row to itself alone: LN(x + (x Wv + bv) Wo + bo).
+
+    A softmax over one logit is exactly 1, so the value projection passes
+    through unchanged; q, k, the logits and the softmax are never formed.
+    """
+    v = T.linear(x, weights[f"{prefix}.wv"], weights[f"{prefix}.bv"])
+    out = T.linear(v, weights[f"{prefix}.wo"], weights[f"{prefix}.bo"])
+    return T.layer_norm(
+        T.add(x, out), weights[f"{prefix}.ln_gain"], weights[f"{prefix}.ln_bias"]
+    )
 
 
 def group_attention(
@@ -289,7 +308,14 @@ def group_attention(
     n_heads: int,
     reg_position: int | None = None,
 ) -> T.Tensor:
-    """Attention across series at each patch index, masked by group ID.
+    """Attention across series at each patch index, within equal group IDs.
+
+    The computation depends on the structure of group_ids: every series
+    its own group (UV) takes the closed form of attention to oneself, one
+    group for all series (MV) takes unmasked attention, and anything else
+    takes attention masked by group_mask_bias. Each gives the bits of the
+    masked form, gradients included (the UV form leaves the q/k weights off
+    the tape; the masked form gives them exactly zero gradient).
 
     The separator token (at reg_position) is excluded: it neither updates
     nor contributes, and is copied through unchanged.
@@ -303,8 +329,15 @@ def group_attention(
         after = T.narrow(tokens, 1, reg_position + 1, L - reg_position - 1)
         sub = T.concat([before, after], axis=1)
     flipped = T.transpose(sub, (1, 0, 2))  # (L', S, D)
-    bias = group_mask_bias(group_ids, tokens.dtype)
-    out = _attention(flipped, weights, prefix, n_heads, mask_bias=bias)
+    g = np.asarray(group_ids)
+    n_groups = len(set(g.tolist()))
+    if n_groups == g.size:
+        out = _self_attention(flipped, weights, prefix)
+    elif n_groups == 1:
+        out = _attention(flipped, weights, prefix, n_heads)
+    else:
+        bias = group_mask_bias(g, tokens.dtype)
+        out = _attention(flipped, weights, prefix, n_heads, mask_bias=bias)
     out = T.transpose(out, (1, 0, 2))
     if reg_position is None:
         return out

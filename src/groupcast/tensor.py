@@ -285,10 +285,13 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax over the last axis, max-shifted for stability."""
-    shifted = x.data - np.max(x.data, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / np.sum(e, axis=-1, keepdims=True)
+    """Row-wise softmax over the last axis, max-shifted for stability.
+
+    The shift makes the one new array; exp and the division run in place.
+    """
+    y = x.data - np.max(x.data, axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= np.sum(y, axis=-1, keepdims=True)
 
     def bwd(g):
         dot = np.sum(g * y, axis=-1, keepdims=True)

@@ -1,10 +1,16 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately written the dumb way (explicit loops,
-no shared code with the package) so a disagreement means a real bug.
+no shared code with the package) so a disagreement means a real bug. The
+exception is the dense masked group attention, which is built from
+``groupcast.tensor`` primitives so that its gradients can be compared too.
 """
 
+import math
+
 import numpy as np
+
+from groupcast import tensor as T
 
 
 def matmul_triple_loop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -134,3 +140,50 @@ def brute_force_metrics(panel_values, panel_mask, forecast_fn, origins_idx, n, m
                 cnt += 1
             out[(oi, k)] = ((sq / nsq) ** 0.5, tot / cnt, skipped)
     return out
+
+
+def group_attention_dense_masked(tokens, group_ids, weights, prefix, n_heads, reg_position=None):
+    """Group attention as one dense S x S attention under a -1e9 mask.
+
+    Every row pair is scored at every patch index; pairs from different
+    groups get the penalty added to their logits, so their softmax weights
+    underflow to 0. The separator at reg_position is copied through.
+    """
+    if reg_position is None:
+        sub = tokens
+    else:
+        L = tokens.shape[1]
+        before = T.narrow(tokens, 1, 0, reg_position)
+        reg_tok = T.narrow(tokens, 1, reg_position, 1)
+        after = T.narrow(tokens, 1, reg_position + 1, L - reg_position - 1)
+        sub = T.concat([before, after], axis=1)
+    x = T.transpose(sub, (1, 0, 2))  # (L', S, D)
+    B, S, D = x.shape
+    dh = D // n_heads
+
+    def heads(t):
+        return T.transpose(T.reshape(t, (B, S, n_heads, dh)), (0, 2, 1, 3))
+
+    q = heads(T.linear(x, weights[f"{prefix}.wq"], weights[f"{prefix}.bq"]))
+    k = heads(T.linear(x, weights[f"{prefix}.wk"], weights[f"{prefix}.bk"]))
+    v = heads(T.linear(x, weights[f"{prefix}.wv"], weights[f"{prefix}.bv"]))
+    logits = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
+    g = np.asarray(group_ids)
+    bias = np.where(g[:, None] == g[None, :], 0.0, -1e9).astype(tokens.dtype)
+    logits = T.add(logits, T.constant(bias, dtype=tokens.dtype))
+    ctx = T.matmul(T.softmax_rows(logits), v)
+    ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (B, S, D))
+    out = T.linear(ctx, weights[f"{prefix}.wo"], weights[f"{prefix}.bo"])
+    out = T.layer_norm(T.add(x, out), weights[f"{prefix}.ln_gain"], weights[f"{prefix}.ln_bias"])
+    out = T.transpose(out, (1, 0, 2))
+    if reg_position is None:
+        return out
+    out_before = T.narrow(out, 1, 0, reg_position)
+    out_after = T.narrow(out, 1, reg_position, out.shape[1] - reg_position)
+    return T.concat([out_before, reg_tok, out_after], axis=1)
+
+
+def softmax_three_temporaries(x):
+    """Max-shifted softmax over the last axis, one temporary per step."""
+    e = np.exp(x - np.max(x, axis=-1, keepdims=True))
+    return e / np.sum(e, axis=-1, keepdims=True)

@@ -1,6 +1,7 @@
 """CLI subcommands, config handling, exit codes."""
 
 import json
+import re
 from datetime import date
 from pathlib import Path
 
@@ -211,6 +212,29 @@ def test_evaluate_with_model_checkpoint(tmp_path, market_csvs, tiny_ckpt):
     ])
     assert code == 0
     assert (out / "records.csv").exists()
+
+
+def test_evaluate_prints_grid_time_and_skips_by_reason_to_stderr(tmp_path, market_csvs, tiny_ckpt, capsys):
+    sp, rp = market_csvs
+
+    def run(out):
+        code = cli.main([
+            "evaluate", "--stocks", str(sp), "--rates", str(rp), "--out", str(out),
+            "--checkpoint", str(tiny_ckpt), "--mode", "mv", "--n", "64", "--m", "8", "--m", "70",
+            "--set", "start_years_after=1", "--set", "include_combined=false",
+        ])
+        assert code == 0
+        return capsys.readouterr()
+
+    first = run(tmp_path / "a")
+    lines = [ln for ln in first.err.splitlines() if ln.startswith("grid: ")]
+    assert len(lines) == 1 and "grid: " not in first.out
+    # m=70 exceeds the checkpoint's 64-step capacity, so every m=70 series is skipped
+    hit = re.fullmatch(r"grid: \d+\.\d\d s wall, (\d+) skips \((\d+) forecast error: horizon 70 [^;]*\)", lines[0])
+    assert hit and hit[1] == hit[2] != "0"
+    assert f"{hit[1]} skips)" in first.out
+    run(tmp_path / "b")
+    assert _dir_bytes(tmp_path / "a") == _dir_bytes(tmp_path / "b")
 
 
 def test_evaluate_missing_panel_exits_4(tmp_path, tiny_ckpt):

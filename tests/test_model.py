@@ -9,7 +9,7 @@ from groupcast import tensor as T
 from groupcast.checkpoint import load_checkpoint, save_checkpoint
 from groupcast.errors import ConfigError, ShapeError
 
-from oracles import finite_diff_grad, rel_err
+from oracles import finite_diff_grad, group_attention_dense_masked, rel_err
 
 CFG = M.ModelConfig(d_model=16, n_blocks=2, n_heads=2, patch_len=4, max_context=64, horizon_patches=4)
 
@@ -163,6 +163,33 @@ def test_group_attention_distinct_ids_is_self_attention():
     expect = (pre - mu) / np.sqrt(var + 1e-5)
     expect = expect * w["block0.group.ln_gain"].data + w["block0.group.ln_bias"].data
     assert np.abs(out.data - expect).max() <= 1e-10
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("reg_position", [None, 2])
+@pytest.mark.parametrize(
+    "gids", [[0, 1, 2, 3, 4, 5], [0, 0, 0, 0, 0, 0], [0, 0, 1, 2, 2, 2]], ids=["UV", "MV", "mixed"]
+)
+def test_group_attention_matches_dense_masked_oracle_bitwise(gids, reg_position, dtype):
+    w = _weights(seed=12, dtype=dtype)
+    rng = np.random.default_rng(12)
+    x = T.parameter(rng.normal(size=(6, 5, CFG.d_model)), dtype=dtype)
+    probe = T.constant(rng.normal(size=(6, 5, CFG.d_model)), dtype=dtype)
+    group = sorted(k for k in w if k.startswith("block0.group."))
+
+    def run(fn):
+        for t in [x] + [w[k] for k in group]:
+            t.zero_grad()
+        with T.record() as tape:
+            out = fn(x, np.array(gids), w, "block0.group", CFG.n_heads, reg_position)
+            loss = T.sum_all(T.mul(out, probe))
+        T.backward(loss, tape)
+        return [out.data.copy(), x.grad.copy()] + [w[k].grad.copy() for k in group]
+
+    got = run(M.group_attention)
+    want = run(group_attention_dense_masked)
+    for name, a, b in zip(["out", "x"] + group, got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 def test_group_attention_reg_token_passthrough():

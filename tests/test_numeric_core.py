@@ -6,7 +6,7 @@ import pytest
 from groupcast import tensor as T
 from groupcast.errors import ContractError, ShapeError
 
-from oracles import finite_diff_grad, matmul_triple_loop, rel_err
+from oracles import finite_diff_grad, matmul_triple_loop, rel_err, softmax_three_temporaries
 
 
 def test_matmul_identity():
@@ -71,6 +71,23 @@ def test_softmax_rows_sum_to_one_and_shift_invariant():
     assert np.abs(a.sum(axis=-1) - 1.0).max() <= 1e-6
     b = T.softmax_rows(T.constant(x + 123.456, dtype=np.float64)).data
     assert np.abs(a - b).max() <= 1e-12
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softmax_in_place_matches_three_temporaries_bitwise(dtype):
+    rng = np.random.default_rng(4)
+    x = T.parameter(rng.normal(size=(2, 3, 5, 7)) * 10, dtype=dtype)
+    probe = T.constant(rng.normal(size=(2, 3, 5, 7)), dtype=dtype)
+    before = x.data.copy()
+    with T.record() as tape:
+        out = T.softmax_rows(x)
+        loss = T.sum_all(T.mul(out, probe))
+    T.backward(loss, tape)
+    assert x.data.tobytes() == before.tobytes()
+    y = softmax_three_temporaries(before)
+    g = probe.data
+    assert out.data.dtype == y.dtype and out.data.tobytes() == y.tobytes()
+    assert x.grad.tobytes() == (y * (g - np.sum(g * y, axis=-1, keepdims=True))).tobytes()
 
 
 def test_layer_norm_constant_row_is_zero():

@@ -12,7 +12,7 @@ from groupcast.errors import ConfigError, ContractError, DegenerateInputError, T
 from groupcast.rng import PortableRng
 
 from conftest import build_training_corpus
-from oracles import adam_per_parameter
+from oracles import adam_per_parameter, group_attention_dense_masked
 
 CFG = M.ModelConfig(d_model=16, n_blocks=1, n_heads=2, patch_len=4, max_context=64, horizon_patches=2)
 
@@ -160,6 +160,26 @@ def test_flat_adam_matches_per_parameter_oracle_bitwise(corpus):
             assert state.m[k].tobytes() == m[k].tobytes(), (step, k)
             assert state.v[k].tobytes() == v[k].tobytes(), (step, k)
             assert np.shares_memory(t.data, state.flat["data"]), k
+
+
+def test_uv_closed_form_trains_like_dense_masked_oracle(corpus, monkeypatch):
+    tc = TR.TrainConfig(learning_rate=3e-3, seed=5)
+    samples = [TR.sample_task(corpus, (1, 0, 0), PortableRng(5).spawn(i), 3, 16, 4) for i in range(5)]
+    assert all(len(set(s.group_ids.tolist())) == s.group_ids.size > 1 for s in samples)
+
+    def run():
+        state = TR.TrainState.fresh(M.init_weights(CFG, seed=5))
+        for sample in samples:
+            TR.train_step(state, sample, CFG, tc)
+            for name in ("wq", "bq", "wk", "bk"):
+                assert not state.weights[f"block0.group.{name}"].grad.any(), name
+        return {role: a.copy() for role, a in state.flat.items()}
+
+    closed = run()
+    monkeypatch.setattr(M, "group_attention", group_attention_dense_masked)
+    dense = run()
+    for role in ("data", "grad", "m", "v"):
+        assert closed[role].tobytes() == dense[role].tobytes(), role
 
 
 def test_fresh_state_rejects_mixed_dtypes():
