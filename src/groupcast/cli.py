@@ -288,11 +288,16 @@ def _cell(v) -> str:
     return str(v)
 
 
-def _grid_summary(wall_s: float, skips: list[dict]) -> str:
-    """One stderr line: grid wall time and skip counts by reason, largest first."""
+def _grid_summary(wall_s: float, cells: int, skips: list[dict]) -> str:
+    """One stderr line: grid wall time, the cells computed in this run and
+    their rate, and skip counts by reason, largest first."""
     by_reason = sorted(Counter(s["reason"] for s in skips).items(), key=lambda kv: (-kv[1], kv[0]))
     detail = "; ".join(f"{n} {reason}" for reason, n in by_reason)
-    return f"grid: {wall_s:.2f} s wall, {len(skips)} skips" + (f" ({detail})" if detail else "")
+    rate = cells / wall_s if wall_s > 0 else 0.0
+    return (
+        f"grid: {wall_s:.2f} s wall, {cells} cells ({rate:.1f} cells/s), {len(skips)} skips"
+        + (f" ({detail})" if detail else "")
+    )
 
 
 def cmd_evaluate(args) -> int:
@@ -389,19 +394,21 @@ def cmd_evaluate(args) -> int:
     records_path = out_dir / "records.csv"
     workers = int(cfg.get("workers") or os.cpu_count() or 1)
     start = time.perf_counter()
-    records, skips = E.run_grid(specs, panels, forecaster, records_path=records_path, workers=workers)
-    print(_grid_summary(time.perf_counter() - start, skips), file=sys.stderr)
-    paths = E.emit_artifacts(records, out_dir, cutoff=cutoff)
+    records, skips, cells = E.run_grid(
+        specs, panels, forecaster, records_path=records_path, workers=workers
+    )
+    print(_grid_summary(time.perf_counter() - start, cells, skips), file=sys.stderr)
+    paths, table1, table2 = E.emit_artifacts(records, out_dir, cutoff=cutoff)
     print(f"records: {records_path} ({len(records)} rows, {len(skips)} skips)")
     for name, p in sorted(paths.items()):
         print(f"{name}: {p}")
     _print_table(
-        E.aggregate_mode(records),
+        table1,
         ["panel", "mode", "mape_mean", "mape_std", "rmse_mean", "rmse_std", "n_records"],
         "Average performance by panel and mode",
     )
     _print_table(
-        E.compare_series(records),
+        table2,
         ["panel", "series", "mape_mv", "mape_uv", "rmse_mv", "rmse_uv", "mape_improvement", "rmse_improvement"],
         "UV vs MV comparison by series",
     )
@@ -431,7 +438,7 @@ def cmd_report(args) -> int:
         return EXIT_MALFORMED
     cutoff = date.fromisoformat(cfg.get("cutoff", E.DEFAULT_CUTOFF.isoformat()))
     out_dir = Path(cfg.get("out_dir") or _default_out())
-    paths = E.emit_artifacts(records, out_dir, cutoff=cutoff)
+    paths, _, _ = E.emit_artifacts(records, out_dir, cutoff=cutoff)
     for name, p in sorted(paths.items()):
         print(f"{name}: {p}")
     return EXIT_OK

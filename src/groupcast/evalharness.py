@@ -7,15 +7,19 @@ realized values are the m trading days starting at the origin. One
 EvalRecord is written per (panel, mode, series, n, m, origin), averaging
 within the origin first.
 
-Grid cells are independent; with workers > 1 they run on a fork pool and
-results come back in canonical order, so worker count never changes the
-output bytes.
+Grid cells are independent. They are computed in pairing order, with the
+modes of one context back to back, so a model forecaster can share the
+mode-independent trunk between them. With workers > 1 they run on a fork
+pool in the same order. Rows are written in canonical order as soon as
+every earlier cell is done, so worker count never changes the output bytes
+and a crash loses only the computed cells still waiting to be written.
 """
 
 import csv
 import logging
 import multiprocessing
 import os
+from bisect import bisect_left
 from contextlib import ExitStack
 from dataclasses import dataclass
 from datetime import date
@@ -157,7 +161,13 @@ def rolling_origins(panel: SeriesPanel, spec: ExperimentSpec) -> list[date]:
 
 
 class ModelForecaster:
-    """Wraps the trained model; point path is one quantile level."""
+    """Wraps the trained model; point path is one quantile level.
+
+    It keeps the trunk of the last context it forecast (see model.trunk),
+    keyed on the bytes of the context values and mask and on the horizon,
+    so the MV and UV forecasts of one context, computed back to back,
+    build it once. The weights must not change while it is in use.
+    """
 
     needs_truth = False
 
@@ -166,10 +176,24 @@ class ModelForecaster:
         self.config = config
         levels = np.asarray(config.quantile_levels)
         self.level_index = int(np.argmin(np.abs(levels - point_quantile)))
+        self._trunk_key = None
+        self._trunk = None
 
     def forecast_panel(self, context_values, context_mask, mode, m, realized=None):
-        fc = M.predict(context_values, context_mask, mode, m, self.weights, self.config)
+        values = np.asarray(context_values)
+        mask = np.asarray(context_mask)
+        gids = M.mode_group_ids(mode, values.shape[0])
+        key = (_array_key(values), _array_key(mask), m)
+        if key != self._trunk_key:
+            self._trunk = M.trunk(values, mask, m, self.weights, self.config)
+            self._trunk_key = key
+        fc = M.finish(self._trunk, gids, self.weights, self.config)
         return fc.values[:, :, self.level_index]
+
+
+def _array_key(a: np.ndarray) -> tuple:
+    """A copy of everything that identifies an array's value, bit for bit."""
+    return a.shape, a.dtype.str, a.tobytes()
 
 
 class LastValueStub:
@@ -247,7 +271,9 @@ def evaluate_cell(
         skip_all("insufficient history")
         return records, skips
     ctx_values, ctx_mask = ctx
-    oi = panel.date_index()[origin]
+    oi = bisect_left(panel.dates, origin)
+    if oi == panel.n_dates or panel.dates[oi] != origin:
+        raise KeyError(f"origin {origin} is not a date of panel {spec.panel}")
     realized = panel.values[:, oi : oi + spec.m]
     realized_mask = panel.mask[:, oi : oi + spec.m]
     regime = "pre" if origin < spec.cutoff else "post"
@@ -283,19 +309,33 @@ def evaluate_cell(
     return records, skips
 
 
+def _pairing_key(cell):
+    spec, origin = cell
+    p, panel, mo, n, m = _canonical_spec_key(spec)
+    return (p, panel, n, m, origin, mo)
+
+
 def run_grid(
     specs: list[ExperimentSpec],
     panels: dict[str, SeriesPanel],
     forecaster,
     records_path=None,
     workers: int = 1,
-) -> tuple[list[EvalRecord], list[dict]]:
+) -> tuple[list[EvalRecord], list[dict], int]:
     """Evaluate every (spec, origin) cell; stream records incrementally.
 
-    Each cell's rows are written and flushed as soon as the cell completes,
-    in canonical order regardless of workers. Cells already present in
+    Returns every record in canonical order (those already in records_path
+    first), the skips of the cells computed in this run, and their number.
+
+    Cells are computed in pairing order (panel, n, m, origin, mode), so the
+    modes of one context run back to back and ModelForecaster builds its
+    trunk once. Rows are written in canonical order (panel, mode, n, m,
+    origin), whatever the worker count: a cell's rows are written and
+    flushed as soon as every cell before it in that order is done, and
+    computed cells wait in memory until then. Cells already present in
     records_path are skipped, so a rerun after a crash resumes where the
-    file ends and writes the same bytes as an uninterrupted run.
+    file ends and writes the same bytes as an uninterrupted run; a crash
+    loses only the cells still waiting.
     """
     specs = sorted(specs, key=_canonical_spec_key)
     done: set = set()
@@ -314,6 +354,8 @@ def run_grid(
             if (spec.panel, spec.mode, spec.n, spec.m, origin) in done:
                 continue
             cells.append((spec, origin))
+    order = sorted(range(len(cells)), key=lambda i: _pairing_key(cells[i]))
+    paired = [cells[i] for i in order]
 
     records: list[EvalRecord] = list(existing)
     skips: list[dict] = []
@@ -330,16 +372,22 @@ def run_grid(
             pool = stack.enter_context(
                 ctx.Pool(workers, initializer=_init_pool, initargs=(panels, forecaster))
             )
-            results = pool.imap(_eval_cell, cells, chunksize=max(1, len(cells) // (workers * 4)))
+            results = pool.imap(_eval_cell, paired, chunksize=max(1, len(cells) // (workers * 4)))
         else:
-            results = (evaluate_cell(panels[s.panel], s, o, forecaster) for s, o in cells)
-        for cell_records, cell_skips in results:
-            records.extend(cell_records)
-            skips.extend(cell_skips)
-            if writer is not None:
-                writer.writerows(_record_row(r) for r in cell_records)
-                fh.flush()
-    return records, skips
+            results = (evaluate_cell(panels[s.panel], s, o, forecaster) for s, o in paired)
+        waiting: dict[int, tuple] = {}
+        next_out = 0
+        for index, result in zip(order, results):
+            waiting[index] = result
+            while next_out in waiting:
+                cell_records, cell_skips = waiting.pop(next_out)
+                next_out += 1
+                records.extend(cell_records)
+                skips.extend(cell_skips)
+                if writer is not None:
+                    writer.writerows(_record_row(r) for r in cell_records)
+                    fh.flush()
+    return records, skips, len(cells)
 
 
 def _record_row(r: EvalRecord) -> list:
@@ -492,14 +540,15 @@ def _fmt(x) -> str:
 
 def emit_artifacts(
     records: list[EvalRecord], out_dir, cutoff: date = DEFAULT_CUTOFF
-) -> dict[str, Path]:
+) -> tuple[dict[str, Path], list[dict], list[dict]]:
     """Write the table/figure-feed CSVs; deterministic bytes per input.
 
     Files: table1.csv (per panel x mode aggregates), table2.csv (per-series
     MV/UV with improvements; the combined panel's rows are its own dataset
     label), heatmap.csv (n rows x mode-by-horizon mean MAPE, pooled over
     panels), timeseries.csv (monthly mean MAPE per panel x mode),
-    regime.csv (pre/post cutoff aggregates).
+    regime.csv (pre/post cutoff aggregates). Returns the paths and the rows
+    of table1 and table2, all taken over the records in canonical order.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -571,4 +620,4 @@ def emit_artifacts(
         ["regime", "panel", "mode", "mape_mean", "mape_std", "rmse_mean", "rmse_std", "n_records"],
         reg_rows,
     )
-    return paths
+    return paths, rows1, rows2

@@ -13,11 +13,17 @@ structure of the group IDs: all singletons (UV) take the closed form of
 attention to oneself, one shared group (MV) takes plain attention, and a
 mix of groups takes dense attention under an additive -1e9 mask. The three
 give the same bits as the masked form would.
+
+Only group attention reads the group IDs. Everything before block 0's
+group attention (scaling, patching, embedding, block 0's time attention)
+is the mode-independent trunk: `trunk` builds it once per context and
+`finish` completes it for one mode, so MV and UV forecasts of the same
+context can share it. `predict` is the two in sequence.
 """
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -92,17 +98,20 @@ class GroupBatch:
 
     tokens: (S, T, d_model) Tensor with the separator at reg_position;
     future_inputs holds the scaled known-future covariate values (exactly 0
-    where future_known_mask is 0).
+    where future_known_mask is 0). block0_time, when set, is block 0's time
+    attention of tokens, which forward then does not compute again;
+    group_ids is None only in a trunk, before finish sets it.
     """
 
     tokens: T.Tensor
-    group_ids: np.ndarray
+    group_ids: np.ndarray | None
     rel_time: np.ndarray
     reg_position: int
     future_inputs: np.ndarray
     future_known_mask: np.ndarray
     scaling: list[ScalingState] = field(default_factory=list)
     horizon_len: int = 0
+    block0_time: T.Tensor | None = None
 
 
 @dataclass(frozen=True)
@@ -351,7 +360,10 @@ def forward(batch: GroupBatch, weights: dict, config: ModelConfig) -> T.Tensor:
     x = batch.tokens
     L = x.shape[1]
     for i in range(config.n_blocks):
-        x = time_attention(x, weights, f"block{i}.time", config.n_heads)
+        if i == 0 and batch.block0_time is not None:
+            x = batch.block0_time
+        else:
+            x = time_attention(x, weights, f"block{i}.time", config.n_heads)
         x = group_attention(
             x, batch.group_ids, weights, f"block{i}.group", config.n_heads, batch.reg_position
         )
@@ -372,7 +384,7 @@ _trunc_warned: set = set()
 def assemble_batch(
     context_values: np.ndarray,
     context_mask: np.ndarray,
-    group_ids: np.ndarray,
+    group_ids: np.ndarray | None,
     horizon_len: int,
     weights: dict,
     config: ModelConfig,
@@ -453,7 +465,7 @@ def assemble_batch(
     patch_rel = rel_full[pad + P - 1 :: P]  # last position of each patch
     return GroupBatch(
         tokens=tokens,
-        group_ids=np.asarray(group_ids),
+        group_ids=None if group_ids is None else np.asarray(group_ids),
         rel_time=patch_rel,
         reg_position=reg_pos,
         future_inputs=w_scaled,
@@ -471,6 +483,53 @@ def mv_group_ids(n_series: int) -> np.ndarray:
     return np.zeros(n_series, dtype=np.int64)
 
 
+def mode_group_ids(mode: str, n_series: int) -> np.ndarray:
+    """Group IDs of a forecast mode: "UV" isolates each series in its own
+    group, "MV" shares one group across the panel."""
+    mode = mode.upper()
+    if mode == "UV":
+        return uv_group_ids(n_series)
+    if mode == "MV":
+        return mv_group_ids(n_series)
+    raise ConfigError(f"mode must be UV or MV, got {mode!r}")
+
+
+def trunk(
+    context_values: np.ndarray,
+    context_mask: np.ndarray,
+    horizon_len: int,
+    weights: dict,
+    config: ModelConfig,
+) -> GroupBatch:
+    """The mode-independent part of a forecast of one panel context.
+
+    The batch of assemble_batch with block0_time set and no group IDs;
+    finish sets the IDs on a copy, so one trunk serves every mode.
+    """
+    batch = assemble_batch(context_values, context_mask, None, horizon_len, weights, config)
+    if config.n_blocks == 0:
+        return batch
+    block0_time = time_attention(batch.tokens, weights, "block0.time", config.n_heads)
+    return replace(batch, block0_time=block0_time)
+
+
+def finish(
+    batch: GroupBatch, group_ids: np.ndarray, weights: dict, config: ModelConfig
+) -> QuantileForecast:
+    """Complete a trunk under group_ids: block 0's group attention, the
+    remaining blocks and the head; then the quantiles are sorted per
+    position (monotone rearrangement) and mapped back to original units.
+    The trunk itself is left as it was."""
+    batch = replace(batch, group_ids=group_ids)
+    grid = forward(batch, weights, config).data.astype(np.float64)
+    grid = grid[:, : batch.horizon_len, :]
+    grid = np.sort(grid, axis=-1)
+    out = np.empty_like(grid)
+    for s in range(grid.shape[0]):
+        out[s] = preprocess.inverse_scale(grid[s], batch.scaling[s])
+    return QuantileForecast(values=out, levels=tuple(config.quantile_levels))
+
+
 def predict(
     context_values: np.ndarray,
     context_mask: np.ndarray,
@@ -482,19 +541,8 @@ def predict(
     """Forecast horizon_len steps for every series of a panel context.
 
     mode "UV" isolates each series in its own group; "MV" shares one group
-    across the panel. Output quantiles are sorted per position (monotone
-    rearrangement) and mapped back to original units.
+    across the panel. The trunk and finish in sequence.
     """
-    mode = mode.upper()
-    if mode not in ("UV", "MV"):
-        raise ConfigError(f"mode must be UV or MV, got {mode!r}")
-    S = np.asarray(context_values).shape[0]
-    gids = uv_group_ids(S) if mode == "UV" else mv_group_ids(S)
-    batch = assemble_batch(context_values, context_mask, gids, horizon_len, weights, config)
-    grid = forward(batch, weights, config).data.astype(np.float64)
-    grid = grid[:, :horizon_len, :]
-    grid = np.sort(grid, axis=-1)
-    out = np.empty_like(grid)
-    for s in range(S):
-        out[s] = preprocess.inverse_scale(grid[s], batch.scaling[s])
-    return QuantileForecast(values=out, levels=tuple(config.quantile_levels))
+    gids = mode_group_ids(mode, np.asarray(context_values).shape[0])
+    batch = trunk(context_values, context_mask, horizon_len, weights, config)
+    return finish(batch, gids, weights, config)

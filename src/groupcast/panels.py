@@ -7,6 +7,7 @@ own scaling at forecast time.
 """
 
 import csv
+from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import date
 
@@ -166,7 +167,7 @@ def slice_context(panel: SeriesPanel, origin: date, n: int):
     Returns (values (K, n), mask (K, n)) copies; never includes the origin
     date or anything after it.
     """
-    idx = np.searchsorted(np.array(panel.dates, dtype="O"), origin, side="left")
+    idx = bisect_left(panel.dates, origin)
     if idx < n:
         return None
     sl = slice(idx - n, idx)

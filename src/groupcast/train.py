@@ -365,7 +365,7 @@ def evaluate_pinball(
     K = panel.shape[0]
     ctx = panel[:, :ctx_len]
     fut = panel[:, ctx_len : ctx_len + horizon_len]
-    gids = M.uv_group_ids(K) if mode.upper() == "UV" else M.mv_group_ids(K)
+    gids = M.mode_group_ids(mode, K)
     mask = np.ones_like(ctx)
     batch = M.assemble_batch(ctx, mask, gids, horizon_len, weights, model_config)
     pred = M.forward(batch, weights, model_config)

@@ -217,22 +217,29 @@ def test_evaluate_with_model_checkpoint(tmp_path, market_csvs, tiny_ckpt):
 def test_evaluate_prints_grid_time_and_skips_by_reason_to_stderr(tmp_path, market_csvs, tiny_ckpt, capsys):
     sp, rp = market_csvs
 
-    def run(out):
+    def run(out, *extra):
         code = cli.main([
             "evaluate", "--stocks", str(sp), "--rates", str(rp), "--out", str(out),
             "--checkpoint", str(tiny_ckpt), "--mode", "mv", "--n", "64", "--m", "8", "--m", "70",
-            "--set", "start_years_after=1", "--set", "include_combined=false",
+            "--set", "start_years_after=1", "--set", "include_combined=false", *extra,
         ])
         assert code == 0
         return capsys.readouterr()
+
+    total = re.search(r"total cells: (\d+)", run(tmp_path / "dry", "--dry-run").out)[1]
 
     first = run(tmp_path / "a")
     lines = [ln for ln in first.err.splitlines() if ln.startswith("grid: ")]
     assert len(lines) == 1 and "grid: " not in first.out
     # m=70 exceeds the checkpoint's 64-step capacity, so every m=70 series is skipped
-    hit = re.fullmatch(r"grid: \d+\.\d\d s wall, (\d+) skips \((\d+) forecast error: horizon 70 [^;]*\)", lines[0])
-    assert hit and hit[1] == hit[2] != "0"
-    assert f"{hit[1]} skips)" in first.out
+    hit = re.fullmatch(
+        r"grid: \d+\.\d\d s wall, (\d+) cells \(\d+\.\d cells/s\), "
+        r"(\d+) skips \((\d+) forecast error: horizon 70 [^;]*\)",
+        lines[0],
+    )
+    assert hit and hit[2] == hit[3] != "0"
+    assert f"{hit[2]} skips)" in first.out
+    assert hit[1] == total  # a fresh output directory computes every cell
     run(tmp_path / "b")
     assert _dir_bytes(tmp_path / "a") == _dir_bytes(tmp_path / "b")
 
@@ -298,6 +305,24 @@ def test_report_single_mode_omits_improvements(tmp_path, market_csvs, caplog):
         assert cli.main(["report", "--records", str(out / "records.csv"), "--out", str(rep)]) == 0
     assert len((rep / "table2.csv").read_text().strip().split("\n")) == 1
     assert "lacks one mode" in caplog.text
+
+
+def test_evaluate_single_mode_warns_once_per_series(tmp_path, market_csvs, caplog, capsys):
+    sp, rp = market_csvs
+    with caplog.at_level("WARNING", logger="groupcast.evalharness"):
+        assert cli.main([
+            "evaluate", "--stocks", str(sp), "--rates", str(rp), "--out", str(tmp_path / "mv"),
+            "--stub", "last-value", "--mode", "mv", "--n", "30", "--m", "5",
+            "--set", "start_years_after=1",
+        ]) == 0
+    warned = [r.getMessage() for r in caplog.records if "lacks one mode" in r.getMessage()]
+    expected = {
+        f"series {panel}/{sid} lacks one mode; omitted from comparison"
+        for panel, ids in (("stocks", STOCK_IDS), ("rates", RATE_IDS), ("combined", STOCK_IDS + RATE_IDS))
+        for sid in ids
+    }
+    assert sorted(warned) == sorted(expected)
+    assert "(no rows)" in capsys.readouterr().out  # the comparison table printed from the same rows
 
 
 def test_report_malformed_records_exits_5(tmp_path):

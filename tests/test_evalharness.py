@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from groupcast import evalharness as E
+from groupcast import model as M
 from groupcast.errors import DataError, DegenerateInputError
 from groupcast.panels import RATE_IDS, STOCK_IDS, SeriesPanel, build_combined
 
@@ -127,7 +128,7 @@ def toy_panel():
 
 def test_perfect_foresight_yields_zero(toy_panel):
     specs = [_spec(panel="toy", mode="UV", n=30, m=10, start_years_after=0)]
-    records, skips = E.run_grid(specs, {"toy": toy_panel}, E.PerfectForesightStub())
+    records, skips, _ = E.run_grid(specs, {"toy": toy_panel}, E.PerfectForesightStub())
     assert records and not skips
     assert all(r.rmse == 0.0 and r.mape == 0.0 for r in records)
 
@@ -135,7 +136,7 @@ def test_perfect_foresight_yields_zero(toy_panel):
 def test_last_value_matches_brute_force(toy_panel):
     n, m = 30, 10
     specs = [_spec(panel="toy", mode="UV", n=n, m=m, start_years_after=0)]
-    records, _ = E.run_grid(specs, {"toy": toy_panel}, E.LastValueStub())
+    records, _, _ = E.run_grid(specs, {"toy": toy_panel}, E.LastValueStub())
     assert records
     idx = toy_panel.date_index()
 
@@ -161,7 +162,7 @@ def test_record_count_contract(toy_panel):
         for mo in ("MV", "UV")
         for n in (30, 60)
     ]
-    records, skips = E.run_grid(specs, {"toy": toy_panel}, E.LastValueStub())
+    records, skips, _ = E.run_grid(specs, {"toy": toy_panel}, E.LastValueStub())
     total = 0
     for spec in specs:
         total += len(E.rolling_origins(toy_panel, spec)) * toy_panel.n_series
@@ -200,8 +201,8 @@ def test_run_grid_streams_and_resumes(tmp_path, toy_panel):
     path = tmp_path / "records.csv"
     spec_a = _spec(panel="toy", mode="UV", n=30, m=5, start_years_after=0)
     spec_b = _spec(panel="toy", mode="MV", n=30, m=5, start_years_after=0)
-    first, _ = E.run_grid([spec_a], {"toy": toy_panel}, E.LastValueStub(), records_path=path)
-    both, _ = E.run_grid([spec_a, spec_b], {"toy": toy_panel}, E.LastValueStub(), records_path=path)
+    first, _, _ = E.run_grid([spec_a], {"toy": toy_panel}, E.LastValueStub(), records_path=path)
+    both, _, _ = E.run_grid([spec_a, spec_b], {"toy": toy_panel}, E.LastValueStub(), records_path=path)
     assert len(both) == 2 * len(first)
     reloaded = E.read_records(path)
     assert len(reloaded) == len(both)
@@ -284,6 +285,166 @@ def test_workers_do_not_change_results(tmp_path, toy_panel):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def _two_panel_grid():
+    panels = {
+        "stocks": make_price_panel(["s0", "s1", "s2"], date(2015, 1, 6), 200, seed=41),
+        "rates": make_rate_panel(["r0", "r1"], date(2015, 1, 6), 200, seed=42),
+    }
+    specs = [
+        _spec(panel=p, mode=mo, n=n, m=m, start_years_after=0)
+        for p in ("rates", "stocks") for mo in ("UV", "MV") for n in (30, 60) for m in (5, 9)
+    ]
+    return specs, panels
+
+
+def _canonical_row_key(line: str, panels):
+    panel, mode, series, n, m, origin = line.split(",")[:6]
+    return (E.PANEL_ORDER.index(panel), E.MODE_ORDER.index(mode), int(n), int(m), origin,
+            panels[panel].series_ids.index(series))
+
+
+def test_modes_of_a_context_run_back_to_back_and_rows_stay_canonical(tmp_path, monkeypatch):
+    specs, panels = _two_panel_grid()
+    computed = []
+    evaluate_cell = E.evaluate_cell
+
+    def recording(panel, spec, origin, forecaster):
+        computed.append((spec.panel, spec.n, spec.m, origin, spec.mode))
+        return evaluate_cell(panel, spec, origin, forecaster)
+
+    monkeypatch.setattr(E, "evaluate_cell", recording)
+    p1, p2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
+    E.run_grid(specs, panels, E.LastValueStub(), records_path=p1, workers=1)
+    monkeypatch.setattr(E, "evaluate_cell", evaluate_cell)
+    E.run_grid(specs, panels, E.LastValueStub(), records_path=p2, workers=2)
+
+    assert computed and len(computed) == len(set(computed))
+    # MV then UV of one (panel, n, m, origin), pair after pair
+    for mv, uv in zip(computed[::2], computed[1::2]):
+        assert mv[:4] == uv[:4] and (mv[4], uv[4]) == ("MV", "UV")
+    assert computed[0][0] == "stocks"
+    lines = p1.read_text().splitlines()[1:]
+    assert lines == sorted(lines, key=lambda ln: _canonical_row_key(ln, panels))
+    assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_crash_at_uv_with_mv_pending_writes_no_uv_row_and_resumes(tmp_path, monkeypatch, workers):
+    specs, panels = _two_panel_grid()
+    whole = tmp_path / "whole.csv"
+    E.run_grid(specs, panels, E.LastValueStub(), records_path=whole, workers=workers)
+
+    crash_spec = _spec(panel="stocks", mode="UV", n=30, m=9, start_years_after=0)
+    crash_at = ("stocks", "UV", 30, 9, E.rolling_origins(panels["stocks"], crash_spec)[2])
+    evaluate_cell = E.evaluate_cell
+
+    def crashing(panel, spec, origin, forecaster):
+        if (spec.panel, spec.mode, spec.n, spec.m, origin) == crash_at:
+            raise RuntimeError("injected crash")
+        return evaluate_cell(panel, spec, origin, forecaster)
+
+    monkeypatch.setattr(E, "evaluate_cell", crashing)
+    path = tmp_path / "records.csv"
+    with pytest.raises(RuntimeError, match="injected crash"):
+        E.run_grid(specs, panels, E.LastValueStub(), records_path=path, workers=workers)
+    written = E.read_records(path)
+    # UV cells of stocks were computed, but stocks MV cells are still pending
+    assert written and {r.mode for r in written} == {"MV"}
+    assert {r.panel for r in written} == {"stocks"}
+
+    monkeypatch.setattr(E, "evaluate_cell", evaluate_cell)
+    E.run_grid(specs, panels, E.LastValueStub(), records_path=path, workers=workers)
+    assert path.read_bytes() == whole.read_bytes()
+
+
+def test_evaluate_cell_rejects_origin_off_the_calendar(toy_panel):
+    saturday = date(2015, 9, 5)
+    assert saturday not in toy_panel.dates and toy_panel.dates[0] < saturday < toy_panel.dates[-1]
+    with pytest.raises(KeyError, match="2015-09-05"):
+        E.evaluate_cell(toy_panel, _spec(panel="toy", n=5, m=3), saturday, E.LastValueStub())
+
+
+# ---------------------------------------------------------------------------
+# the model forecaster's shared trunk
+
+
+@pytest.fixture()
+def counted_trunks(monkeypatch):
+    calls = []
+    trunk = M.trunk
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return trunk(*args, **kwargs)
+
+    monkeypatch.setattr(M, "trunk", counting)
+    return calls
+
+
+def _fresh(ctx, mask, mode, m, weights, cfg):
+    return M.predict(ctx, mask, mode, m, weights, cfg).values[:, :, M.MEDIAN_INDEX]
+
+
+def test_forecaster_shares_trunk_bitwise_and_misses_on_any_change(tiny_model, counted_trunks):
+    weights, cfg = tiny_model
+    rng = np.random.default_rng(7)
+    ctx = rng.normal(50, 5, size=(4, 120))
+    mask = np.ones_like(ctx)
+    mask[2, 17] = 0.0
+    f = E.ModelForecaster(weights, cfg)
+    steps = [
+        (ctx, mask, "MV", 21), (ctx, mask, "UV", 21),  # MV -> UV: one trunk
+        (ctx, mask, "MV", 21),                        # UV -> MV: still that trunk
+        (ctx, mask, "UV", 63), (ctx, mask, "MV", 63),  # a new horizon misses once
+    ]
+    bumped = ctx.copy()
+    bumped[1, 60] = np.nextafter(bumped[1, 60], np.inf)
+    flipped = mask.copy()
+    flipped[0, 5] = 0.0
+    steps += [(bumped, mask, "UV", 63), (bumped, flipped, "UV", 63)]
+    built = []
+    for c, k, mode, m in steps:
+        n_before = len(counted_trunks)
+        got = f.forecast_panel(c.copy(), k.copy(), mode, m)
+        built.append(len(counted_trunks) - n_before)
+        assert np.array_equal(got, _fresh(c, k, mode, m, weights, cfg)), (mode, m)
+    assert built == [1, 0, 0, 1, 0, 1, 1]
+
+
+def test_cached_trunk_is_not_mutated(tiny_model):
+    weights, cfg = tiny_model
+    ctx = np.random.default_rng(8).normal(10, 1, size=(3, 40))
+    batch = M.trunk(ctx, np.ones_like(ctx), 8, weights, cfg)
+    before = (batch.tokens.data.copy(), batch.block0_time.data.copy())
+    mv = M.finish(batch, M.mv_group_ids(3), weights, cfg)
+    uv = M.finish(batch, M.uv_group_ids(3), weights, cfg)
+    assert batch.group_ids is None
+    assert np.array_equal(batch.tokens.data, before[0])
+    assert np.array_equal(batch.block0_time.data, before[1])
+    assert np.array_equal(mv.values, M.predict(ctx, np.ones_like(ctx), "MV", 8, weights, cfg).values)
+    assert np.array_equal(uv.values, M.predict(ctx, np.ones_like(ctx), "UV", 8, weights, cfg).values)
+
+
+def test_model_grid_builds_one_trunk_per_context(tiny_model, counted_trunks, tmp_path):
+    weights, cfg = tiny_model
+    panel = make_price_panel(["s0", "s1", "s2"], date(2015, 1, 6), 200, seed=43)
+    specs = [
+        _spec(panel="toy", mode=mo, n=n, m=8, start_years_after=0) for mo in ("MV", "UV") for n in (30, 64)
+    ]
+
+    class PredictEveryCell(E.ModelForecaster):
+        def forecast_panel(self, context_values, context_mask, mode, m, realized=None):
+            return _fresh(context_values, context_mask, mode, m, self.weights, self.config)
+
+    shared = tmp_path / "shared.csv"
+    _, _, cells = E.run_grid(specs, {"toy": panel}, E.ModelForecaster(weights, cfg), records_path=shared)
+    assert cells and len(counted_trunks) == cells // 2
+    fresh = tmp_path / "fresh.csv"
+    E.run_grid(specs, {"toy": panel}, PredictEveryCell(weights, cfg), records_path=fresh)
+    assert len(counted_trunks) == cells // 2 + cells
+    assert shared.read_bytes() == fresh.read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # aggregation
 
@@ -363,7 +524,7 @@ def test_compare_series_combined_label():
 
 
 def _regime_rows(records, out_dir, cutoff=E.DEFAULT_CUTOFF):
-    paths = E.emit_artifacts(records, out_dir, cutoff=cutoff)
+    paths, _, _ = E.emit_artifacts(records, out_dir, cutoff=cutoff)
     rows = [ln.split(",") for ln in paths["regime"].read_text().splitlines()[1:]]
     return rows, paths
 
@@ -405,7 +566,7 @@ def _grid_records():
 
 def test_heatmap_shape_and_cells(tmp_path):
     records = _grid_records()
-    paths = E.emit_artifacts(records, tmp_path)
+    paths, _, _ = E.emit_artifacts(records, tmp_path)
     lines = paths["heatmap"].read_text().strip().split("\n")
     header = lines[0].split(",")
     assert header == ["n", "MV_m21", "MV_m63", "UV_m21", "UV_m63"]
@@ -420,15 +581,15 @@ def test_artifacts_rerun_byte_identical(tmp_path):
     records = _grid_records()
     a = tmp_path / "a"
     b = tmp_path / "b"
-    pa = E.emit_artifacts(records, a)
-    pb = E.emit_artifacts(list(reversed(records)), b)  # order must not matter
+    pa, _, _ = E.emit_artifacts(records, a)
+    pb, _, _ = E.emit_artifacts(list(reversed(records)), b)  # order must not matter
     for name in pa:
         assert pa[name].read_bytes() == pb[name].read_bytes(), name
 
 
 def test_timeseries_monthly_rows(tmp_path):
     records = _grid_records()
-    paths = E.emit_artifacts(records, tmp_path)
+    paths, _, _ = E.emit_artifacts(records, tmp_path)
     lines = paths["timeseries"].read_text().strip().split("\n")
     header = lines[0].split(",")
     assert header[0] == "month"
@@ -451,7 +612,7 @@ def test_failed_artifact_write_keeps_previous_file(tmp_path):
 
 
 def test_empty_records_write_headers(tmp_path):
-    paths = E.emit_artifacts([], tmp_path)
+    paths, _, _ = E.emit_artifacts([], tmp_path)
     for name, p in paths.items():
         lines = p.read_text().strip().split("\n")
         assert len(lines) == 1, name
@@ -470,8 +631,8 @@ def test_uv_records_identical_in_single_and_combined_runs(tiny_model):
     forecaster = E.ModelForecaster(weights, cfg)
     spec_s = _spec(panel="stocks", mode="UV", n=64, m=8, start_years_after=1)
     spec_c = _spec(panel="combined", mode="UV", n=64, m=8, start_years_after=1)
-    recs_s, _ = E.run_grid([spec_s], {"stocks": stocks}, forecaster)
-    recs_c, _ = E.run_grid([spec_c], {"combined": combined}, forecaster)
+    recs_s, _, _ = E.run_grid([spec_s], {"stocks": stocks}, forecaster)
+    recs_c, _, _ = E.run_grid([spec_c], {"combined": combined}, forecaster)
     by_key_c = {(r.series, r.origin): r for r in recs_c}
     assert recs_s
     for r in recs_s:

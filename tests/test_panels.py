@@ -132,6 +132,26 @@ def test_slice_context_ignores_future_edits():
     assert np.array_equal(before[1], after[1])
 
 
+@pytest.mark.parametrize("where", ["before first", "trading day", "between days", "after last"])
+def test_slice_context_equals_searchsorted_form(where):
+    panel = make_price_panel(["A", "B"], date(2020, 1, 6), 60, seed=10)  # 2020-01-06 is a Monday
+    origin = {
+        "before first": date(2019, 12, 1),
+        "trading day": panel.dates[37],
+        "between days": date(2020, 1, 11),  # a Saturday
+        "after last": date(2021, 1, 1),
+    }[where]
+    assert (origin in panel.dates) == (where == "trading day")
+    for n in (1, 4, 60):
+        idx = np.searchsorted(np.array(panel.dates, dtype="O"), origin, side="left")
+        got = PN.slice_context(panel, origin, n)
+        if idx < n:
+            assert got is None
+            continue
+        assert np.array_equal(got[0], panel.values[:, idx - n : idx])
+        assert np.array_equal(got[1], panel.mask[:, idx - n : idx])
+
+
 def test_panel_summary_counts():
     panel = make_price_panel(["A", "B"], date(2020, 1, 1), 10, seed=10)
     panel.mask[0, 3] = 0
