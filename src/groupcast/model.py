@@ -19,6 +19,16 @@ group attention (scaling, patching, embedding, block 0's time attention)
 is the mode-independent trunk: `trunk` builds it once per context and
 `finish` completes it for one mode, so MV and UV forecasts of the same
 context can share it. `predict` is the two in sequence.
+
+The head reads only the future patch tokens, so at inference (`finish`)
+the last block computes only the future rows, with at least two: time
+attention forms queries, the residual and the norm for those rows alone,
+with keys and values from every row, and group attention runs on those
+rows alone. With one future patch the separator row stays too, because a
+single query row would take BLAS's matrix-vector path, which sums in
+another order. The forecasts keep the bits of the full block. Training
+keeps the full last block, whose weight gradients would otherwise reduce
+over fewer rows and change bits.
 """
 
 import logging
@@ -96,19 +106,15 @@ class ModelConfig:
 class GroupBatch:
     """Embedded model input for one joint forward pass.
 
-    tokens: (S, T, d_model) Tensor with the separator at reg_position;
-    future_inputs holds the scaled known-future covariate values (exactly 0
-    where future_known_mask is 0). block0_time, when set, is block 0's time
-    attention of tokens, which forward then does not compute again;
-    group_ids is None only in a trunk, before finish sets it.
+    tokens: (S, T, d_model) Tensor with the separator at reg_position.
+    block0_time, when set, is block 0's time attention of tokens, which
+    forward then does not compute again; group_ids is None only in a trunk,
+    before finish sets it.
     """
 
     tokens: T.Tensor
     group_ids: np.ndarray | None
-    rel_time: np.ndarray
     reg_position: int
-    future_inputs: np.ndarray
-    future_known_mask: np.ndarray
     scaling: list[ScalingState] = field(default_factory=list)
     horizon_len: int = 0
     block0_time: T.Tensor | None = None
@@ -119,7 +125,6 @@ class QuantileForecast:
     """Per-series quantile grid in original units, monotone across levels."""
 
     values: np.ndarray  # (S, m, 21)
-    levels: tuple
 
 
 # ---------------------------------------------------------------------------
@@ -238,17 +243,25 @@ def _attention(
     n_heads: int,
     rope: tuple[np.ndarray, np.ndarray] | None = None,
     mask_bias: np.ndarray | None = None,
+    rows_from: int = 0,
 ) -> T.Tensor:
-    """Multi-head attention over axis 1 of (B, L, D), with residual + norm."""
+    """Multi-head attention over axis 1 of (B, L, D), with residual + norm.
+
+    Only rows rows_from: are computed: they form the queries, the residual
+    and the norm, while keys and values come from all L rows. Returns
+    (B, L - rows_from, D), the same bits as those rows of the full output
+    when at least two rows remain.
+    """
     D = x.shape[-1]
     dh = D // n_heads
-    q = T.linear(x, weights[f"{prefix}.wq"], weights[f"{prefix}.bq"])
+    xq = x if rows_from == 0 else T.narrow(x, 1, rows_from, x.shape[1] - rows_from)
+    q = T.linear(xq, weights[f"{prefix}.wq"], weights[f"{prefix}.bq"])
     k = T.linear(x, weights[f"{prefix}.wk"], weights[f"{prefix}.bk"])
     v = T.linear(x, weights[f"{prefix}.wv"], weights[f"{prefix}.bv"])
     q, k, v = (_split_heads(t, n_heads) for t in (q, k, v))
     if rope is not None:
         cos, sin = rope
-        q = T.rope_rotate(q, cos, sin)
+        q = T.rope_rotate(q, cos[rows_from:], sin[rows_from:])
         k = T.rope_rotate(k, cos, sin)
     logits = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
     if mask_bias is not None:
@@ -257,7 +270,7 @@ def _attention(
     ctx = _merge_heads(T.matmul(attn, v))
     out = T.linear(ctx, weights[f"{prefix}.wo"], weights[f"{prefix}.bo"])
     return T.layer_norm(
-        T.add(x, out), weights[f"{prefix}.ln_gain"], weights[f"{prefix}.ln_bias"]
+        T.add(xq, out), weights[f"{prefix}.ln_gain"], weights[f"{prefix}.ln_bias"]
     )
 
 
@@ -277,10 +290,13 @@ def attention_logits(
     return logits.data
 
 
-def time_attention(tokens: T.Tensor, weights: dict, prefix: str, n_heads: int) -> T.Tensor:
-    """Bidirectional attention along each series row's patch axis."""
+def time_attention(
+    tokens: T.Tensor, weights: dict, prefix: str, n_heads: int, rows_from: int = 0
+) -> T.Tensor:
+    """Bidirectional attention along each series row's patch axis, for the
+    patches rows_from: of each row (see _attention)."""
     rope = _rope_tables(tokens.shape[1], tokens.shape[-1] // n_heads, tokens.dtype)
-    return _attention(tokens, weights, prefix, n_heads, rope=rope)
+    return _attention(tokens, weights, prefix, n_heads, rope=rope, rows_from=rows_from)
 
 
 def group_mask_bias(group_ids: np.ndarray, dtype) -> np.ndarray:
@@ -355,20 +371,35 @@ def group_attention(
     return T.concat([out_before, reg_tok, out_after], axis=1)
 
 
-def forward(batch: GroupBatch, weights: dict, config: ModelConfig) -> T.Tensor:
-    """Run the attention blocks and head; returns (S, F*P, 21) scaled grid."""
+def forward(
+    batch: GroupBatch, weights: dict, config: ModelConfig, future_only: bool = False
+) -> T.Tensor:
+    """Run the attention blocks and head; returns (S, F*P, 21) scaled grid.
+
+    With future_only, the last block computes only the rows the head reads,
+    the future patches, with at least two: with one future patch the
+    separator row stays too, since a single query row would take BLAS's
+    matrix-vector path, which sums in another order. The grid has the same
+    bits as without it. Inference sets it; training does not.
+    """
     x = batch.tokens
     L = x.shape[1]
+    start = min(batch.reg_position + 1, L - 2) if future_only and config.n_blocks else 0
     for i in range(config.n_blocks):
+        rows_from = start if i == config.n_blocks - 1 else 0
         if i == 0 and batch.block0_time is not None:
             x = batch.block0_time
+            if rows_from:
+                x = T.narrow(x, 1, rows_from, L - rows_from)
         else:
-            x = time_attention(x, weights, f"block{i}.time", config.n_heads)
+            x = time_attention(x, weights, f"block{i}.time", config.n_heads, rows_from=rows_from)
+        reg_position = batch.reg_position - rows_from
         x = group_attention(
-            x, batch.group_ids, weights, f"block{i}.group", config.n_heads, batch.reg_position
+            x, batch.group_ids, weights, f"block{i}.group", config.n_heads,
+            reg_position if reg_position >= 0 else None,
         )
     n_future = L - batch.reg_position - 1
-    fut = T.narrow(x, 1, batch.reg_position + 1, n_future)
+    fut = T.narrow(x, 1, batch.reg_position + 1 - start, n_future)
     out = T.linear(fut, weights["head.w"], weights["head.b"])
     S = out.shape[0]
     return T.reshape(out, (S, n_future * config.patch_len, len(config.quantile_levels)))
@@ -435,7 +466,6 @@ def assemble_batch(
     states: list[ScalingState] = []
     ctx_patch_list = []
     fut_patch_list = []
-    w_scaled = np.zeros((S, Lh), dtype=np.float64)
     pad = (-Lc) % P
     rel_full = preprocess.make_rel_time(Lc, Lh, pad_count=pad)
     for s in range(S):
@@ -450,7 +480,6 @@ def assemble_batch(
             fv = np.asarray(future_values[s], dtype=np.float64)
             raw[: fv.shape[0]] = fv
             fvals = np.where(known[s] > 0, preprocess.apply_scaling(raw, known[s], state), 0.0)
-        w_scaled[s] = fvals
         fut_chans = np.stack([fvals, rel_full[pad + Lc :], known[s]], axis=-1)
         fut_patch_list.append(fut_chans.reshape(F, P, N_CHANNELS))
 
@@ -462,14 +491,10 @@ def assemble_batch(
     fut_tokens = embed_patches(T.constant(fut_patches, dtype=dtype), weights)
     tokens, reg_pos = insert_reg(ctx_tokens, fut_tokens, weights["reg"])
 
-    patch_rel = rel_full[pad + P - 1 :: P]  # last position of each patch
     return GroupBatch(
         tokens=tokens,
         group_ids=None if group_ids is None else np.asarray(group_ids),
-        rel_time=patch_rel,
         reg_position=reg_pos,
-        future_inputs=w_scaled,
-        future_known_mask=known,
         scaling=states,
         horizon_len=horizon_len,
     )
@@ -517,17 +542,17 @@ def finish(
     batch: GroupBatch, group_ids: np.ndarray, weights: dict, config: ModelConfig
 ) -> QuantileForecast:
     """Complete a trunk under group_ids: block 0's group attention, the
-    remaining blocks and the head; then the quantiles are sorted per
-    position (monotone rearrangement) and mapped back to original units.
-    The trunk itself is left as it was."""
+    remaining blocks and the head, the last block computing only the future
+    rows, at least two (forward's future_only). Then the quantiles are
+    sorted per position (monotone rearrangement) and mapped back to
+    original units, all series in one expression. The trunk itself is left
+    as it was."""
     batch = replace(batch, group_ids=group_ids)
-    grid = forward(batch, weights, config).data.astype(np.float64)
-    grid = grid[:, : batch.horizon_len, :]
-    grid = np.sort(grid, axis=-1)
-    out = np.empty_like(grid)
-    for s in range(grid.shape[0]):
-        out[s] = preprocess.inverse_scale(grid[s], batch.scaling[s])
-    return QuantileForecast(values=out, levels=tuple(config.quantile_levels))
+    grid = forward(batch, weights, config, future_only=True).data.astype(np.float64)
+    grid = np.sort(grid[:, : batch.horizon_len, :], axis=-1)
+    loc = np.array([st.loc for st in batch.scaling])
+    scale = np.array([st.scale for st in batch.scaling])
+    return QuantileForecast(values=np.sinh(grid) * scale[:, None, None] + loc[:, None, None])
 
 
 def predict(

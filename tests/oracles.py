@@ -2,14 +2,18 @@
 
 Everything here is deliberately written the dumb way (explicit loops,
 no shared code with the package) so a disagreement means a real bug. The
-exception is the dense masked group attention, which is built from
-``groupcast.tensor`` primitives so that its gradients can be compared too.
+exceptions are the dense masked group attention, which is built from
+``groupcast.tensor`` primitives so that its gradients can be compared too,
+and the unpruned finish, which runs the package's full forward so that the
+pruned last block of ``model.finish`` can be compared with it bit for bit.
 """
 
 import math
 
 import numpy as np
 
+from groupcast import model as M
+from groupcast import preprocess as P
 from groupcast import tensor as T
 
 
@@ -187,3 +191,12 @@ def softmax_three_temporaries(x):
     """Max-shifted softmax over the last axis, one temporary per step."""
     e = np.exp(x - np.max(x, axis=-1, keepdims=True))
     return e / np.sum(e, axis=-1, keepdims=True)
+
+
+def finish_unpruned(batch, weights, config):
+    """model.finish without pruning: the full forward of a batch whose
+    group IDs are set, then the per-position sort and the per-series
+    inverse scaling. Returns the (S, horizon_len, 21) grid."""
+    grid = M.forward(batch, weights, config).data.astype(np.float64)
+    grid = np.sort(grid[:, : batch.horizon_len, :], axis=-1)
+    return np.stack([P.inverse_scale(grid[s], st) for s, st in enumerate(batch.scaling)])

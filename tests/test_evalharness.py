@@ -1,5 +1,6 @@
 """Metrics, rolling origins, the grid, aggregation, artifact emission."""
 
+from dataclasses import replace
 from datetime import date
 
 import numpy as np
@@ -11,7 +12,7 @@ from groupcast.errors import DataError, DegenerateInputError
 from groupcast.panels import RATE_IDS, STOCK_IDS, SeriesPanel, build_combined
 
 from conftest import make_price_panel, make_rate_panel, weekday_calendar
-from oracles import brute_force_metrics, mape_loop, rmse_two_lines
+from oracles import brute_force_metrics, finish_unpruned, mape_loop, rmse_two_lines
 
 
 def _spec(**kw):
@@ -426,23 +427,41 @@ def test_cached_trunk_is_not_mutated(tiny_model):
 
 
 def test_model_grid_builds_one_trunk_per_context(tiny_model, counted_trunks, tmp_path):
-    weights, cfg = tiny_model
+    # m=8 is one future patch, where the pruned last block keeps the
+    # separator row, and m=21 three; with two blocks the last block's time
+    # attention is pruned too
+    _, cfg1 = tiny_model
     panel = make_price_panel(["s0", "s1", "s2"], date(2015, 1, 6), 200, seed=43)
     specs = [
-        _spec(panel="toy", mode=mo, n=n, m=8, start_years_after=0) for mo in ("MV", "UV") for n in (30, 64)
+        _spec(panel="toy", mode=mo, n=n, m=m, start_years_after=0)
+        for mo in ("MV", "UV") for n in (30, 64) for m in (8, 21)
     ]
+    predicted_unlike_unpruned = []
 
     class PredictEveryCell(E.ModelForecaster):
-        def forecast_panel(self, context_values, context_mask, mode, m, realized=None):
-            return _fresh(context_values, context_mask, mode, m, self.weights, self.config)
+        """Returns the unpruned forecast; also predicts, which must equal it."""
 
-    shared = tmp_path / "shared.csv"
-    _, _, cells = E.run_grid(specs, {"toy": panel}, E.ModelForecaster(weights, cfg), records_path=shared)
-    assert cells and len(counted_trunks) == cells // 2
-    fresh = tmp_path / "fresh.csv"
-    E.run_grid(specs, {"toy": panel}, PredictEveryCell(weights, cfg), records_path=fresh)
-    assert len(counted_trunks) == cells // 2 + cells
-    assert shared.read_bytes() == fresh.read_bytes()
+        def forecast_panel(self, context_values, context_mask, mode, m, realized=None):
+            fresh = _fresh(context_values, context_mask, mode, m, self.weights, self.config)
+            gids = M.mode_group_ids(mode, len(context_values))
+            batch = M.assemble_batch(context_values, context_mask, gids, m, self.weights, self.config)
+            unpruned = finish_unpruned(batch, self.weights, self.config)[:, :, M.MEDIAN_INDEX]
+            if fresh.tobytes() != unpruned.tobytes():
+                predicted_unlike_unpruned.append((mode, m))
+            return unpruned
+
+    for n_blocks in (1, 2):
+        cfg = replace(cfg1, n_blocks=n_blocks)
+        weights = M.init_weights(cfg, seed=42)
+        del counted_trunks[:]
+        shared = tmp_path / f"shared{n_blocks}.csv"
+        _, skips, cells = E.run_grid(specs, {"toy": panel}, E.ModelForecaster(weights, cfg), records_path=shared)
+        assert cells and len(counted_trunks) == cells // 2 and skips == []
+        fresh = tmp_path / f"fresh{n_blocks}.csv"
+        E.run_grid(specs, {"toy": panel}, PredictEveryCell(weights, cfg), records_path=fresh)
+        assert len(counted_trunks) == cells // 2 + cells
+        assert shared.read_bytes() == fresh.read_bytes(), n_blocks
+        assert predicted_unlike_unpruned == [], n_blocks
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Model mechanics: embedding, separator, both attentions, forward, predict."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from groupcast import tensor as T
 from groupcast.checkpoint import load_checkpoint, save_checkpoint
 from groupcast.errors import ConfigError, ShapeError
 
-from oracles import finite_diff_grad, group_attention_dense_masked, rel_err
+from oracles import finish_unpruned, finite_diff_grad, group_attention_dense_masked, rel_err
 
 CFG = M.ModelConfig(d_model=16, n_blocks=2, n_heads=2, patch_len=4, max_context=64, horizon_patches=4)
 
@@ -369,17 +371,75 @@ def test_scaling_never_uses_horizon_values():
         assert s1.loc == s2.loc and s1.scale == s2.scale
 
 
-def test_group_batch_w_zeros_where_unknown():
+def test_group_batch_w_zeros_where_unknown(monkeypatch):
     w = _weights()
     rng = np.random.default_rng(17)
     ctx = rng.normal(5, 1, size=(2, 16))
     fut = rng.normal(5, 1, size=(2, 4))
     known = np.zeros((2, 4))
     known[1, :] = 1.0
+    embedded = []
+    embed = M.embed_patches
+
+    def capture(patches, weights):
+        embedded.append(patches.data.copy())
+        return embed(patches, weights)
+
+    monkeypatch.setattr(M, "embed_patches", capture)
     batch = M.assemble_batch(
         ctx, np.ones_like(ctx), M.mv_group_ids(2), 4, w, CFG,
         future_values=fut, future_known_mask=known,
     )
-    assert np.all(batch.future_inputs[0] == 0.0)
-    assert np.all(batch.future_inputs[1, :4] != 0.0)
-    assert np.array_equal(batch.future_known_mask, known)
+    _ctx_patches, fut_patches = embedded
+    chans = fut_patches.reshape(2, -1, M.N_CHANNELS)  # (S, F*P, [value, rel_time, mask])
+    assert np.all(chans[0, :, 0] == 0.0)
+    expect = P.apply_scaling(fut[1], known[1], batch.scaling[1])
+    assert np.all(expect != 0.0)
+    assert np.array_equal(chans[1, :4, 0], expect)
+    assert np.array_equal(chans[:, :4, 2], known)
+
+
+PRUNE_CFG = M.ModelConfig(d_model=16, n_blocks=2, n_heads=2, patch_len=8, max_context=64, horizon_patches=8)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n_blocks", [0, 1, 2])
+def test_finish_prunes_last_block_bitwise(n_blocks, dtype):
+    # horizons of one future patch (1, 8) are where the pruned block keeps
+    # the separator row so that two query rows remain
+    cfg = replace(PRUNE_CFG, n_blocks=n_blocks)
+    w = M.init_weights(cfg, seed=30 + n_blocks, dtype=dtype)
+    rng = np.random.default_rng(n_blocks)
+    horizons = (1, 8, 9, 21, 63, cfg.horizon_capacity)
+    for S in (1, 7, 17):
+        for m in horizons:
+            for gaps in (False, True):
+                ctx = rng.normal(20, 4, size=(S, 45))
+                mask = np.ones_like(ctx)
+                if gaps:
+                    mask[rng.random(mask.shape) < 0.2] = 0.0
+                    mask[:, -1] = 1.0
+                ctx = ctx * mask
+                batch = M.trunk(ctx, mask, m, w, cfg)
+                for mode in ("MV", "UV"):
+                    gids = M.mode_group_ids(mode, S)
+                    got = M.finish(batch, gids, w, cfg).values
+                    expect = finish_unpruned(replace(batch, group_ids=gids), w, cfg)
+                    assert got.tobytes() == expect.tobytes(), (S, m, gaps, mode)
+
+
+def test_finish_inverse_scaling_matches_per_row_inverse_scale(monkeypatch):
+    rng = np.random.default_rng(24)
+    for _ in range(200):
+        S, m = int(rng.integers(1, 20)), int(rng.integers(1, 65))
+        raw = rng.normal(0, 3, size=(S, m + int(rng.integers(0, 8)), 21))
+        states = [
+            P.ScalingState(loc=float(rng.normal(0, 1e3)), scale=float(rng.lognormal(0, 4)))
+            for _ in range(S)
+        ]
+        monkeypatch.setattr(M, "forward", lambda *args, **kwargs: T.constant(raw))
+        batch = M.GroupBatch(tokens=None, group_ids=None, reg_position=0, scaling=states, horizon_len=m)
+        got = M.finish(batch, M.uv_group_ids(S), {}, CFG).values
+        grid = np.sort(raw[:, :m], axis=-1)
+        expect = np.stack([P.inverse_scale(grid[s], st) for s, st in enumerate(states)])
+        assert got.tobytes() == expect.tobytes()
