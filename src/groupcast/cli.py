@@ -242,6 +242,13 @@ def cmd_synth(args) -> int:
 # train
 
 
+def _train_summary(wall_s: float, steps: int) -> str:
+    """One stderr line: curriculum wall time, the steps run in this
+    invocation and their rate."""
+    rate = steps / wall_s if wall_s > 0 else 0.0
+    return f"train: {wall_s:.2f} s wall, {steps} steps ({rate:.1f} steps/s)"
+
+
 def cmd_train(args) -> int:
     cfg = _load_config(args.config, args.set, TRAIN_CMD_KEYS)
     if args.seed is not None:
@@ -259,9 +266,12 @@ def cmd_train(args) -> int:
     corpus = TR.Corpus.from_dir(data_dir)
     model_cfg = M.ModelConfig.from_dict(cfg.get("model", {}))
     train_cfg = TR.TrainConfig.from_dict(cfg.get("train", {}))
+    stats: dict = {}
+    start = time.perf_counter()
     path = TR.run_curriculum(
-        model_cfg, train_cfg, corpus, out_dir, resume_from=cfg.get("resume")
+        model_cfg, train_cfg, corpus, out_dir, resume_from=cfg.get("resume"), stats=stats
     )
+    print(_train_summary(time.perf_counter() - start, stats["steps"]), file=sys.stderr)
     print(f"checkpoint: {path}")
     print(f"training log: {Path(out_dir) / 'train_log.csv'}")
     return EXIT_OK

@@ -40,7 +40,7 @@ import numpy as np
 from . import preprocess
 from . import tensor as T
 from .errors import ConfigError, ShapeError
-from .preprocess import MetaFeatures, ScalingState
+from .preprocess import ScalingState
 from .rng import PortableRng
 
 logger = logging.getLogger(__name__)
@@ -427,6 +427,8 @@ def assemble_batch(
     context_values/context_mask: (S, Lc) in original units. future_values,
     when given, are known-future covariate inputs (S, m) in original units;
     cells with future_known_mask 0 are ignored and enter the grid as 0.
+    Every row is scaled and patched in whole-array operations that give
+    the bits of preprocess.robust_scale and patchify row by row.
     """
     ctx = np.asarray(context_values, dtype=np.float64)
     msk = np.asarray(context_mask, dtype=np.float64)
@@ -456,36 +458,46 @@ def assemble_batch(
     P = config.patch_len
     F = -(-horizon_len // P)  # ceil
     Lh = F * P
+    pad = (-Lc) % P
     dtype = weights["embed.w1"].dtype
 
-    known = np.zeros((S, Lh), dtype=np.float64)
+    # (mean, std) of fully observed rows in one pass; rows with gaps one by one
+    full = np.all(msk > 0, axis=1) & (Lc > 0)
+    loc, scale = np.empty(S), np.empty(S)
+    if full.any():
+        obs = ctx if full.all() else ctx[full]
+        loc[full] = np.mean(obs, axis=1)
+        scale[full] = np.maximum(np.std(obs, axis=1), preprocess.SCALE_FLOOR)
+    for s in np.flatnonzero(~full):
+        state = preprocess.fit_scaling(ctx[s], msk[s])
+        loc[s], scale[s] = state.loc, state.scale
+    states = [ScalingState(lo, sc) for lo, sc in zip(loc.tolist(), scale.tolist())]
+
+    # channels [value, rel_time, mask] of the left-padded context, as patchify
+    rel = preprocess.make_rel_time(Lc, Lh, pad_count=pad)
+    rel_ctx = rel[pad : pad + Lc]
+    chans = np.zeros((S, pad + Lc, N_CHANNELS))
+    chans[:, pad:, 0] = np.where(msk > 0, preprocess.scale_rows(ctx, loc, scale), 0.0)
+    if pad:
+        chans[:, :pad, 1] = preprocess.pad_rel_time(rel_ctx, pad)
+    chans[:, pad:, 1] = rel_ctx
+    chans[:, pad:, 2] = msk
+    ctx_patches = chans.reshape(S, (pad + Lc) // P, P * N_CHANNELS)
+
+    fut = np.zeros((S, Lh, N_CHANNELS))
+    fut[:, :, 1] = rel[pad + Lc :]
     if future_known_mask is not None:
         fm = np.asarray(future_known_mask, dtype=np.float64)
-        known[:, : fm.shape[1]] = fm
-
-    states: list[ScalingState] = []
-    ctx_patch_list = []
-    fut_patch_list = []
-    pad = (-Lc) % P
-    rel_full = preprocess.make_rel_time(Lc, Lh, pad_count=pad)
-    for s in range(S):
-        scaled, state = preprocess.robust_scale(ctx[s], msk[s])
-        states.append(state)
-        meta = MetaFeatures(rel_time=rel_full[pad : pad + Lc], observed_mask=msk[s])
-        seq = preprocess.patchify(scaled, meta, P)
-        ctx_patch_list.append(seq.patches)
-        fvals = np.zeros(Lh, dtype=np.float64)
-        if future_values is not None and np.any(known[s] > 0):
-            raw = np.zeros(Lh, dtype=np.float64)
-            fv = np.asarray(future_values[s], dtype=np.float64)
-            raw[: fv.shape[0]] = fv
-            fvals = np.where(known[s] > 0, preprocess.apply_scaling(raw, known[s], state), 0.0)
-        fut_chans = np.stack([fvals, rel_full[pad + Lc :], known[s]], axis=-1)
-        fut_patch_list.append(fut_chans.reshape(F, P, N_CHANNELS))
-
-    Tc = ctx_patch_list[0].shape[0]
-    ctx_patches = np.stack(ctx_patch_list).reshape(S, Tc, P * N_CHANNELS)
-    fut_patches = np.stack(fut_patch_list).reshape(S, F, P * N_CHANNELS)
+        fut[:, : fm.shape[1], 2] = fm
+        known = fut[:, :, 2] > 0
+        rows = np.flatnonzero(known.any(axis=1))
+        if future_values is not None and rows.size:
+            fv = np.asarray(future_values, dtype=np.float64)[rows]
+            raw = np.zeros((rows.size, Lh))
+            raw[:, : fv.shape[1]] = fv
+            scaled = preprocess.scale_rows(raw, loc[rows], scale[rows])
+            fut[rows, :, 0] = np.where(known[rows], scaled, 0.0)
+    fut_patches = fut.reshape(S, F, P * N_CHANNELS)
 
     ctx_tokens = embed_patches(T.constant(ctx_patches, dtype=dtype), weights)
     fut_tokens = embed_patches(T.constant(fut_patches, dtype=dtype), weights)

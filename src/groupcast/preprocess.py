@@ -3,6 +3,12 @@
 The scaling transform is asinh((x - loc) / scale) with loc/scale estimated
 from observed context points only, so statistics can never leak future
 values. Missing positions carry value 0 and mask 0; no interpolation.
+
+These functions work on one series row and are the reference for the
+batch form in ``model.assemble_batch``, which must give the same bits:
+there fully observed rows take their (mean, std) in one axis-1 pass and
+every row is scaled in one expression, while rows with gaps take
+``fit_scaling`` one at a time, so an all-missing row still raises.
 """
 
 from dataclasses import dataclass
@@ -66,6 +72,12 @@ def apply_scaling(series: np.ndarray, mask: np.ndarray, state: ScalingState) -> 
     return np.where(mask > 0, scaled, 0.0)
 
 
+def scale_rows(values: np.ndarray, loc: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """asinh((x - loc) / scale) of each row of values (R, n) under its own
+    loc[r] and scale[r]: apply_scaling row by row, before the mask."""
+    return np.arcsinh((values - loc[:, None]) / scale[:, None])
+
+
 def inverse_scale(scaled: np.ndarray, state: ScalingState) -> np.ndarray:
     """Map scaled values back to original units: sinh(s)*scale + loc."""
     return np.sinh(np.asarray(scaled, dtype=np.float64)) * state.scale + state.loc
@@ -82,6 +94,12 @@ def make_rel_time(context_len: int, horizon_len: int, pad_count: int = 0) -> np.
     denom = float(max(span - 1, 1))
     idx = np.arange(-pad_count, span, dtype=np.float64)
     return idx / denom
+
+
+def pad_rel_time(rel: np.ndarray, pad: int) -> np.ndarray:
+    """rel_time of the pad positions left of rel: its first step, extended."""
+    step = rel[1] - rel[0] if rel.shape[0] > 1 else 1.0
+    return rel[0] + step * np.arange(-pad, 0, dtype=np.float64)
 
 
 def patchify(scaled: np.ndarray, meta: MetaFeatures, patch_len: int) -> PatchSequence:
@@ -101,10 +119,8 @@ def patchify(scaled: np.ndarray, meta: MetaFeatures, patch_len: int) -> PatchSeq
     if rel.shape[0] != n or mask.shape[0] != n:
         raise ConfigError("meta feature lengths must match the series length")
     if pad:
-        step = rel[1] - rel[0] if n > 1 else 1.0
-        rel_pad = rel[0] + step * np.arange(-pad, 0, dtype=np.float64)
         values = np.concatenate([np.zeros(pad), scaled])
-        rel = np.concatenate([rel_pad, rel])
+        rel = np.concatenate([pad_rel_time(rel, pad), rel])
         mask = np.concatenate([np.zeros(pad), mask])
     else:
         values = scaled

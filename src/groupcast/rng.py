@@ -22,6 +22,9 @@ counter .. counter+n-1) and advancing the counter. Derived quantities:
     normals     = Box-Muller on uniform pairs (u1, u2):
                   r = sqrt(-2 ln(1 - u1)),
                   z0 = r cos(2 pi u2), z1 = r sin(2 pi u2)
+    integer     = min(floor(u * high), high - 1)          in [0, high)
+    category    = first i with u * sum(w) < cumsum(w)[i] under
+                  weights w >= 0, else the last index
     spawn(key)  = child stream with
                   state' = mix(state + (key + 1) * 0xD1B54A32D192ED03),
                   counter' = 0
@@ -102,19 +105,29 @@ class PortableRng:
         """n ints uniform in [0, high) via floor(uniform * high)."""
         if high <= 0:
             raise ValueError(f"integers high must be positive, got {high}")
-        vals = np.floor(self.uniform(n) * high).astype(np.int64)
-        return np.minimum(vals, high - 1)
+        return uniform_to_int(self.uniform(n), high)
 
-    def choice_index(self, weights) -> int:
-        """Single categorical draw; weights need not be normalized."""
-        w = np.asarray(weights, dtype=np.float64)
-        total = float(w.sum())
-        if total <= 0:
-            raise ValueError("choice_index needs positive total weight")
-        u = float(self.uniform(1)[0]) * total
-        acc = 0.0
-        for i, wi in enumerate(w):
-            acc += float(wi)
-            if u < acc:
-                return i
-        return len(w) - 1
+
+def uniform_to_int(u: np.ndarray, high) -> np.ndarray:
+    """Map uniforms to ints in [0, high): floor(u * high), capped at high - 1.
+
+    high may be an array with one bound per uniform; every bound must be
+    positive. This is the map ``PortableRng.integers`` applies.
+    """
+    vals = np.floor(u * high).astype(np.int64)
+    return np.minimum(vals, np.asarray(high) - 1)
+
+
+def uniform_to_category(u: np.ndarray, weights) -> np.ndarray:
+    """Map uniforms to categorical indices under nonnegative weights.
+
+    Index i is the first whose running weight sum exceeds u * sum(weights),
+    or the last index when rounding leaves none; the weights need not be
+    normalized.
+    """
+    w = np.asarray(weights, dtype=np.float64)
+    total = float(w.sum())
+    if total <= 0 or np.any(w < 0):
+        raise ValueError(f"categorical weights must be nonnegative with a positive sum, got {weights}")
+    idx = np.searchsorted(np.cumsum(w), u * total, side="right")
+    return np.minimum(idx, w.size - 1)

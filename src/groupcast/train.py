@@ -16,8 +16,8 @@ from . import model as M
 from . import tensor as T
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import ConfigError, ContractError, DegenerateInputError, TrainingAbort
-from .preprocess import apply_scaling
-from .rng import PortableRng
+from .preprocess import scale_rows
+from .rng import PortableRng, uniform_to_category, uniform_to_int
 
 
 @dataclass(frozen=True)
@@ -193,12 +193,6 @@ def pinball_loss(pred: T.Tensor, target: np.ndarray, mask: np.ndarray, levels) -
 # task sampling
 
 
-def _window(rng: PortableRng, series_len: int, need: int) -> int:
-    if series_len < need:
-        raise ConfigError(f"series of length {series_len} too short for window {need}")
-    return int(rng.integers(1, series_len - need + 1)[0])
-
-
 def sample_task(
     corpus: Corpus,
     mix: tuple[float, float, float],
@@ -212,63 +206,64 @@ def sample_task(
     UV groups are singleton rows; MV groups share one ID across a panel;
     covariate groups mark rows past the first as known-future inputs and
     keep the loss on the target row only.
+
+    Every task takes three uniforms, in order: its kind (a categorical draw
+    over mix), its index in the kind's pool and its window start (each
+    floor(u * high)). All 3 * n_groups come from one rng.uniform call, so
+    task g reads the stream at 3g, 3g + 1 and 3g + 2 past rng's counter.
+    A kind whose pool is empty falls back to the other pool: UV to MV
+    without univariate series, MV and covariate to UV without panels.
     """
-    rows_ctx, rows_cmask, rows_fv, rows_fm, rows_tv, rows_tm, gids = [], [], [], [], [], [], []
     need = ctx_len + horizon_len
-    for g in range(n_groups):
-        kind = rng.choice_index(mix)
-        if kind == 0 and not corpus.univariate:
-            kind = 1
-        if kind in (1, 2) and not corpus.panels:
-            kind = 0
-        if kind == 0:
-            pool = corpus.univariate
-            series = pool[int(rng.integers(1, len(pool))[0])]
-            start = _window(rng, series.shape[0], need)
-            win = series[start : start + need]
-            rows = win[None, :]
-        else:
-            pool = corpus.panels if kind == 1 else corpus.covariate_panels
-            panel = pool[int(rng.integers(1, len(pool))[0])]
-            start = _window(rng, panel.shape[1], need)
-            rows = panel[:, start : start + need]
-        K = rows.shape[0]
-        ctx = rows[:, :ctx_len]
-        fut = rows[:, ctx_len:]
-        known = np.zeros((K, horizon_len))
-        fvals = np.zeros((K, horizon_len))
-        tmask = np.ones((K, horizon_len))
-        if kind == 2 and K > 1:
-            known[1:, :] = 1.0
-            fvals[1:, :] = fut[1:, :]
-            tmask[1:, :] = 0.0
-        rows_ctx.append(ctx)
-        rows_cmask.append(np.ones_like(ctx))
-        rows_fv.append(fvals)
-        rows_fm.append(known)
-        rows_tv.append(fut)
-        rows_tm.append(tmask)
-        gids.extend([g] * K)
+    u = rng.uniform(3 * n_groups).reshape(n_groups, 3)
+    kinds = uniform_to_category(u[:, 0], mix)
+    if not corpus.univariate:
+        kinds[kinds == 0] = 1
+    if not corpus.panels:
+        kinds[kinds > 0] = 0
+    if not corpus.covariate_panels and np.any(kinds == 2):
+        raise ConfigError("covariate task drawn but the corpus has no covariate panels")
+    pools = (corpus.univariate, corpus.panels, corpus.covariate_panels)
+    picks = uniform_to_int(u[:, 1], np.array([len(p) for p in pools])[kinds])
+    series = [pools[k][i] for k, i in zip(kinds.tolist(), picks.tolist())]
+    lengths = np.array([x.shape[-1] for x in series])
+    short = lengths < need
+    if short.any():
+        raise ConfigError(f"series of length {lengths[short][0]} too short for window {need}")
+    starts = uniform_to_int(u[:, 2], lengths - need + 1)
+    windows = [np.atleast_2d(x)[:, a : a + need] for x, a in zip(series, starts.tolist())]
+    sizes = np.array([w.shape[0] for w in windows])
+    rows = np.concatenate(windows)
+    # covariate rows: every row of a covariate task but its first
+    covariate = np.repeat(kinds == 2, sizes)
+    covariate[np.cumsum(sizes) - sizes] = False
+    known = np.zeros((rows.shape[0], horizon_len))
+    known[covariate] = 1.0
+    future = rows[:, ctx_len:]
+    fvals = np.zeros_like(known)
+    fvals[covariate] = future[covariate]
+    context = rows[:, :ctx_len].copy()
     return TaskSample(
-        context_values=np.concatenate(rows_ctx, axis=0),
-        context_mask=np.concatenate(rows_cmask, axis=0),
-        group_ids=np.asarray(gids, dtype=np.int64),
+        context_values=context,
+        context_mask=np.ones_like(context),
+        group_ids=np.repeat(np.arange(n_groups, dtype=np.int64), sizes),
         horizon_len=horizon_len,
-        future_values=np.concatenate(rows_fv, axis=0),
-        future_known_mask=np.concatenate(rows_fm, axis=0),
-        target_values=np.concatenate(rows_tv, axis=0),
-        target_mask=np.concatenate(rows_tm, axis=0),
+        future_values=fvals,
+        future_known_mask=known,
+        target_values=future.copy(),
+        target_mask=1.0 - known,
     )
 
 
 def _scaled_targets(target_values, target_mask, scaling, n_positions: int):
     """(S, m) targets in the model's scaled space, padded to the patch grid."""
     S, m = target_values.shape
+    loc = np.array([st.loc for st in scaling])
+    scale = np.array([st.scale for st in scaling])
     tv = np.zeros((S, n_positions))
     tm = np.zeros((S, n_positions))
-    for s in range(S):
-        tv[s, :m] = apply_scaling(target_values[s], np.ones(m), scaling[s])
-        tm[s, :m] = target_mask[s]
+    tv[:, :m] = scale_rows(np.asarray(target_values, dtype=np.float64), loc, scale)
+    tm[:, :m] = target_mask
     return tv, tm
 
 
@@ -393,6 +388,7 @@ def run_curriculum(
     out_dir,
     resume_from=None,
     log_name: str = "train_log.csv",
+    stats: dict | None = None,
 ) -> Path:
     """Two-stage training over increasing context limits.
 
@@ -400,7 +396,8 @@ def run_curriculum(
     configured cadence plus stage boundaries, a CSV log (step, stage,
     loss, lr, wallclock_ms), and returns the final checkpoint path
     (<out_dir>/model.ckpt). Resuming cuts the log back to the checkpoint's
-    step, so a run resumed in place logs every step once.
+    step, so a run resumed in place logs every step once. A stats dict,
+    when given, receives "steps": the number of steps this call ran.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -442,8 +439,9 @@ def run_curriculum(
     if not log_path.exists():
         log_path.write_text("step,stage,loss,lr,wallclock_ms\n")
 
+    first_step = state.step
     with open(log_path, "a") as log:
-        for step in range(state.step, total_steps):
+        for step in range(first_step, total_steps):
             stage = int(np.searchsorted(boundaries[1:], step, side="right"))
             ctx_limit = train_config.stage_contexts[stage]
             t0 = time.monotonic()
@@ -468,4 +466,6 @@ def run_curriculum(
             if state.step % train_config.checkpoint_every == 0 or state.step in boundaries[1:]:
                 save(out_dir / f"ckpt_step{state.step:06d}.ckpt")
     save(final_path)
+    if stats is not None:
+        stats["steps"] = state.step - first_step
     return final_path

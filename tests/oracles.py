@@ -3,9 +3,12 @@
 Everything here is deliberately written the dumb way (explicit loops,
 no shared code with the package) so a disagreement means a real bug. The
 exceptions are the dense masked group attention, which is built from
-``groupcast.tensor`` primitives so that its gradients can be compared too,
-and the unpruned finish, which runs the package's full forward so that the
-pruned last block of ``model.finish`` can be compared with it bit for bit.
+``groupcast.tensor`` primitives so that its gradients can be compared too;
+the unpruned finish, which runs the package's full forward so that the
+pruned last block of ``model.finish`` can be compared with it bit for bit;
+and the per-row batch assembly, which runs the package's per-row
+preprocessing functions one series at a time, the reference for the
+whole-array ``model.assemble_batch``.
 """
 
 import math
@@ -200,3 +203,122 @@ def finish_unpruned(batch, weights, config):
     grid = M.forward(batch, weights, config).data.astype(np.float64)
     grid = np.sort(grid[:, : batch.horizon_len, :], axis=-1)
     return np.stack([P.inverse_scale(grid[s], st) for s, st in enumerate(batch.scaling)])
+
+
+def assemble_batch_per_row(
+    context_values, context_mask, group_ids, horizon_len, weights, config,
+    future_values=None, future_known_mask=None,
+):
+    """model.assemble_batch one series row at a time: robust_scale, patchify
+    and the known-future channel per row, then the same embedding and
+    separator. Returns the GroupBatch."""
+    ctx = np.asarray(context_values, dtype=np.float64)
+    msk = np.asarray(context_mask, dtype=np.float64)
+    ctx = ctx[:, -config.max_context :]
+    msk = msk[:, -config.max_context :]
+    S, Lc = ctx.shape
+    Pl = config.patch_len
+    F = -(-horizon_len // Pl)
+    Lh = F * Pl
+    known = np.zeros((S, Lh))
+    if future_known_mask is not None:
+        fm = np.asarray(future_known_mask, dtype=np.float64)
+        known[:, : fm.shape[1]] = fm
+    pad = (-Lc) % Pl
+    rel_full = P.make_rel_time(Lc, Lh, pad_count=pad)
+    states, ctx_patches, fut_patches = [], [], []
+    for s in range(S):
+        scaled, state = P.robust_scale(ctx[s], msk[s])
+        states.append(state)
+        meta = P.MetaFeatures(rel_time=rel_full[pad : pad + Lc], observed_mask=msk[s])
+        ctx_patches.append(P.patchify(scaled, meta, Pl).patches)
+        fvals = np.zeros(Lh)
+        if future_values is not None and np.any(known[s] > 0):
+            raw = np.zeros(Lh)
+            fv = np.asarray(future_values[s], dtype=np.float64)
+            raw[: fv.shape[0]] = fv
+            fvals = np.where(known[s] > 0, P.apply_scaling(raw, known[s], state), 0.0)
+        chans = np.stack([fvals, rel_full[pad + Lc :], known[s]], axis=-1)
+        fut_patches.append(chans.reshape(F, Pl, 3))
+    dtype = weights["embed.w1"].dtype
+    ctx_arr = np.stack(ctx_patches).reshape(S, -1, Pl * 3)
+    fut_arr = np.stack(fut_patches).reshape(S, F, Pl * 3)
+    ctx_tokens = M.embed_patches(T.constant(ctx_arr, dtype=dtype), weights)
+    fut_tokens = M.embed_patches(T.constant(fut_arr, dtype=dtype), weights)
+    tokens, reg_pos = M.insert_reg(ctx_tokens, fut_tokens, weights["reg"])
+    return M.GroupBatch(
+        tokens=tokens,
+        group_ids=None if group_ids is None else np.asarray(group_ids),
+        reg_position=reg_pos,
+        scaling=states,
+        horizon_len=horizon_len,
+    )
+
+
+def scaled_targets_per_row(target_values, target_mask, scaling, n_positions):
+    """train._scaled_targets with apply_scaling called once per row."""
+    S, m = target_values.shape
+    tv = np.zeros((S, n_positions))
+    tm = np.zeros((S, n_positions))
+    for s in range(S):
+        tv[s, :m] = P.apply_scaling(target_values[s], np.ones(m), scaling[s])
+        tm[s, :m] = target_mask[s]
+    return tv, tm
+
+
+def sample_task_per_draw(corpus, mix, rng, n_groups, ctx_len, horizon_len):
+    """train.sample_task with one rng.uniform(1) call per draw: kind (a
+    running-sum categorical over mix), pool index and window start (each
+    floor(u * high), capped at high - 1), task by task. Returns a dict of
+    the TaskSample fields."""
+
+    def draw_int(high):
+        return min(int(math.floor(float(rng.uniform(1)[0]) * high)), high - 1)
+
+    def draw_kind():
+        u = float(rng.uniform(1)[0]) * float(sum(float(w) for w in mix))
+        acc = 0.0
+        for i, w in enumerate(mix):
+            acc += float(w)
+            if u < acc:
+                return i
+        return len(mix) - 1
+
+    out = {k: [] for k in ("ctx", "fv", "fm", "tv", "tm")}
+    gids = []
+    need = ctx_len + horizon_len
+    for g in range(n_groups):
+        kind = draw_kind()
+        if kind == 0 and not corpus.univariate:
+            kind = 1
+        if kind in (1, 2) and not corpus.panels:
+            kind = 0
+        pool = (corpus.univariate, corpus.panels, corpus.covariate_panels)[kind]
+        series = np.atleast_2d(pool[draw_int(len(pool))])
+        start = draw_int(series.shape[1] - need + 1)
+        rows = series[:, start : start + need]
+        K = rows.shape[0]
+        fut = rows[:, ctx_len:]
+        known = np.zeros((K, horizon_len))
+        fvals = np.zeros((K, horizon_len))
+        tmask = np.ones((K, horizon_len))
+        if kind == 2 and K > 1:
+            known[1:, :] = 1.0
+            fvals[1:, :] = fut[1:, :]
+            tmask[1:, :] = 0.0
+        out["ctx"].append(rows[:, :ctx_len])
+        out["fv"].append(fvals)
+        out["fm"].append(known)
+        out["tv"].append(fut)
+        out["tm"].append(tmask)
+        gids.extend([g] * K)
+    cat = {k: np.concatenate(v) for k, v in out.items()}
+    return {
+        "context_values": cat["ctx"],
+        "context_mask": np.ones_like(cat["ctx"]),
+        "group_ids": np.asarray(gids, dtype=np.int64),
+        "future_values": cat["fv"],
+        "future_known_mask": cat["fm"],
+        "target_values": cat["tv"],
+        "target_mask": cat["tm"],
+    }

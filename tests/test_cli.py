@@ -112,6 +112,51 @@ def test_train_and_log_rows(tmp_path):
     assert (out / "model.ckpt").exists()
 
 
+def _train_line_steps(err: str) -> int:
+    lines = [ln for ln in err.splitlines() if ln.startswith("train: ")]
+    assert len(lines) == 1, err
+    hit = re.fullmatch(r"train: \d+\.\d\d s wall, (\d+) steps \(\d+\.\d steps/s\)", lines[0])
+    assert hit, lines[0]
+    return int(hit[1])
+
+
+def _without_wallclock(files: dict[str, bytes]) -> dict[str, bytes]:
+    """The training log's last column, wallclock_ms, is the one output
+    expected to differ between runs."""
+    log = files["train_log.csv"].decode().splitlines()
+    return {**files, "train_log.csv": "\n".join(ln.rsplit(",", 1)[0] for ln in log).encode()}
+
+
+def test_train_prints_wall_and_steps_to_stderr(tmp_path, capsys):
+    data = _synth_small(tmp_path)
+    out = tmp_path / "run"
+    runs, trees = [], []
+    for _ in range(2):
+        capsys.readouterr()
+        assert cli.main(["train", "--data", str(data), "--out", str(out)] + TRAIN_OVERRIDES) == 0
+        runs.append(capsys.readouterr())
+        trees.append(_without_wallclock(_dir_bytes(out)))
+    assert [_train_line_steps(r.err) for r in runs] == [4 + 3, 4 + 3]  # sum(stage_steps)
+    assert "train: " not in runs[0].out
+    assert runs[0].out == runs[1].out
+    assert trees[0] == trees[1]
+    assert (out / "train_log.csv").read_text().splitlines()[0] == "step,stage,loss,lr,wallclock_ms"
+
+
+def test_train_resumed_run_counts_only_new_steps(tmp_path, capsys):
+    data = _synth_small(tmp_path)
+    first = tmp_path / "first"
+    assert cli.main(["train", "--data", str(data), "--out", str(first)] + TRAIN_OVERRIDES) == 0
+    for ckpt, steps in (("ckpt_step000004.ckpt", 3), ("model.ckpt", 0)):
+        capsys.readouterr()
+        code = cli.main(
+            ["train", "--data", str(data), "--out", str(tmp_path / ckpt), "--resume", str(first / ckpt)]
+            + TRAIN_OVERRIDES
+        )
+        assert code == 0
+        assert _train_line_steps(capsys.readouterr().err) == steps
+
+
 def test_train_zero_steps_checkpoint_equals_init(tmp_path):
     data = _synth_small(tmp_path)
     out = tmp_path / "run0"

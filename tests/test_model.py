@@ -9,9 +9,15 @@ from groupcast import model as M
 from groupcast import preprocess as P
 from groupcast import tensor as T
 from groupcast.checkpoint import load_checkpoint, save_checkpoint
-from groupcast.errors import ConfigError, ShapeError
+from groupcast.errors import ConfigError, DegenerateInputError, ShapeError
 
-from oracles import finish_unpruned, finite_diff_grad, group_attention_dense_masked, rel_err
+from oracles import (
+    assemble_batch_per_row,
+    finish_unpruned,
+    finite_diff_grad,
+    group_attention_dense_masked,
+    rel_err,
+)
 
 CFG = M.ModelConfig(d_model=16, n_blocks=2, n_heads=2, patch_len=4, max_context=64, horizon_patches=4)
 
@@ -443,3 +449,74 @@ def test_finish_inverse_scaling_matches_per_row_inverse_scale(monkeypatch):
         grid = np.sort(raw[:, :m], axis=-1)
         expect = np.stack([P.inverse_scale(grid[s], st) for s, st in enumerate(states)])
         assert got.tobytes() == expect.tobytes()
+
+
+def _oracle_case(rng, trial):
+    """A random batch for the per-row oracle; trial picks which features
+    it has, so every feature is covered by a fixed share of the trials."""
+    P_len = int(rng.integers(1, 9))
+    cfg = M.ModelConfig(
+        d_model=8, n_blocks=1, n_heads=2, patch_len=P_len,
+        max_context=int(rng.integers(8, 72)), horizon_patches=int(rng.integers(1, 5)),
+    )
+    S = 1 if trial % 5 == 0 else int(rng.integers(2, 12))
+    Lc = int(rng.integers(2, cfg.max_context + 1))
+    if trial % 4 == 1:  # longer than max_context: truncated from the left
+        Lc = cfg.max_context + int(rng.integers(1, 40))
+    m = int(rng.integers(1, cfg.horizon_capacity + 1))
+    # a window of a wider panel, as the harness slices them: rows not contiguous
+    wide = rng.normal(rng.uniform(-100, 100), rng.lognormal(0, 2), size=(S, Lc + 5))
+    ctx = wide[:, 2 : 2 + Lc]
+    mask = np.ones((S, Lc))
+    if trial % 3 == 0:
+        mask[rng.random(mask.shape) < 0.3] = 0.0
+        mask[:, -1] = 1.0
+        ctx = ctx * mask
+    if trial % 7 == 0:
+        ctx[0] = 5.0  # constant row: scale takes the floor
+    future = {}
+    if trial % 2 == 1:  # covariate rows with partly known futures
+        known = (rng.random((S, m)) < 0.5).astype(float)
+        known[0] = 0.0
+        future = dict(future_values=rng.normal(0, 50, size=(S, m)), future_known_mask=known)
+    return cfg, ctx, mask, m, future
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_assemble_batch_matches_per_row_oracle(monkeypatch, dtype):
+    embedded = []
+    embed = M.embed_patches
+
+    def capture(patches, weights):
+        embedded.append(patches.data.copy())
+        return embed(patches, weights)
+
+    monkeypatch.setattr(M, "embed_patches", capture)
+    rng = np.random.default_rng(41)
+    padded = 0
+    for trial in range(120):
+        cfg, ctx, mask, m, future = _oracle_case(rng, trial)
+        w = M.init_weights(cfg, seed=trial, dtype=dtype)
+        gids = M.uv_group_ids(ctx.shape[0])
+        got = M.assemble_batch(ctx, mask, gids, m, w, cfg, **future)
+        got_patches, embedded[:] = embedded[:], []
+        expect = assemble_batch_per_row(ctx, mask, gids, m, w, cfg, **future)
+        expect_patches, embedded[:] = embedded[:], []
+        case = (trial, ctx.shape, cfg.patch_len, cfg.max_context, m)
+        assert got.tokens.data.dtype == dtype
+        assert got.tokens.data.tobytes() == expect.tokens.data.tobytes(), case
+        assert got.scaling == expect.scaling, case
+        assert got.reg_position == expect.reg_position and got.horizon_len == m
+        assert [p.tobytes() for p in got_patches] == [p.tobytes() for p in expect_patches], case
+        padded += min(ctx.shape[1], cfg.max_context) % cfg.patch_len != 0
+    assert padded >= 40  # context lengths off the patch grid are well covered
+
+
+def test_assemble_batch_all_missing_row_still_raises():
+    w = _weights()
+    rng = np.random.default_rng(42)
+    ctx = rng.normal(10, 3, size=(3, 16))
+    mask = np.ones_like(ctx)
+    mask[1] = 0.0
+    with pytest.raises(DegenerateInputError):
+        M.assemble_batch(ctx * mask, mask, M.uv_group_ids(3), 4, w, CFG)

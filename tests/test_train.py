@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from groupcast import model as M
+from groupcast import preprocess as P
 from groupcast import tensor as T
 from groupcast import train as TR
 from groupcast.checkpoint import load_checkpoint
@@ -12,7 +13,12 @@ from groupcast.errors import ConfigError, ContractError, DegenerateInputError, T
 from groupcast.rng import PortableRng
 
 from conftest import build_training_corpus
-from oracles import adam_per_parameter, group_attention_dense_masked
+from oracles import (
+    adam_per_parameter,
+    group_attention_dense_masked,
+    sample_task_per_draw,
+    scaled_targets_per_row,
+)
 
 CFG = M.ModelConfig(d_model=16, n_blocks=1, n_heads=2, patch_len=4, max_context=64, horizon_patches=2)
 
@@ -128,6 +134,75 @@ def test_sample_task_covariate_w_cells(corpus):
         # known-future values only on covariate rows
         unknown = s.future_known_mask == 0
         assert np.all(s.future_values[unknown] == 0)
+
+
+TASK_FIELDS = (
+    "context_values", "context_mask", "group_ids", "future_values",
+    "future_known_mask", "target_values", "target_mask",
+)
+
+
+def test_sample_task_matches_per_draw_oracle(corpus):
+    rng = np.random.default_rng(8)
+    uni = [rng.normal(size=int(rng.integers(30, 60))) for _ in range(5)]
+    panels = [rng.normal(size=(int(rng.integers(1, 5)), int(rng.integers(30, 60)))) for _ in range(4)]
+    corpora = [
+        corpus,
+        TR.Corpus(univariate=uni, panels=panels),
+        TR.Corpus(univariate=[], panels=panels),  # UV draws fall back to MV
+        TR.Corpus(univariate=uni, panels=[]),  # MV and covariate draws fall back to UV
+    ]
+    mixes = [(0.4, 0.4, 0.2), (1, 0, 0), (0, 1, 0), (0, 0, 1), (0.35, 0.5, 0.15), (0.1, 0.2, 0.7)]
+    for ci, c in enumerate(corpora):
+        for mix in mixes:
+            for seed in range(25):
+                n_groups = 1 + seed % 9
+                got_rng, ref_rng = PortableRng(seed).spawn(ci), PortableRng(seed).spawn(ci)
+                got_rng.uniform(seed % 3)
+                ref_rng.uniform(seed % 3)
+                got = TR.sample_task(c, mix, got_rng, n_groups, 20, 8)
+                expect = sample_task_per_draw(c, mix, ref_rng, n_groups, 20, 8)
+                case = (ci, mix, seed)
+                assert got_rng.counter == ref_rng.counter == seed % 3 + 3 * n_groups, case
+                assert got.horizon_len == 8
+                for name in TASK_FIELDS:
+                    a, b = getattr(got, name), expect[name]
+                    assert a.dtype == b.dtype and a.shape == b.shape, (case, name)
+                    assert a.tobytes() == b.tobytes(), (case, name)
+
+
+def test_sample_task_empty_covariate_pool_raises_config_error():
+    rng = np.random.default_rng(9)
+    c = TR.Corpus(
+        univariate=[rng.normal(size=40)], panels=[rng.normal(size=(3, 40))], covariate_panels=[]
+    )
+    with pytest.raises(ConfigError, match="covariate"):
+        TR.sample_task(c, (0, 0, 1), PortableRng(0), 2, 16, 4)
+    s = TR.sample_task(c, (0.5, 0.5, 0), PortableRng(0), 4, 16, 4)  # no covariate draw: fine
+    assert s.context_values.shape[1] == 16
+
+
+def test_sample_task_short_series_raises_config_error():
+    c = TR.Corpus(univariate=[np.arange(10.0)])
+    with pytest.raises(ConfigError, match="too short"):
+        TR.sample_task(c, (1, 0, 0), PortableRng(0), 2, 16, 4)
+
+
+def test_scaled_targets_match_per_row_oracle():
+    rng = np.random.default_rng(10)
+    for _ in range(100):
+        S, m = int(rng.integers(1, 20)), int(rng.integers(1, 40))
+        n_positions = m + int(rng.integers(0, 8))
+        target = rng.normal(rng.uniform(-50, 50), rng.lognormal(0, 2), size=(S, m))
+        tmask = (rng.random((S, m)) < 0.7).astype(float)
+        states = [
+            P.ScalingState(loc=float(rng.normal(0, 1e3)), scale=float(rng.lognormal(0, 4)))
+            for _ in range(S)
+        ]
+        got = TR._scaled_targets(target, tmask, states, n_positions)
+        expect = scaled_targets_per_row(target, tmask, states, n_positions)
+        for a, b in zip(got, expect):
+            assert a.tobytes() == b.tobytes()
 
 
 def test_adam_zero_gradient_leaves_weights(corpus):
