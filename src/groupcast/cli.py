@@ -281,7 +281,7 @@ def cmd_train(args) -> int:
 # evaluate
 
 
-def _print_table(rows: list[dict], columns: list[str], title: str) -> None:
+def _print_table(rows: list[dict], columns: tuple[str, ...], title: str) -> None:
     print(f"\n== {title}")
     if not rows:
         print("(no rows)")
@@ -308,6 +308,13 @@ def _grid_summary(wall_s: float, cells: int, skips: list[dict]) -> str:
         f"grid: {wall_s:.2f} s wall, {cells} cells ({rate:.1f} cells/s), {len(skips)} skips"
         + (f" ({detail})" if detail else "")
     )
+
+
+def _cutoff(cfg: dict) -> date:
+    try:
+        return date.fromisoformat(cfg.get("cutoff", E.DEFAULT_CUTOFF.isoformat()))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"cutoff must be an ISO date: {exc}") from exc
 
 
 def cmd_evaluate(args) -> int:
@@ -374,7 +381,7 @@ def cmd_evaluate(args) -> int:
     modes = [m.upper() for m in cfg.get("modes", ["MV", "UV"])]
     contexts = [int(n) for n in cfg.get("contexts", E.DEFAULT_CONTEXTS)]
     horizons = [int(m) for m in cfg.get("horizons", E.DEFAULT_HORIZONS)]
-    cutoff = date.fromisoformat(cfg.get("cutoff", E.DEFAULT_CUTOFF.isoformat()))
+    cutoff = _cutoff(cfg)
     specs = [
         E.ExperimentSpec(
             panel=p, mode=mo, n=n, m=m,
@@ -390,7 +397,7 @@ def cmd_evaluate(args) -> int:
     if args.dry_run:
         total = 0
         print("dry run: grid summary")
-        for spec in specs:
+        for spec in dict.fromkeys(specs):
             origins = E.rolling_origins(panels[spec.panel], spec)
             total += len(origins)
             print(
@@ -412,16 +419,8 @@ def cmd_evaluate(args) -> int:
     print(f"records: {records_path} ({len(records)} rows, {len(skips)} skips)")
     for name, p in sorted(paths.items()):
         print(f"{name}: {p}")
-    _print_table(
-        table1,
-        ["panel", "mode", "mape_mean", "mape_std", "rmse_mean", "rmse_std", "n_records"],
-        "Average performance by panel and mode",
-    )
-    _print_table(
-        table2,
-        ["panel", "series", "mape_mv", "mape_uv", "rmse_mv", "rmse_uv", "mape_improvement", "rmse_improvement"],
-        "UV vs MV comparison by series",
-    )
+    _print_table(table1, E.TABLE1_COLUMNS, "Average performance by panel and mode")
+    _print_table(table2, E.TABLE2_COLUMNS, "UV vs MV comparison by series")
     return EXIT_OK
 
 
@@ -446,7 +445,7 @@ def cmd_report(args) -> int:
     except DataError as exc:
         print(f"malformed records: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
-    cutoff = date.fromisoformat(cfg.get("cutoff", E.DEFAULT_CUTOFF.isoformat()))
+    cutoff = _cutoff(cfg)
     out_dir = Path(cfg.get("out_dir") or _default_out())
     paths, _, _ = E.emit_artifacts(records, out_dir, cutoff=cutoff)
     for name, p in sorted(paths.items()):

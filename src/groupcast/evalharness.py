@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import model as M
-from .errors import DataError, DegenerateInputError
+from .errors import ConfigError, DataError, DegenerateInputError
 from .panels import SeriesPanel, slice_context
 
 logger = logging.getLogger(__name__)
@@ -43,6 +43,11 @@ MODE_ORDER = ("MV", "UV")
 FLOAT_FMT = "%.17g"
 
 RECORD_FIELDS = ("panel", "mode", "series", "n", "m", "origin", "rmse", "mape", "skipped", "regime")
+TABLE1_COLUMNS = ("panel", "mode", "mape_mean", "mape_std", "rmse_mean", "rmse_std", "n_records")
+TABLE2_COLUMNS = (
+    "panel", "series", "mape_mv", "mape_uv", "rmse_mv", "rmse_uv",
+    "mape_improvement", "rmse_improvement",
+)
 
 
 @dataclass(frozen=True)
@@ -54,14 +59,13 @@ class ExperimentSpec:
     n: int
     m: int
     start_years_after: int = 3
-    cadence: str = "monthly"
     cutoff: date = DEFAULT_CUTOFF
 
     def __post_init__(self):
-        if self.cadence != "monthly":
-            raise ValueError(f"only monthly cadence is supported, got {self.cadence!r}")
         if self.n < 1 or self.m < 1:
-            raise ValueError(f"n and m must be positive, got n={self.n}, m={self.m}")
+            raise ConfigError(f"n and m must be positive, got n={self.n}, m={self.m}")
+        if self.mode not in MODE_ORDER:
+            raise ConfigError(f"mode must be one of {MODE_ORDER}, got {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -234,9 +238,7 @@ STUB_FORECASTERS = {
 
 
 def _canonical_spec_key(spec: ExperimentSpec):
-    p = PANEL_ORDER.index(spec.panel) if spec.panel in PANEL_ORDER else len(PANEL_ORDER)
-    mo = MODE_ORDER.index(spec.mode) if spec.mode in MODE_ORDER else len(MODE_ORDER)
-    return (p, spec.panel, mo, spec.n, spec.m)
+    return panel_sort_key(spec.panel) + (MODE_ORDER.index(spec.mode), spec.n, spec.m)
 
 
 _POOL_STATE: dict = {}
@@ -326,6 +328,7 @@ def run_grid(
 
     Returns every record in canonical order (those already in records_path
     first), the skips of the cells computed in this run, and their number.
+    A spec given more than once is evaluated once.
 
     Cells are computed in pairing order (panel, n, m, origin, mode), so the
     modes of one context run back to back and ModelForecaster builds its
@@ -337,7 +340,7 @@ def run_grid(
     file ends and writes the same bytes as an uninterrupted run; a crash
     loses only the cells still waiting.
     """
-    specs = sorted(specs, key=_canonical_spec_key)
+    specs = sorted(dict.fromkeys(specs), key=_canonical_spec_key)
     done: set = set()
     existing: list[EvalRecord] = []
     path = None if records_path is None else Path(records_path)
@@ -456,6 +459,15 @@ def read_records(path) -> list[EvalRecord]:
 # aggregation
 
 
+def group_by(records: list[EvalRecord], key) -> dict:
+    """Records grouped by key(record), each list in record order: every
+    aggregate over canonical records sums the same values in the same order."""
+    groups: dict = {}
+    for r in records:
+        groups.setdefault(key(r), []).append(r)
+    return groups
+
+
 def _mean_std(vals: list[float]) -> tuple[float, float]:
     arr = np.asarray(vals, dtype=np.float64)
     if arr.size == 1 or arr.max() == arr.min():
@@ -469,9 +481,7 @@ def panel_sort_key(panel: str):
 
 def aggregate_mode(records: list[EvalRecord]) -> list[dict]:
     """Per (panel, mode) mean/std of MAPE and RMSE (sample std, N-1)."""
-    groups: dict[tuple, list[EvalRecord]] = {}
-    for r in records:
-        groups.setdefault((r.panel, r.mode), []).append(r)
+    groups = group_by(records, lambda r: (r.panel, r.mode))
     rows = []
     for (panel, mode) in sorted(groups, key=lambda k: (panel_sort_key(k[0]), k[1])):
         rs = groups[(panel, mode)]
@@ -486,12 +496,10 @@ def aggregate_mode(records: list[EvalRecord]) -> list[dict]:
 
 def compare_series(records: list[EvalRecord]) -> list[dict]:
     """Per-series MV vs UV table; improvements are UV mean minus MV mean."""
-    groups: dict[tuple, dict[str, list[EvalRecord]]] = {}
-    for r in records:
-        groups.setdefault((r.panel, r.series), {}).setdefault(r.mode, []).append(r)
+    groups = group_by(records, lambda r: (r.panel, r.series))
     rows = []
     for (panel, series) in sorted(groups, key=lambda k: (panel_sort_key(k[0]), k[1])):
-        by_mode = groups[(panel, series)]
+        by_mode = group_by(groups[(panel, series)], lambda r: r.mode)
         if "MV" not in by_mode or "UV" not in by_mode:
             logger.warning("series %s/%s lacks one mode; omitted from comparison", panel, series)
             continue
@@ -520,7 +528,7 @@ def _canonical_records(records: list[EvalRecord]) -> list[EvalRecord]:
     )
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: list[str] | tuple[str, ...], rows: list[list]) -> None:
     """Write beside the target, then rename: a failed write leaves the old file."""
     tmp = path.with_name(path.name + ".tmp")
     try:
@@ -538,6 +546,16 @@ def _fmt(x) -> str:
     return FLOAT_FMT % x if isinstance(x, float) else str(x)
 
 
+def _cells(rows: list[dict], columns: tuple[str, ...]) -> list[list[str]]:
+    return [[_fmt(r[c]) for c in columns] for r in rows]
+
+
+def _mean_mape(groups: dict, key) -> str:
+    """The formatted mean MAPE of one group; empty when the group is absent."""
+    rs = groups.get(key)
+    return FLOAT_FMT % float(np.mean([r.mape for r in rs])) if rs else ""
+
+
 def emit_artifacts(
     records: list[EvalRecord], out_dir, cutoff: date = DEFAULT_CUTOFF
 ) -> tuple[dict[str, Path], list[dict], list[dict]]:
@@ -548,76 +566,49 @@ def emit_artifacts(
     label), heatmap.csv (n rows x mode-by-horizon mean MAPE, pooled over
     panels), timeseries.csv (monthly mean MAPE per panel x mode),
     regime.csv (pre/post cutoff aggregates). Returns the paths and the rows
-    of table1 and table2, all taken over the records in canonical order.
+    of table1 and table2, all taken over the records in canonical order,
+    each from one group_by pass.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     records = _canonical_records(records)
-    paths: dict[str, Path] = {}
-
     rows1 = aggregate_mode(records)
-    paths["table1"] = out_dir / "table1.csv"
-    _write_csv(
-        paths["table1"],
-        ["panel", "mode", "mape_mean", "mape_std", "rmse_mean", "rmse_std", "n_records"],
-        [[_fmt(r[c]) for c in ("panel", "mode", "mape_mean", "mape_std", "rmse_mean", "rmse_std", "n_records")] for r in rows1],
-    )
-
     rows2 = compare_series(records)
-    paths["table2"] = out_dir / "table2.csv"
-    _write_csv(
-        paths["table2"],
-        ["panel", "series", "mape_mv", "mape_uv", "rmse_mv", "rmse_uv", "mape_improvement", "rmse_improvement"],
-        [[_fmt(r[c]) for c in ("panel", "series", "mape_mv", "mape_uv", "rmse_mv", "rmse_uv", "mape_improvement", "rmse_improvement")] for r in rows2],
-    )
 
-    ns = sorted({r.n for r in records})
-    ms = sorted({r.m for r in records})
-    modes = [mo for mo in MODE_ORDER if any(r.mode == mo for r in records)]
-    header = ["n"] + [f"{mo}_m{m}" for mo in modes for m in ms]
-    heat_rows = []
-    for n in ns:
-        row = [str(n)]
-        for mo in modes:
-            for m in ms:
-                vals = [r.mape for r in records if r.n == n and r.m == m and r.mode == mo]
-                row.append(FLOAT_FMT % float(np.mean(vals)) if vals else "")
-        heat_rows.append(row)
-    paths["heatmap"] = out_dir / "heatmap.csv"
-    _write_csv(paths["heatmap"], header, heat_rows)
+    heat = group_by(records, lambda r: (r.n, r.mode, r.m))
+    ns = sorted({n for n, _, _ in heat})
+    ms = sorted({m for _, _, m in heat})
+    modes = [mo for mo in MODE_ORDER if any(mode == mo for _, mode, _ in heat)]
+    heat_rows = [
+        [str(n)] + [_mean_mape(heat, (n, mo, m)) for mo in modes for m in ms]
+        for n in ns
+    ]
 
-    months = sorted({(r.origin.year, r.origin.month) for r in records})
-    panels_present = sorted({r.panel for r in records}, key=panel_sort_key)
-    ts_header = ["month"] + [f"{p}_{mo}" for p in panels_present for mo in modes]
-    ts_rows = []
-    for (y, mth) in months:
-        row = [f"{y:04d}-{mth:02d}"]
-        for p in panels_present:
-            for mo in modes:
-                vals = [
-                    r.mape
-                    for r in records
-                    if r.panel == p and r.mode == mo and (r.origin.year, r.origin.month) == (y, mth)
-                ]
-                row.append(FLOAT_FMT % float(np.mean(vals)) if vals else "")
-        ts_rows.append(row)
-    paths["timeseries"] = out_dir / "timeseries.csv"
-    _write_csv(paths["timeseries"], ts_header, ts_rows)
+    monthly = group_by(records, lambda r: (r.origin.year, r.origin.month, r.panel, r.mode))
+    months = sorted({(y, mth) for y, mth, _, _ in monthly})
+    panels_present = sorted({p for _, _, p, _ in monthly}, key=panel_sort_key)
+    ts_rows = [
+        [f"{y:04d}-{mth:02d}"]
+        + [_mean_mape(monthly, (y, mth, p, mo)) for p in panels_present for mo in modes]
+        for (y, mth) in months
+    ]
 
-    reg_rows = []
-    for side in ("pre", "post"):
-        side_records = [
-            r for r in records if (r.origin < cutoff) == (side == "pre")
-        ]
-        for row in aggregate_mode(side_records):
-            reg_rows.append(
-                [side, row["panel"], row["mode"], _fmt(row["mape_mean"]), _fmt(row["mape_std"]),
-                 _fmt(row["rmse_mean"]), _fmt(row["rmse_std"]), str(row["n_records"])]
-            )
-    paths["regime"] = out_dir / "regime.csv"
-    _write_csv(
-        paths["regime"],
-        ["regime", "panel", "mode", "mape_mean", "mape_std", "rmse_mean", "rmse_std", "n_records"],
-        reg_rows,
-    )
+    sides = group_by(records, lambda r: "pre" if r.origin < cutoff else "post")
+    reg_rows = [
+        [side] + cells
+        for side in ("pre", "post")
+        for cells in _cells(aggregate_mode(sides.get(side, [])), TABLE1_COLUMNS)
+    ]
+
+    tables = {
+        "table1": (TABLE1_COLUMNS, _cells(rows1, TABLE1_COLUMNS)),
+        "table2": (TABLE2_COLUMNS, _cells(rows2, TABLE2_COLUMNS)),
+        "heatmap": (["n"] + [f"{mo}_m{m}" for mo in modes for m in ms], heat_rows),
+        "timeseries": (["month"] + [f"{p}_{mo}" for p in panels_present for mo in modes], ts_rows),
+        "regime": (("regime",) + TABLE1_COLUMNS, reg_rows),
+    }
+    paths: dict[str, Path] = {}
+    for name, (header, rows) in tables.items():
+        paths[name] = out_dir / f"{name}.csv"
+        _write_csv(paths[name], header, rows)
     return paths, rows1, rows2

@@ -7,6 +7,7 @@ replays exactly the batches a fresh run would produce.
 
 import time
 from dataclasses import dataclass, field
+from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
@@ -373,12 +374,19 @@ def evaluate_pinball(
 
 
 def _truncate_log(log_path: Path, step: int) -> None:
-    """Keep the header and the complete rows of steps <= step."""
+    """Cut the log back to its header and the complete rows of steps <= step.
+
+    Rows are logged in step order, so those rows are a prefix of the file,
+    and one truncate cuts the rest: a crash cannot leave the log half rewritten.
+    """
     if not log_path.exists():
         return
-    lines = log_path.read_text().splitlines(keepends=True)
-    rows = [ln for ln in lines[1:] if ln.endswith("\n") and int(ln.split(",", 1)[0]) <= step]
-    log_path.write_text("".join(lines[:1] + rows))
+    with open(log_path, "r+b") as fh:
+        lines = fh.read().splitlines(keepends=True)
+        rows = takewhile(
+            lambda ln: ln.endswith(b"\n") and int(ln.split(b",", 1)[0]) <= step, lines[1:]
+        )
+        fh.truncate(sum(map(len, lines[:1] + list(rows))))
 
 
 def run_curriculum(

@@ -8,13 +8,20 @@ the unpruned finish, which runs the package's full forward so that the
 pruned last block of ``model.finish`` can be compared with it bit for bit;
 and the per-row batch assembly, which runs the package's per-row
 preprocessing functions one series at a time, the reference for the
-whole-array ``model.assemble_batch``.
+whole-array ``model.assemble_batch``; and the scan-based artifact writer,
+which rescans the records for every table cell and shares the package's
+formatting, sorting and file-writing helpers, the reference for the
+group-by ``evalharness.emit_artifacts``.
 """
 
+import logging
 import math
+from datetime import date
+from pathlib import Path
 
 import numpy as np
 
+from groupcast import evalharness as E
 from groupcast import model as M
 from groupcast import preprocess as P
 from groupcast import tensor as T
@@ -322,3 +329,124 @@ def sample_task_per_draw(corpus, mix, rng, n_groups, ctx_len, horizon_len):
         "target_values": cat["tv"],
         "target_mask": cat["tm"],
     }
+
+
+def aggregate_mode_scan(records):
+    """Per (panel, mode) mean/std of MAPE and RMSE (sample std, N-1)."""
+    groups = {}
+    for r in records:
+        groups.setdefault((r.panel, r.mode), []).append(r)
+    rows = []
+    for (panel, mode) in sorted(groups, key=lambda k: (E.panel_sort_key(k[0]), k[1])):
+        rs = groups[(panel, mode)]
+        mp_mean, mp_std = E._mean_std([r.mape for r in rs])
+        rm_mean, rm_std = E._mean_std([r.rmse for r in rs])
+        rows.append(
+            {"panel": panel, "mode": mode, "mape_mean": mp_mean, "mape_std": mp_std,
+             "rmse_mean": rm_mean, "rmse_std": rm_std, "n_records": len(rs)}
+        )
+    return rows
+
+
+def compare_series_scan(records):
+    """Per-series MV vs UV table; improvements are UV mean minus MV mean."""
+    groups = {}
+    for r in records:
+        groups.setdefault((r.panel, r.series), {}).setdefault(r.mode, []).append(r)
+    rows = []
+    for (panel, series) in sorted(groups, key=lambda k: (E.panel_sort_key(k[0]), k[1])):
+        by_mode = groups[(panel, series)]
+        if "MV" not in by_mode or "UV" not in by_mode:
+            logging.getLogger(__name__).warning(
+                "series %s/%s lacks one mode; omitted from comparison", panel, series
+            )
+            continue
+        mape_mv = float(np.mean([r.mape for r in by_mode["MV"]]))
+        mape_uv = float(np.mean([r.mape for r in by_mode["UV"]]))
+        rmse_mv = float(np.mean([r.rmse for r in by_mode["MV"]]))
+        rmse_uv = float(np.mean([r.rmse for r in by_mode["UV"]]))
+        rows.append(
+            {"panel": panel, "series": series,
+             "mape_mv": mape_mv, "mape_uv": mape_uv,
+             "rmse_mv": rmse_mv, "rmse_uv": rmse_uv,
+             "mape_improvement": mape_uv - mape_mv,
+             "rmse_improvement": rmse_uv - rmse_mv}
+        )
+    return rows
+
+
+def emit_artifacts_scan(records, out_dir, cutoff: date = E.DEFAULT_CUTOFF):
+    """The artifact CSVs with one scan of the records per heatmap cell, per
+    (month, panel, mode) and per regime side. Returns what
+    evalharness.emit_artifacts returns."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    records = E._canonical_records(records)
+    paths = {}
+
+    rows1 = aggregate_mode_scan(records)
+    paths["table1"] = out_dir / "table1.csv"
+    E._write_csv(
+        paths["table1"],
+        ["panel", "mode", "mape_mean", "mape_std", "rmse_mean", "rmse_std", "n_records"],
+        [[E._fmt(r[c]) for c in ("panel", "mode", "mape_mean", "mape_std", "rmse_mean", "rmse_std", "n_records")] for r in rows1],
+    )
+
+    rows2 = compare_series_scan(records)
+    paths["table2"] = out_dir / "table2.csv"
+    E._write_csv(
+        paths["table2"],
+        ["panel", "series", "mape_mv", "mape_uv", "rmse_mv", "rmse_uv", "mape_improvement", "rmse_improvement"],
+        [[E._fmt(r[c]) for c in ("panel", "series", "mape_mv", "mape_uv", "rmse_mv", "rmse_uv", "mape_improvement", "rmse_improvement")] for r in rows2],
+    )
+
+    ns = sorted({r.n for r in records})
+    ms = sorted({r.m for r in records})
+    modes = [mo for mo in E.MODE_ORDER if any(r.mode == mo for r in records)]
+    header = ["n"] + [f"{mo}_m{m}" for mo in modes for m in ms]
+    heat_rows = []
+    for n in ns:
+        row = [str(n)]
+        for mo in modes:
+            for m in ms:
+                vals = [r.mape for r in records if r.n == n and r.m == m and r.mode == mo]
+                row.append(E.FLOAT_FMT % float(np.mean(vals)) if vals else "")
+        heat_rows.append(row)
+    paths["heatmap"] = out_dir / "heatmap.csv"
+    E._write_csv(paths["heatmap"], header, heat_rows)
+
+    months = sorted({(r.origin.year, r.origin.month) for r in records})
+    panels_present = sorted({r.panel for r in records}, key=E.panel_sort_key)
+    ts_header = ["month"] + [f"{p}_{mo}" for p in panels_present for mo in modes]
+    ts_rows = []
+    for (y, mth) in months:
+        row = [f"{y:04d}-{mth:02d}"]
+        for p in panels_present:
+            for mo in modes:
+                vals = [
+                    r.mape
+                    for r in records
+                    if r.panel == p and r.mode == mo and (r.origin.year, r.origin.month) == (y, mth)
+                ]
+                row.append(E.FLOAT_FMT % float(np.mean(vals)) if vals else "")
+        ts_rows.append(row)
+    paths["timeseries"] = out_dir / "timeseries.csv"
+    E._write_csv(paths["timeseries"], ts_header, ts_rows)
+
+    reg_rows = []
+    for side in ("pre", "post"):
+        side_records = [
+            r for r in records if (r.origin < cutoff) == (side == "pre")
+        ]
+        for row in aggregate_mode_scan(side_records):
+            reg_rows.append(
+                [side, row["panel"], row["mode"], E._fmt(row["mape_mean"]), E._fmt(row["mape_std"]),
+                 E._fmt(row["rmse_mean"]), E._fmt(row["rmse_std"]), str(row["n_records"])]
+            )
+    paths["regime"] = out_dir / "regime.csv"
+    E._write_csv(
+        paths["regime"],
+        ["regime", "panel", "mode", "mape_mean", "mape_std", "rmse_mean", "rmse_std", "n_records"],
+        reg_rows,
+    )
+    return paths, rows1, rows2

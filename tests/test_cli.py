@@ -314,6 +314,50 @@ def test_evaluate_without_checkpoint_or_stub_exits_2(tmp_path, market_csvs):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--n", "0"],
+    ["evaluate", "--m", "0"],
+    ["evaluate", "--set", 'modes=["XV"]'],
+    ["evaluate", "--set", "cutoff=2023-13-01"],
+    ["report", "--set", "cutoff=2023-13-01"],
+], ids=["n0", "m0", "mode-XV", "evaluate-cutoff", "report-cutoff"])
+def test_bad_grid_config_exits_2(tmp_path, market_csvs, capsys, argv):
+    sp, rp = market_csvs
+    records = tmp_path / "records.csv"
+    records.write_text(",".join(E.RECORD_FIELDS) + "\n")
+    inputs = {
+        "evaluate": ["--stocks", str(sp), "--rates", str(rp), "--stub", "last-value",
+                     "--n", "30", "--m", "5", "--set", "start_years_after=1"],
+        "report": ["--records", str(records)],
+    }[argv[0]]
+    out = tmp_path / "out"
+    assert cli.main(argv[:1] + inputs + ["--out", str(out)] + argv[1:]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not (out / "records.csv").exists()
+    assert not out.exists()
+
+
+def test_evaluate_repeated_grid_values_computed_once(tmp_path, market_csvs, capsys):
+    sp, rp = market_csvs
+
+    def run(out, *grid):
+        assert cli.main([
+            "evaluate", "--stocks", str(sp), "--rates", str(rp), "--out", str(tmp_path / out),
+            "--stub", "last-value", "--set", "start_years_after=1", *grid,
+        ]) == 0
+        return capsys.readouterr()
+
+    once = ("--n", "30", "--m", "5")
+    repeated = ("--set", "contexts=[30, 30]", "--m", "5", "--m", "5",
+                "--mode", "uv", "--mode", "mv", "--mode", "uv")
+    dry = [re.search(r"total cells: (\d+)", run("dry", *g, "--dry-run").out)[1] for g in (once, repeated)]
+    assert dry[0] == dry[1]
+    cells = [re.search(r"grid: \S+ s wall, (\d+) cells", run(name, *g).err)[1]
+             for name, g in (("once", once), ("repeated", repeated))]
+    assert cells == [dry[0]] * 2
+    assert _dir_bytes(tmp_path / "once") == _dir_bytes(tmp_path / "repeated")
+
+
 def test_report_empty_records(tmp_path, capsys):
     records = tmp_path / "records.csv"
     records.write_text("panel,mode,series,n,m,origin,rmse,mape,skipped,regime\n")

@@ -12,7 +12,13 @@ from groupcast.errors import DataError, DegenerateInputError
 from groupcast.panels import RATE_IDS, STOCK_IDS, SeriesPanel, build_combined
 
 from conftest import make_price_panel, make_rate_panel, weekday_calendar
-from oracles import brute_force_metrics, finish_unpruned, mape_loop, rmse_two_lines
+from oracles import (
+    brute_force_metrics,
+    emit_artifacts_scan,
+    finish_unpruned,
+    mape_loop,
+    rmse_two_lines,
+)
 
 
 def _spec(**kw):
@@ -614,6 +620,53 @@ def test_timeseries_monthly_rows(tmp_path):
     assert header[0] == "month"
     months = {f"{r.origin.year:04d}-{r.origin.month:02d}" for r in records}
     assert len(lines) - 1 == len(months)
+
+
+def _gapped_records():
+    """Records with months missing per cell and across every cell, an empty
+    heatmap cell, a series with one mode, an MV-only panel and a panel
+    outside PANEL_ORDER that ends before the cutoff, in shuffled order."""
+    rng = np.random.default_rng(23)
+    layout = {
+        ("stocks", "AAPL"): ("MV", "UV"),
+        ("stocks", "MSFT"): ("UV",),
+        ("rates", "DGS10"): ("MV", "UV"),
+        ("combined", "AAPL"): ("MV",),
+        ("combined", "DGS10"): ("MV",),
+        ("desk", "X1"): ("UV", "MV"),
+    }
+    records = []
+    for (panel, series), modes in layout.items():
+        years = (2021, 2022) if panel == "desk" else (2021, 2022, 2023, 2024)
+        for mode in modes:
+            for n in (126, 504):
+                for m in (21, 63):
+                    if (n, mode, m) == (504, "UV", 63):
+                        continue
+                    for year in years:
+                        for month in range(1, 13):
+                            if (year, month) == (2022, 5) or rng.uniform() < 0.2:
+                                continue
+                            records.append(_rec(
+                                panel=panel, mode=mode, series=series, n=n, m=m,
+                                origin=date(year, month, 1 + month % 3),
+                                rmse_=float(rng.uniform(0, 9)), mape_=float(rng.uniform(0, 1)),
+                            ))
+    return [records[i] for i in rng.permutation(len(records))]
+
+
+def test_artifacts_equal_scan_oracle_on_gapped_records(tmp_path):
+    records = _gapped_records()
+    paths, rows1, rows2 = E.emit_artifacts(records, tmp_path / "got")
+    want_paths, want1, want2 = emit_artifacts_scan(records, tmp_path / "want")
+    assert rows1 == want1 and rows2 == want2
+    assert sorted(paths) == sorted(want_paths)
+    for name in want_paths:
+        assert paths[name].read_bytes() == want_paths[name].read_bytes(), name
+    # the record set reaches the empty-cell paths it is built for
+    for name in ("heatmap", "timeseries"):
+        lines = paths[name].read_text().splitlines()
+        assert any("" in line.split(",") for line in lines), name
 
 
 def test_failed_artifact_write_keeps_previous_file(tmp_path):

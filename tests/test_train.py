@@ -1,6 +1,8 @@
 """Loss, task sampling, optimizer steps, and the two-stage curriculum."""
 
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -350,13 +352,21 @@ def test_resume_continues_step_counter(tmp_path, corpus):
         assert np.array_equal(wf[k].data, wr[k].data), k
 
 
-def test_resume_in_place_matches_uninterrupted_run(tmp_path, corpus):
+def test_resume_in_place_matches_uninterrupted_run(tmp_path, corpus, monkeypatch):
     tc = TR.TrainConfig(
         stage_contexts=(16, 32), stage_steps=(20, 20), batch_groups=2,
         learning_rate=1e-3, seed=9, checkpoint_every=20,
     )
     full = TR.run_curriculum(CFG, tc, corpus, tmp_path / "full")
     TR.run_curriculum(CFG, tc, corpus, tmp_path / "run")
+    with open(tmp_path / "run" / "train_log.csv", "a") as fh:
+        fh.write("41,2,0.5")  # a row torn by a crash
+
+    def no_rewrite(self, *args, **kwargs):
+        raise OSError("a rewrite of the log could be cut short")
+
+    # the log is cut in place, never rewritten
+    monkeypatch.setattr(Path, "write_text", no_rewrite)
     resumed = TR.run_curriculum(
         CFG, tc, corpus, tmp_path / "run", resume_from=tmp_path / "run" / "ckpt_step000020.ckpt"
     )
