@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .errors import CheckpointError
+from .errors import CheckpointError, ConfigError
 from .model import ModelConfig
 
 MAGIC = b"GROUPCAST-CKPT"
@@ -98,8 +98,13 @@ def load_checkpoint(path):
     if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     (cfg_len,) = struct.unpack("<I", take(4))
-    header = json.loads(take(cfg_len).decode("utf-8"))
-    config = ModelConfig.from_dict(header["model"])
+    try:
+        header = json.loads(take(cfg_len).decode("utf-8"))
+        config = ModelConfig.from_dict(header["model"])
+    except (ValueError, KeyError, TypeError, ConfigError) as exc:
+        # not UTF-8 JSON (ValueError), not an object (TypeError), no "model"
+        # (KeyError), or a model config that ModelConfig rejects
+        raise CheckpointError(f"corrupt header in checkpoint {path}: {exc!r}") from exc
     extra = header.get("extra", {})
     (count,) = struct.unpack("<I", take(4))
     weights: dict[str, T.Tensor] = {}

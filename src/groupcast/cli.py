@@ -8,14 +8,17 @@ Subcommands wire the library into the full workflow:
     groupcast report   --records records.csv          # regenerate artifact CSVs
     groupcast panel validate --path stocks.csv --ids stocks
 
-Configuration lives in a JSON file; any key can be overridden with
-``--set dotted.key=value`` (value parsed as JSON, falling back to string).
-Unknown keys are rejected. GROUPCAST_OUT provides the default output
-directory. Exit codes: 0 ok, 2 config, 3 training abort, 4 load failure,
-5 malformed data.
+Each command's config keys and their defaults are one table below
+(SYNTH_KEYS, TRAIN_CMD_KEYS, EVAL_KEYS, REPORT_KEYS). Later layers win:
+the defaults, a JSON ``--config`` file, each ``--set dotted.key=value``
+(value parsed as JSON, falling back to string), then the flags. An unknown
+key or a malformed value is a config error. GROUPCAST_OUT provides the
+default output directory. Exit codes: 0 ok, 2 config, 3 training abort,
+4 load failure, 5 malformed data.
 """
 
 import argparse
+import copy
 import json
 import os
 import sys
@@ -53,19 +56,25 @@ def _default_out() -> str:
     return os.environ.get("GROUPCAST_OUT", "groupcast_out")
 
 
-def _load_config(path, overrides, known_keys: dict) -> dict:
-    cfg: dict = {}
-    if path:
-        p = Path(path)
+def _load_config(args, table: dict) -> dict:
+    """The command's config, built in layers: the table's defaults, then the
+    --config file, then each --set, then each flag given (a flag's dest is
+    the dotted key it sets). An object given for a section replaces what
+    earlier layers put there; the keys it omits keep their defaults."""
+    cfg = copy.deepcopy(table)
+    layers: list[tuple[str, object]] = []
+    if args.config:
+        p = Path(args.config)
         if not p.exists():
-            raise ConfigError(f"config file not found: {path}")
+            raise ConfigError(f"config file not found: {args.config}")
         try:
-            cfg = json.loads(p.read_text())
+            from_file = json.loads(p.read_text())
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-        if not isinstance(cfg, dict):
-            raise ConfigError(f"config {path} must hold a JSON object")
-    for item in overrides or []:
+            raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from exc
+        if not isinstance(from_file, dict):
+            raise ConfigError(f"config {args.config} must hold a JSON object")
+        layers += from_file.items()
+    for item in args.set or []:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, raw = item.split("=", 1)
@@ -73,79 +82,88 @@ def _load_config(path, overrides, known_keys: dict) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        node = cfg
-        parts = key.split(".")
-        for part in parts[:-1]:
-            node = node.setdefault(part, {})
-            if not isinstance(node, dict):
-                raise ConfigError(f"--set path {key} collides with a non-object value")
-        node[parts[-1]] = value
-    _check_keys(cfg, known_keys, prefix="")
+        layers.append((key, value))
+    layers += [(k, v) for k, v in vars(args).items() if v is not None and k.split(".")[0] in table]
+    for key, value in layers:
+        _assign(cfg, table, key, value)
     return cfg
 
 
-def _check_keys(cfg: dict, known: dict, prefix: str) -> None:
-    for key, value in cfg.items():
-        if key not in known:
-            raise ConfigError(f"unknown config key {prefix + key!r}")
-        sub = known[key]
-        if isinstance(sub, dict) and isinstance(value, dict):
-            _check_keys(value, sub, prefix=f"{prefix}{key}.")
+def _assign(cfg: dict, table: dict, key: str, value) -> None:
+    """Set the dotted key of cfg, checked against the key table: the key must
+    exist, a section takes an object and a leaf a value of its default's JSON
+    kind (a bool only for a bool, any number for a float, anything for None)."""
+    node, known = cfg, table
+    *path, leaf = key.split(".")
+    for part in path:
+        known = known.get(part)
+        if not isinstance(known, dict):
+            raise ConfigError(f"unknown config key {key!r}")
+        node = node[part]
+    if leaf not in known:
+        raise ConfigError(f"unknown config key {key!r}")
+    default = known[leaf]
+    if isinstance(default, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"config key {key!r} takes an object, got {value!r}")
+        node[leaf] = copy.deepcopy(default)
+        for sub, v in value.items():
+            _assign(cfg, table, f"{key}.{sub}", v)
+        return
+    if default is not None and not _same_kind(value, default):
+        kind = type(default).__name__
+        raise ConfigError(f"config key {key!r} must be of type {kind}, got {value!r}")
+    node[leaf] = value
 
 
-_MODEL_KEYS = {k: None for k in (
-    "d_model", "n_blocks", "n_heads", "patch_len", "quantile_levels",
-    "max_context", "horizon_patches",
-)}
-_TRAIN_KEYS = {k: None for k in (
-    "stage_contexts", "stage_steps", "batch_groups", "learning_rate", "beta1",
-    "beta2", "eps", "task_mix", "seed", "checkpoint_every",
-    "min_context_patches", "max_horizon_patches", "cosine_decay",
-)}
+def _same_kind(value, default) -> bool:
+    if isinstance(value, bool) or isinstance(default, bool):
+        return type(value) is type(default)
+    return isinstance(value, (int, float) if isinstance(default, float) else type(default))
 
+
+# Each command's keys and their defaults; None means "not set".
 SYNTH_KEYS = {
     "out_dir": None,
-    "seed": None,
-    "tsi": {"count": None, "length": None},
+    "seed": 0,
+    "tsi": {"count": 0, "length": 1024},
     "tcm": {
-        "count": None, "length": None, "n_series_range": None,
-        "lag_range": None, "edge_prob": None, "radius_range": None,
+        "count": 0, "length": 1024, "n_series_range": [2, 5],
+        "lag_range": [1, 2], "edge_prob": 0.4, "radius_range": [0.5, 0.95],
     },
     "derived": {
-        "count": None, "length": None, "n_followers": None,
-        "lag_choices": None, "noise_scale": None,
+        "count": 0, "length": 1024, "n_followers": 2,
+        "lag_choices": [8, 16], "noise_scale": 0.05,
     },
-    "independent": {"count": None, "length": None, "n_series": None},
-    "explicit_tsi": None,
-    "explicit_tcm": None,
+    "independent": {"count": 0, "length": 1024, "n_series": 3},
+    "explicit_tsi": [],  # TsiSpec dicts
+    "explicit_tcm": [],  # TcmSpec dicts
 }
 
 TRAIN_CMD_KEYS = {
     "out_dir": None,
     "data_dir": None,
-    "seed": None,
     "resume": None,
-    "model": _MODEL_KEYS,
-    "train": _TRAIN_KEYS,
+    "model": M.ModelConfig().to_dict(),
+    "train": TR.TrainConfig().to_dict(),
 }
 
 EVAL_KEYS = {
     "out_dir": None,
     "checkpoint": None,
     "panels": {"stocks": None, "rates": None},
-    "include_combined": None,
-    "modes": None,
-    "contexts": None,
-    "horizons": None,
-    "cutoff": None,
-    "point_quantile": None,
-    "start_years_after": None,
-    "workers": None,
-    "seed": None,
+    "include_combined": True,
+    "modes": ["MV", "UV"],
+    "contexts": list(E.DEFAULT_CONTEXTS),
+    "horizons": list(E.DEFAULT_HORIZONS),
+    "cutoff": E.DEFAULT_CUTOFF.isoformat(),
+    "start_years_after": 3,
+    "workers": None,  # all cores
+    "seed": None,  # accepted and unused: a forward pass draws no randomness
     "stub": None,
 }
 
-REPORT_KEYS = {"records": None, "out_dir": None, "cutoff": None}
+REPORT_KEYS = {"records": None, "out_dir": None, "cutoff": E.DEFAULT_CUTOFF.isoformat()}
 
 
 # ---------------------------------------------------------------------------
@@ -153,75 +171,52 @@ REPORT_KEYS = {"records": None, "out_dir": None, "cutoff": None}
 
 
 def cmd_synth(args) -> int:
-    cfg = _load_config(args.config, args.set, SYNTH_KEYS)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.out:
-        cfg["out_dir"] = args.out
-    out_dir = Path(cfg.get("out_dir") or _default_out())
-    seed = int(cfg.get("seed", 0))
+    cfg = _load_config(args, SYNTH_KEYS)
+    out_dir = Path(cfg["out_dir"] or _default_out())
+    seed = cfg["seed"]
     root = PortableRng(seed)
     # (kind, make) in output order; make() returns (panel, provenance)
     jobs: list[tuple[str, Callable[[], tuple]]] = []
 
-    tsi_cfg = cfg.get("tsi") or {}
+    tsi = cfg["tsi"]
     tsi_specs = [
-        S.sample_tsi_spec(root.spawn(10_000 + i), int(tsi_cfg.get("length", 1024)), seed=seed * 1_000_003 + i)
-        for i in range(int(tsi_cfg.get("count", 0)))
+        S.sample_tsi_spec(root.spawn(10_000 + i), tsi["length"], seed=seed * 1_000_003 + i)
+        for i in range(tsi["count"])
     ]
-    for d in cfg.get("explicit_tsi") or []:
-        d = dict(d)
-        d.pop("kind", None)
-        d["seasonal"] = tuple(tuple(s) for s in d.get("seasonal", ()))
-        tsi_specs.append(S.TsiSpec(**d))
+    tsi_specs += [S.TsiSpec.from_dict(d) for d in cfg["explicit_tsi"]]
     jobs += [("tsi", lambda spec=spec: (S.tsi_generate(spec), spec.to_dict())) for spec in tsi_specs]
 
-    tcm_cfg = cfg.get("tcm") or {}
+    tcm = cfg["tcm"]
     tcm_specs = [
         S.sample_tcm_spec(
             root.spawn(20_000 + i),
-            int(tcm_cfg.get("length", 1024)),
+            tcm["length"],
             seed=seed * 2_000_003 + i,
-            n_series_range=tuple(tcm_cfg.get("n_series_range", (2, 5))),
-            lag_range=tuple(tcm_cfg.get("lag_range", (1, 2))),
-            edge_prob=float(tcm_cfg.get("edge_prob", 0.4)),
-            radius_range=tuple(tcm_cfg.get("radius_range", (0.5, 0.95))),
+            n_series_range=tuple(tcm["n_series_range"]),
+            lag_range=tuple(tcm["lag_range"]),
+            edge_prob=float(tcm["edge_prob"]),
+            radius_range=tuple(tcm["radius_range"]),
         )
-        for i in range(int(tcm_cfg.get("count", 0)))
+        for i in range(tcm["count"])
     ]
-    for d in cfg.get("explicit_tcm") or []:
-        d = dict(d)
-        d.pop("kind", None)
-        d["adjacency"] = tuple(tuple(tuple(r) for r in m) for m in d["adjacency"])
-        tcm_specs.append(S.TcmSpec(**d))
+    tcm_specs += [S.TcmSpec.from_dict(d) for d in cfg["explicit_tcm"]]
     jobs += [("tcm", lambda spec=spec: (S.tcm_generate(spec), spec.to_dict())) for spec in tcm_specs]
 
-    der_cfg = cfg.get("derived") or {}
-
-    def derived(rng):
-        return S.make_cross_link_panel(
-            rng,
-            int(der_cfg.get("length", 1024)),
-            n_followers=int(der_cfg.get("n_followers", 2)),
-            lag_choices=tuple(der_cfg.get("lag_choices", (8, 16))),
-            noise_scale=float(der_cfg.get("noise_scale", 0.05)),
-        )
-
+    der = cfg["derived"]
     jobs += [
-        ("derived", partial(derived, root.spawn(30_000 + i)))
-        for i in range(int(der_cfg.get("count", 0)))
+        ("derived", partial(
+            S.make_cross_link_panel, root.spawn(30_000 + i), der["length"],
+            n_followers=der["n_followers"], lag_choices=tuple(der["lag_choices"]),
+            noise_scale=float(der["noise_scale"]),
+        ))
+        for i in range(der["count"])
     ]
-
-    ind_cfg = cfg.get("independent") or {}
-
-    def independent(rng):
-        return S.make_independent_panel(
-            rng, int(ind_cfg.get("length", 1024)), n_series=int(ind_cfg.get("n_series", 3))
-        )
-
+    ind = cfg["independent"]
     jobs += [
-        ("independent", partial(independent, root.spawn(40_000 + i)))
-        for i in range(int(ind_cfg.get("count", 0)))
+        ("independent", partial(
+            S.make_independent_panel, root.spawn(40_000 + i), ind["length"], n_series=ind["n_series"]
+        ))
+        for i in range(ind["count"])
     ]
 
     if jobs:
@@ -250,26 +245,17 @@ def _train_summary(wall_s: float, steps: int) -> str:
 
 
 def cmd_train(args) -> int:
-    cfg = _load_config(args.config, args.set, TRAIN_CMD_KEYS)
-    if args.seed is not None:
-        cfg.setdefault("train", {})["seed"] = args.seed
-    if args.out:
-        cfg["out_dir"] = args.out
-    if args.data:
-        cfg["data_dir"] = args.data
-    if args.resume:
-        cfg["resume"] = args.resume
-    out_dir = Path(cfg.get("out_dir") or _default_out())
-    data_dir = cfg.get("data_dir")
-    if not data_dir:
+    cfg = _load_config(args, TRAIN_CMD_KEYS)
+    out_dir = Path(cfg["out_dir"] or _default_out())
+    if not cfg["data_dir"]:
         raise ConfigError("train needs data_dir (datasets from `groupcast synth`)")
-    corpus = TR.Corpus.from_dir(data_dir)
-    model_cfg = M.ModelConfig.from_dict(cfg.get("model", {}))
-    train_cfg = TR.TrainConfig.from_dict(cfg.get("train", {}))
+    model_cfg = M.ModelConfig.from_dict(cfg["model"])
+    train_cfg = TR.TrainConfig.from_dict(cfg["train"])
+    corpus = TR.Corpus.from_dir(cfg["data_dir"])
     stats: dict = {}
     start = time.perf_counter()
     path = TR.run_curriculum(
-        model_cfg, train_cfg, corpus, out_dir, resume_from=cfg.get("resume"), stats=stats
+        model_cfg, train_cfg, corpus, out_dir, resume_from=cfg["resume"], stats=stats
     )
     print(_train_summary(time.perf_counter() - start, stats["steps"]), file=sys.stderr)
     print(f"checkpoint: {path}")
@@ -312,61 +298,40 @@ def _grid_summary(wall_s: float, cells: int, skips: list[dict]) -> str:
 
 def _cutoff(cfg: dict) -> date:
     try:
-        return date.fromisoformat(cfg.get("cutoff", E.DEFAULT_CUTOFF.isoformat()))
-    except (TypeError, ValueError) as exc:
+        return date.fromisoformat(cfg["cutoff"])
+    except ValueError as exc:
         raise ConfigError(f"cutoff must be an ISO date: {exc}") from exc
 
 
 def cmd_evaluate(args) -> int:
-    cfg = _load_config(args.config, args.set, EVAL_KEYS)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.out:
-        cfg["out_dir"] = args.out
-    if args.checkpoint:
-        cfg["checkpoint"] = args.checkpoint
-    if args.stocks:
-        cfg.setdefault("panels", {})["stocks"] = args.stocks
-    if args.rates:
-        cfg.setdefault("panels", {})["rates"] = args.rates
-    if args.mode:
-        cfg["modes"] = [m.upper() for m in args.mode]
-    if args.n:
-        cfg["contexts"] = args.n
-    if args.m:
-        cfg["horizons"] = args.m
-    if args.stub:
-        cfg["stub"] = args.stub
-    if args.workers is not None:
-        cfg["workers"] = args.workers
-
-    out_dir = Path(cfg.get("out_dir") or _default_out())
-    panel_paths = cfg.get("panels") or {}
+    cfg = _load_config(args, EVAL_KEYS)
+    out_dir = Path(cfg["out_dir"] or _default_out())
+    panel_paths = cfg["panels"]
     panels = {}
     try:
-        if "stocks" in panel_paths:
+        if panel_paths["stocks"]:
             panels["stocks"] = load_csv_panel(panel_paths["stocks"], expected_ids=STOCK_IDS)
-        if "rates" in panel_paths:
+        if panel_paths["rates"]:
             panels["rates"] = load_csv_panel(panel_paths["rates"], expected_ids=RATE_IDS)
     except (DataError, OSError) as exc:
         print(f"panel load failure: {exc}", file=sys.stderr)
         return EXIT_LOAD
     if not panels:
         raise ConfigError("evaluate needs at least one of panels.stocks / panels.rates")
-    if cfg.get("include_combined", True) and "stocks" in panels and "rates" in panels:
+    if cfg["include_combined"] and "stocks" in panels and "rates" in panels:
         try:
             panels["combined"] = build_combined(panels["stocks"], panels["rates"])
         except DataError as exc:
             print(f"combined panel failure: {exc}", file=sys.stderr)
             return EXIT_LOAD
 
-    stub = cfg.get("stub")
+    stub = cfg["stub"]
     if stub:
         if stub not in E.STUB_FORECASTERS:
             raise ConfigError(f"unknown stub {stub!r}; choose from {sorted(E.STUB_FORECASTERS)}")
         forecaster = E.STUB_FORECASTERS[stub]()
     else:
-        ckpt = cfg.get("checkpoint")
+        ckpt = cfg["checkpoint"]
         if not ckpt:
             raise ConfigError("evaluate needs a checkpoint (or --stub for harness self-test)")
         try:
@@ -374,24 +339,19 @@ def cmd_evaluate(args) -> int:
         except CheckpointError as exc:
             print(f"checkpoint load failure: {exc}", file=sys.stderr)
             return EXIT_LOAD
-        forecaster = E.ModelForecaster(
-            weights, model_cfg, point_quantile=float(cfg.get("point_quantile", 0.5))
-        )
+        forecaster = E.ModelForecaster(weights, model_cfg)
 
-    modes = [m.upper() for m in cfg.get("modes", ["MV", "UV"])]
-    contexts = [int(n) for n in cfg.get("contexts", E.DEFAULT_CONTEXTS)]
-    horizons = [int(m) for m in cfg.get("horizons", E.DEFAULT_HORIZONS)]
     cutoff = _cutoff(cfg)
     specs = [
         E.ExperimentSpec(
-            panel=p, mode=mo, n=n, m=m,
-            start_years_after=int(cfg.get("start_years_after", 3)),
+            panel=p, mode=mo.upper(), n=int(n), m=int(m),
+            start_years_after=cfg["start_years_after"],
             cutoff=cutoff,
         )
         for p in sorted(panels, key=E.panel_sort_key)
-        for mo in modes
-        for n in contexts
-        for m in horizons
+        for mo in cfg["modes"]
+        for n in cfg["contexts"]
+        for m in cfg["horizons"]
     ]
 
     if args.dry_run:
@@ -409,7 +369,7 @@ def cmd_evaluate(args) -> int:
 
     out_dir.mkdir(parents=True, exist_ok=True)
     records_path = out_dir / "records.csv"
-    workers = int(cfg.get("workers") or os.cpu_count() or 1)
+    workers = int(cfg["workers"] or os.cpu_count() or 1)
     start = time.perf_counter()
     records, skips, cells = E.run_grid(
         specs, panels, forecaster, records_path=records_path, workers=workers
@@ -429,12 +389,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    cfg = _load_config(args.config, args.set, REPORT_KEYS)
-    if args.records:
-        cfg["records"] = args.records
-    if args.out:
-        cfg["out_dir"] = args.out
-    records_path = cfg.get("records")
+    cfg = _load_config(args, REPORT_KEYS)
+    records_path = cfg["records"]
     if not records_path:
         raise ConfigError("report needs a records path")
     if not Path(records_path).exists():
@@ -446,7 +402,7 @@ def cmd_report(args) -> int:
         print(f"malformed records: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     cutoff = _cutoff(cfg)
-    out_dir = Path(cfg.get("out_dir") or _default_out())
+    out_dir = Path(cfg["out_dir"] or _default_out())
     paths, _, _ = E.emit_artifacts(records, out_dir, cutoff=cutoff)
     for name, p in sorted(paths.items()):
         print(f"{name}: {p}")
@@ -485,32 +441,38 @@ def cmd_panel_validate(args) -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--set", action="append", metavar="KEY=VALUE", help="override a config key")
-    p.add_argument("--seed", type=int, help="override the run seed")
-    p.add_argument("--out", help="output directory (default: $GROUPCAST_OUT)")
+    p.add_argument("--out", dest="out_dir", metavar="DIR",
+                   help="output directory (default: $GROUPCAST_OUT)")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI. A config flag's dest is the dotted config key it sets."""
     parser = argparse.ArgumentParser(prog="groupcast", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("synth", help="generate synthetic pretraining datasets")
     _add_common(ps)
+    ps.add_argument("--seed", type=int, help="run seed")
     ps.set_defaults(func=cmd_synth)
 
     pt = sub.add_parser("train", help="run the two-stage training curriculum")
     _add_common(pt)
-    pt.add_argument("--data", help="dataset directory from `groupcast synth`")
+    pt.add_argument("--seed", dest="train.seed", metavar="SEED", type=int, help="training seed")
+    pt.add_argument("--data", dest="data_dir", metavar="DIR",
+                    help="dataset directory from `groupcast synth`")
     pt.add_argument("--resume", help="checkpoint to continue from")
     pt.set_defaults(func=cmd_train)
 
     pe = sub.add_parser("evaluate", help="rolling-origin evaluation grid")
     _add_common(pe)
+    pe.add_argument("--seed", type=int, help="accepted and unused: evaluation draws no randomness")
     pe.add_argument("--checkpoint", help="model checkpoint")
-    pe.add_argument("--stocks", help="stocks panel CSV")
-    pe.add_argument("--rates", help="rates panel CSV")
-    pe.add_argument("--mode", action="append", choices=["uv", "mv", "UV", "MV"], help="repeatable")
-    pe.add_argument("--n", action="append", type=int, help="context length; repeatable")
-    pe.add_argument("--m", action="append", type=int, help="horizon; repeatable")
+    pe.add_argument("--stocks", dest="panels.stocks", metavar="CSV", help="stocks panel CSV")
+    pe.add_argument("--rates", dest="panels.rates", metavar="CSV", help="rates panel CSV")
+    pe.add_argument("--mode", dest="modes", action="append", type=str.upper, choices=["UV", "MV"],
+                    help="repeatable")
+    pe.add_argument("--n", dest="contexts", action="append", type=int, help="context length; repeatable")
+    pe.add_argument("--m", dest="horizons", action="append", type=int, help="horizon; repeatable")
     pe.add_argument("--stub", choices=sorted(E.STUB_FORECASTERS), help="bypass the model")
     pe.add_argument("--dry-run", action="store_true", help="print grid size and origin counts")
     pe.add_argument("--workers", type=int, help="evaluation pool size")

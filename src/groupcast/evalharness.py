@@ -165,7 +165,8 @@ def rolling_origins(panel: SeriesPanel, spec: ExperimentSpec) -> list[date]:
 
 
 class ModelForecaster:
-    """Wraps the trained model; point path is one quantile level.
+    """Wraps the trained model; the point forecast is the middle of the 21
+    quantile levels (M.MEDIAN_INDEX, the median at the default levels).
 
     It keeps the trunk of the last context it forecast (see model.trunk),
     keyed on the bytes of the context values and mask and on the horizon,
@@ -175,11 +176,9 @@ class ModelForecaster:
 
     needs_truth = False
 
-    def __init__(self, weights: dict, config: M.ModelConfig, point_quantile: float = 0.5):
+    def __init__(self, weights: dict, config: M.ModelConfig):
         self.weights = weights
         self.config = config
-        levels = np.asarray(config.quantile_levels)
-        self.level_index = int(np.argmin(np.abs(levels - point_quantile)))
         self._trunk_key = None
         self._trunk = None
 
@@ -192,7 +191,7 @@ class ModelForecaster:
             self._trunk = M.trunk(values, mask, m, self.weights, self.config)
             self._trunk_key = key
         fc = M.finish(self._trunk, gids, self.weights, self.config)
-        return fc.values[:, :, self.level_index]
+        return fc.values[:, :, M.MEDIAN_INDEX]
 
 
 def _array_key(a: np.ndarray) -> tuple:

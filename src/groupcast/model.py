@@ -39,6 +39,7 @@ import numpy as np
 
 from . import preprocess
 from . import tensor as T
+from .config import DictConfig
 from .errors import ConfigError, ShapeError
 from .preprocess import ScalingState
 from .rng import PortableRng
@@ -58,7 +59,7 @@ N_CHANNELS = 3  # value, rel_time, mask
 
 
 @dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(DictConfig):
     d_model: int = 64
     n_blocks: int = 2
     n_heads: int = 4
@@ -82,24 +83,6 @@ class ModelConfig:
     @property
     def horizon_capacity(self) -> int:
         return self.horizon_patches * self.patch_len
-
-    def to_dict(self) -> dict:
-        return {
-            "d_model": self.d_model,
-            "n_blocks": self.n_blocks,
-            "n_heads": self.n_heads,
-            "patch_len": self.patch_len,
-            "quantile_levels": list(self.quantile_levels),
-            "max_context": self.max_context,
-            "horizon_patches": self.horizon_patches,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        if "quantile_levels" in d:
-            d["quantile_levels"] = tuple(d["quantile_levels"])
-        return cls(**d)
 
 
 @dataclass

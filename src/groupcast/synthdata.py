@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
+from .config import DictConfig
 from .errors import ConfigError, DataError, StabilityError
 from .rng import PortableRng
 
@@ -30,8 +31,10 @@ FLOAT_FMT = "%.17g"
 
 
 @dataclass(frozen=True)
-class TsiSpec:
+class TsiSpec(DictConfig):
     """Trend + seasonality + noise recipe for one univariate series."""
+
+    KIND = "tsi"
 
     length: int
     trend_slope: float = 0.0
@@ -53,28 +56,18 @@ class TsiSpec:
         if self.noise_family not in ("gaussian", "student_t"):
             raise ConfigError(f"unknown noise family {self.noise_family!r}")
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "tsi",
-            "length": self.length,
-            "trend_slope": self.trend_slope,
-            "trend_curvature": self.trend_curvature,
-            "seasonal": [list(s) for s in self.seasonal],
-            "noise_family": self.noise_family,
-            "noise_scale": self.noise_scale,
-            "noise_df": self.noise_df,
-            "seed": self.seed,
-        }
-
 
 @dataclass(frozen=True)
-class TcmSpec:
+class TcmSpec(DictConfig):
     """Lagged vector-autoregression over a causal graph.
 
     adjacency has shape (K, K, L); entry [i, j, l] is the effect of series
     j at lag l+1 on series i. The companion-matrix spectral radius must be
-    below 1 (checked at generation time).
+    below 1 (checked at generation time). to_dict writes adjacency as
+    float64 values.
     """
+
+    KIND = "tcm"
 
     n_series: int
     lag_order: int
@@ -102,15 +95,7 @@ class TcmSpec:
         self.adjacency_array()
 
     def to_dict(self) -> dict:
-        return {
-            "kind": "tcm",
-            "n_series": self.n_series,
-            "lag_order": self.lag_order,
-            "adjacency": np.asarray(self.adjacency, dtype=np.float64).tolist(),
-            "innovation_scale": self.innovation_scale,
-            "length": self.length,
-            "seed": self.seed,
-        }
+        return {**super().to_dict(), "adjacency": np.asarray(self.adjacency, dtype=np.float64).tolist()}
 
 
 # ---------------------------------------------------------------------------

@@ -56,9 +56,6 @@ class Tensor:
         else:
             self.grad.fill(0)
 
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
-
 
 class Tape:
     """Ordered record of operations; every entry's inputs precede it."""
@@ -200,16 +197,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return make_op((a, b), out, bwd)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_elementwise(a, b, "sub")
-    out = a.data - b.data
-
-    def bwd(g):
-        return _reduce_to(g, a.shape), _reduce_to(-g, b.shape)
-
-    return make_op((a, b), out, bwd)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_elementwise(a, b, "mul")
     out = a.data * b.data
@@ -228,13 +215,6 @@ def scale(a: Tensor, c: float) -> Tensor:
         return (g * c,)
 
     return make_op((a,), out, bwd)
-
-
-def neg(a: Tensor) -> Tensor:
-    def bwd(g):
-        return (-g,)
-
-    return make_op((a,), -a.data, bwd)
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -405,15 +385,5 @@ def sum_all(x: Tensor) -> Tensor:
 
     def bwd(g):
         return (np.broadcast_to(g, x.shape).astype(x.dtype),)
-
-    return make_op((x,), out, bwd)
-
-
-def mean_all(x: Tensor) -> Tensor:
-    n = x.data.dtype.type(x.data.size)
-    out = np.asarray(x.data.sum() / n, dtype=x.dtype)
-
-    def bwd(g):
-        return (np.broadcast_to(g / n, x.shape).astype(x.dtype),)
 
     return make_op((x,), out, bwd)

@@ -16,13 +16,14 @@ from . import kernels
 from . import model as M
 from . import tensor as T
 from .checkpoint import load_checkpoint, save_checkpoint
+from .config import DictConfig
 from .errors import ConfigError, ContractError, DegenerateInputError, TrainingAbort
 from .preprocess import scale_rows
 from .rng import PortableRng, uniform_to_category, uniform_to_int
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(DictConfig):
     stage_contexts: tuple[int, int] = (256, 512)
     stage_steps: tuple[int, int] = (5000, 5000)
     batch_groups: int = 32
@@ -43,31 +44,6 @@ class TrainConfig:
             raise ConfigError(f"task_mix must be 3 nonnegative ratios summing to 1, got {mix}")
         if any(s < 0 for s in self.stage_steps):
             raise ConfigError("stage_steps must be >= 0")
-
-    def to_dict(self) -> dict:
-        return {
-            "stage_contexts": list(self.stage_contexts),
-            "stage_steps": list(self.stage_steps),
-            "batch_groups": self.batch_groups,
-            "learning_rate": self.learning_rate,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "eps": self.eps,
-            "task_mix": list(self.task_mix),
-            "seed": self.seed,
-            "checkpoint_every": self.checkpoint_every,
-            "min_context_patches": self.min_context_patches,
-            "max_horizon_patches": self.max_horizon_patches,
-            "cosine_decay": self.cosine_decay,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        d = dict(d)
-        for key in ("stage_contexts", "stage_steps", "task_mix"):
-            if key in d:
-                d[key] = tuple(d[key])
-        return cls(**d)
 
 
 @dataclass
@@ -373,16 +349,22 @@ def evaluate_pinball(
 # curriculum
 
 
+LOG_HEADER = "step,stage,loss,lr,wallclock_ms\n"
+
+
 def _truncate_log(log_path: Path, step: int) -> None:
     """Cut the log back to its header and the complete rows of steps <= step.
 
     Rows are logged in step order, so those rows are a prefix of the file,
     and one truncate cuts the rest: a crash cannot leave the log half rewritten.
+    A log whose first line is not the whole header is cut to nothing.
     """
     if not log_path.exists():
         return
     with open(log_path, "r+b") as fh:
         lines = fh.read().splitlines(keepends=True)
+        if lines[:1] != [LOG_HEADER.encode()]:
+            lines = []
         rows = takewhile(
             lambda ln: ln.endswith(b"\n") and int(ln.split(b",", 1)[0]) <= step, lines[1:]
         )
@@ -444,8 +426,9 @@ def run_curriculum(
             moments=moments,
         )
 
-    if not log_path.exists():
-        log_path.write_text("step,stage,loss,lr,wallclock_ms\n")
+    # a log that a crash left without its whole header restarts with one
+    if not log_path.exists() or log_path.stat().st_size == 0:
+        log_path.write_text(LOG_HEADER)
 
     first_step = state.step
     with open(log_path, "a") as log:

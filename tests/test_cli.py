@@ -84,6 +84,52 @@ def test_unknown_config_key_exits_2(tmp_path):
     assert cli.main(["synth", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["synth", "--set", "tsi=3"],
+    ["synth", "--set", "tsi.count=abc"],
+    ["synth", "--set", 'explicit_tsi=[{"lenght": 5}]'],
+    ["synth", "--set", 'explicit_tcm=[{"n_series": 1}]'],
+    ["train", "--set", "model=5"],
+    ["train", "--set", 'model.d_model="abc"'],
+    ["train", "--set", "seed=4"],
+], ids=["tsi-int", "count-str", "tsi-key", "tcm-missing", "model-int", "d_model-str", "top-seed"])
+def test_malformed_config_exits_2_and_writes_nothing(tmp_path, capsys, argv):
+    inputs = ["--data", str(_synth_small(tmp_path))] + TRAIN_OVERRIDES if argv[0] == "train" else []
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert cli.main(argv[:1] + inputs + ["--out", str(out)] + argv[1:]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_report_rejects_seed_flag(tmp_path, capsys):
+    records = tmp_path / "records.csv"
+    records.write_text(",".join(E.RECORD_FIELDS) + "\n")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["report", "--records", str(records), "--out", str(out), "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_layers_file_then_set_then_flags(tmp_path, market_csvs, capsys):
+    sp, rp = market_csvs
+    cfg_path = tmp_path / "eval.json"
+    cfg_path.write_text(json.dumps({
+        "panels": {"stocks": str(sp), "rates": str(rp)}, "modes": ["UV"], "contexts": [20],
+        "horizons": [3], "start_years_after": 1, "stub": "last-value",
+    }))
+    assert cli.main([
+        "evaluate", "--config", str(cfg_path), "--out", str(tmp_path / "out"), "--dry-run",
+        "--set", "contexts=[25]", "--set", "horizons=[4]",
+        "--set", "panels=" + json.dumps({"stocks": str(sp)}),  # an object replaces the section
+        "--n", "30",
+    ]) == 0
+    grid = re.findall(r"^ +(\w+) +(MV|UV) n= *(\d+) m= *(\d+)", capsys.readouterr().out, re.M)
+    assert grid == [("stocks", "UV", "30", "4")]
+
+
 def _synth_small(tmp_path, seed=5) -> Path:
     data = tmp_path / "data"
     cfg_path = tmp_path / "synth.json"
@@ -170,6 +216,18 @@ def test_train_zero_steps_checkpoint_equals_init(tmp_path):
     init = M.init_weights(cfg, seed=3)
     for k in w:
         assert np.array_equal(w[k].data, np.asarray(init[k].data, dtype=np.float32)), k
+
+
+def test_train_seed_flag_sets_the_training_seed(tmp_path):
+    data = _synth_small(tmp_path)
+    out = tmp_path / "run0"
+    assert cli.main([
+        "train", "--data", str(data), "--out", str(out), "--seed", "4",
+        "--set", 'model={"d_model":8,"n_blocks":1,"n_heads":2,"patch_len":4,"max_context":32,"horizon_patches":2}',
+        "--set", 'train={"stage_steps":[0,0],"seed":3}',
+    ]) == 0
+    _, _, extra, _ = load_checkpoint(out / "model.ckpt")
+    assert extra["train"]["seed"] == 4
 
 
 def test_train_resume_continues(tmp_path):
@@ -320,7 +378,8 @@ def test_evaluate_without_checkpoint_or_stub_exits_2(tmp_path, market_csvs):
     ["evaluate", "--set", 'modes=["XV"]'],
     ["evaluate", "--set", "cutoff=2023-13-01"],
     ["report", "--set", "cutoff=2023-13-01"],
-], ids=["n0", "m0", "mode-XV", "evaluate-cutoff", "report-cutoff"])
+    ["evaluate", "--set", "point_quantile=0.5"],
+], ids=["n0", "m0", "mode-XV", "evaluate-cutoff", "report-cutoff", "point-quantile"])
 def test_bad_grid_config_exits_2(tmp_path, market_csvs, capsys, argv):
     sp, rp = market_csvs
     records = tmp_path / "records.csv"

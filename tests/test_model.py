@@ -8,8 +8,8 @@ import pytest
 from groupcast import model as M
 from groupcast import preprocess as P
 from groupcast import tensor as T
-from groupcast.checkpoint import load_checkpoint, save_checkpoint
-from groupcast.errors import ConfigError, DegenerateInputError, ShapeError
+from groupcast.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+from groupcast.errors import CheckpointError, ConfigError, DegenerateInputError, ShapeError
 
 from oracles import (
     assemble_batch_per_row,
@@ -362,6 +362,26 @@ def test_checkpoint_failed_write_keeps_previous_file(tmp_path, monkeypatch):
     assert extra["step"] == 1
     for k in w:
         assert np.array_equal(w[k].data, w2[k].data)
+
+
+def _flip_first_header_byte(buf: bytes) -> bytes:
+    at = len(MAGIC) + 8  # after the version and the header length
+    return buf[:at] + bytes([buf[at] ^ 1]) + buf[at + 1 :]
+
+
+@pytest.mark.parametrize("corrupt", [
+    _flip_first_header_byte,
+    lambda buf: buf.replace(b'"model":', b'"modex":', 1),
+    lambda buf: buf.replace(b'"d_model":', b'"d_modex":', 1),
+], ids=["not-json", "no-model", "renamed-key"])
+def test_checkpoint_corrupt_header_raises_checkpoint_error(tmp_path, corrupt):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, M.init_weights(CFG, seed=20), CFG, extra={"step": 1})
+    buf = path.read_bytes()
+    path.write_bytes(corrupt(buf))
+    assert path.read_bytes() != buf
+    with pytest.raises(CheckpointError, match="corrupt header"):
+        load_checkpoint(path)
 
 
 def test_scaling_never_uses_horizon_values():

@@ -371,14 +371,30 @@ def test_resume_in_place_matches_uninterrupted_run(tmp_path, corpus, monkeypatch
         CFG, tc, corpus, tmp_path / "run", resume_from=tmp_path / "run" / "ckpt_step000020.ckpt"
     )
     assert resumed.read_bytes() == full.read_bytes()
-
-    def log_without_wallclock(run_dir):
-        lines = (run_dir / "train_log.csv").read_text().splitlines()
-        return [line.rsplit(",", 1)[0] for line in lines]
-
-    logged = log_without_wallclock(tmp_path / "run")
-    assert logged == log_without_wallclock(tmp_path / "full")
+    logged = _log_without_wallclock(tmp_path / "run")
+    assert logged == _log_without_wallclock(tmp_path / "full")
     assert len(logged) == 41
+
+
+def _log_without_wallclock(run_dir):
+    lines = (run_dir / "train_log.csv").read_text().splitlines()
+    return [line.rsplit(",", 1)[0] for line in lines]
+
+
+@pytest.mark.parametrize("log", [b"", b"step,stage,lo"], ids=["empty", "torn-header"])
+def test_resume_writes_a_lost_log_header(tmp_path, corpus, log):
+    tc = TR.TrainConfig(
+        stage_contexts=(16, 32), stage_steps=(4, 4), batch_groups=2,
+        learning_rate=1e-3, seed=9, checkpoint_every=4,
+    )
+    TR.run_curriculum(CFG, tc, corpus, tmp_path / "full")
+    TR.run_curriculum(CFG, tc, corpus, tmp_path / "run")
+    (tmp_path / "run" / "train_log.csv").write_bytes(log)  # a crash while the header was written
+    TR.run_curriculum(
+        CFG, tc, corpus, tmp_path / "run", resume_from=tmp_path / "run" / "ckpt_step000004.ckpt"
+    )
+    full = _log_without_wallclock(tmp_path / "full")
+    assert _log_without_wallclock(tmp_path / "run") == full[:1] + full[5:]  # header, steps 5-8
 
 
 def test_non_finite_loss_aborts(corpus):
