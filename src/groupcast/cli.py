@@ -170,6 +170,15 @@ REPORT_KEYS = {"records": None, "out_dir": None, "cutoff": E.DEFAULT_CUTOFF.isof
 # synth
 
 
+def _explicit_specs(spec_cls, entries: list) -> list:
+    """Explicit generator specs from config entries, each validated, so a
+    bad one exits before any dataset is written."""
+    specs = [spec_cls.from_dict(d) for d in entries]
+    for spec in specs:
+        spec.validate()
+    return specs
+
+
 def cmd_synth(args) -> int:
     cfg = _load_config(args, SYNTH_KEYS)
     out_dir = Path(cfg["out_dir"] or _default_out())
@@ -183,7 +192,7 @@ def cmd_synth(args) -> int:
         S.sample_tsi_spec(root.spawn(10_000 + i), tsi["length"], seed=seed * 1_000_003 + i)
         for i in range(tsi["count"])
     ]
-    tsi_specs += [S.TsiSpec.from_dict(d) for d in cfg["explicit_tsi"]]
+    tsi_specs += _explicit_specs(S.TsiSpec, cfg["explicit_tsi"])
     jobs += [("tsi", lambda spec=spec: (S.tsi_generate(spec), spec.to_dict())) for spec in tsi_specs]
 
     tcm = cfg["tcm"]
@@ -199,7 +208,7 @@ def cmd_synth(args) -> int:
         )
         for i in range(tcm["count"])
     ]
-    tcm_specs += [S.TcmSpec.from_dict(d) for d in cfg["explicit_tcm"]]
+    tcm_specs += _explicit_specs(S.TcmSpec, cfg["explicit_tcm"])
     jobs += [("tcm", lambda spec=spec: (S.tcm_generate(spec), spec.to_dict())) for spec in tcm_specs]
 
     der = cfg["derived"]

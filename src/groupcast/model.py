@@ -14,6 +14,17 @@ attention to oneself, one shared group (MV) takes plain attention, and a
 mix of groups takes dense attention under an additive -1e9 mask. The three
 give the same bits as the masked form would.
 
+Each attention with q and k (time attention, MV and masked group
+attention) is one tape entry, `_attention`: its forward runs the numpy
+expressions of the op-by-op chain (projections, head split, rotary,
+scaled logits, mask, softmax, context, output projection, residual and
+LayerNorm) and its hand-written backward repeats that chain's backward
+expressions in reverse, so outputs and gradients keep the chain's bits
+(the chain is the reference in tests/oracles.py). The input's gradient is
+summed in the tape's order, ((g_residual + g_v) + g_k) + g_q. That is
+bitwise only because the attention's input has no other consumer: the
+tape would add a second consumer's gradient to the op's sum, not inside it.
+
 Only group attention reads the group IDs. Everything before block 0's
 group attention (scaling, patching, embedding, block 0's time attention)
 is the mode-independent trunk: `trunk` builds it once per context and
@@ -37,7 +48,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import preprocess
+from . import kernels, preprocess
 from . import tensor as T
 from .config import DictConfig
 from .errors import ConfigError, ShapeError
@@ -208,15 +219,37 @@ def _rope_tables(n_pos: int, d_head: int, dtype) -> tuple[np.ndarray, np.ndarray
     return tables
 
 
-def _split_heads(x: T.Tensor, n_heads: int) -> T.Tensor:
-    S, L, D = x.shape
-    dh = D // n_heads
-    return T.transpose(T.reshape(x, (S, L, n_heads, dh)), (0, 2, 1, 3))
+_ATTENTION_PARAMS = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo", "ln_gain", "ln_bias")
 
 
-def _merge_heads(x: T.Tensor) -> T.Tensor:
-    S, H, L, dh = x.shape
-    return T.reshape(T.transpose(x, (0, 2, 1, 3)), (S, L, H * dh))
+def _heads(a: np.ndarray, n_heads: int) -> np.ndarray:
+    """(B, L, D) -> (B, H, L, D // H) view; head h holds channels h*dh:(h+1)*dh."""
+    B, L, D = a.shape
+    return np.transpose(a.reshape(B, L, n_heads, D // n_heads), (0, 2, 1, 3))
+
+
+def _rotate(a: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """Rotary positions on (B, H, L, dh) heads by (L, dh // 2) tables; the
+    rotation is orthogonal, so -sin undoes it."""
+    sh = a.shape
+    flat = np.ascontiguousarray(a.reshape(-1, sh[-2], sh[-1]))
+    return kernels.rotary_apply(flat, cos, sin).reshape(sh)
+
+
+def _rotated_logits(xq, x, wq, bq, wk, bk, n_heads, rope_q=None, rope_k=None):
+    """Scaled attention logits (B, H, Lq, L): queries from the rows xq,
+    keys from the rows x, both rotated by their (cos, sin) tables when
+    given. Also returns the rotated q heads and the k^T view, which the
+    attention backward reads."""
+    q = _heads(xq @ wq + bq, n_heads)
+    k = _heads(x @ wk + bk, n_heads)
+    if rope_q is not None:
+        q = _rotate(q, *rope_q)
+        k = _rotate(k, *rope_k)
+    kt = np.transpose(k, (0, 1, 3, 2))
+    s = q @ kt
+    s *= s.dtype.type(1.0 / math.sqrt(q.shape[-1]))
+    return q, kt, s
 
 
 def _attention(
@@ -228,49 +261,123 @@ def _attention(
     mask_bias: np.ndarray | None = None,
     rows_from: int = 0,
 ) -> T.Tensor:
-    """Multi-head attention over axis 1 of (B, L, D), with residual + norm.
+    """Multi-head attention over axis 1 of (B, L, D), with residual + norm,
+    as one tape entry with inputs (x, wq, bq, wk, bk, wv, bv, wo, bo,
+    ln_gain, ln_bias).
 
-    Only rows rows_from: are computed: they form the queries, the residual
-    and the norm, while keys and values come from all L rows. Returns
-    (B, L - rows_from, D), the same bits as those rows of the full output
-    when at least two rows remain.
+    Forward: q, k, v = x W + b, split into heads; q and k rotated by rope
+    when given; logits q k^T / sqrt(dh), plus mask_bias when given (a
+    constant: it gets no gradient); max-shifted softmax; the heads' context
+    merged and projected by wo, bo; then LN(x + out). The logits buffer
+    becomes the softmax in place and the residual buffer becomes the
+    normalized rows in place. Only rows rows_from: are computed: they form
+    the queries, the residual and the norm, while keys and values come from
+    all L rows. Returns (B, L - rows_from, D), the same bits as those rows
+    of the full output when at least two rows remain.
+
+    Backward repeats, op by op in reverse, the expressions of the unfused
+    chain of tensor ops (layer_norm, add, linear, reshape/transpose,
+    matmul, softmax_rows, the scale, the inverse rotation), so every
+    gradient has its bits. x's gradient is summed in the order the tape
+    summed it, ((g_residual + g_v) + g_k) + g_q (with rows_from > 0,
+    (g_v + g_k) + the rows of g_residual + g_q). That is bitwise only
+    because the attention is the sole consumer of x in forward; a second
+    consumer would add its gradient to this sum, not in the middle of it.
     """
-    D = x.shape[-1]
+    wq, bq, wk, bk, wv, bv, wo, bo, gain, bias = (
+        weights[f"{prefix}.{name}"] for name in _ATTENTION_PARAMS
+    )
+    xd = x.data
+    B, L, D = xd.shape
     dh = D // n_heads
-    xq = x if rows_from == 0 else T.narrow(x, 1, rows_from, x.shape[1] - rows_from)
-    q = T.linear(xq, weights[f"{prefix}.wq"], weights[f"{prefix}.bq"])
-    k = T.linear(x, weights[f"{prefix}.wk"], weights[f"{prefix}.bk"])
-    v = T.linear(x, weights[f"{prefix}.wv"], weights[f"{prefix}.bv"])
-    q, k, v = (_split_heads(t, n_heads) for t in (q, k, v))
+    rows = slice(rows_from, None)
+    xq = xd if rows_from == 0 else np.ascontiguousarray(xd[:, rows])
+    Lq = xq.shape[1]
+    rope_q = rope_k = None
     if rope is not None:
         cos, sin = rope
-        q = T.rope_rotate(q, cos[rows_from:], sin[rows_from:])
-        k = T.rope_rotate(k, cos, sin)
-    logits = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
-    if mask_bias is not None:
-        logits = T.add(logits, T.constant(mask_bias, dtype=x.dtype))
-    attn = T.softmax_rows(logits)
-    ctx = _merge_heads(T.matmul(attn, v))
-    out = T.linear(ctx, weights[f"{prefix}.wo"], weights[f"{prefix}.bo"])
-    return T.layer_norm(
-        T.add(xq, out), weights[f"{prefix}.ln_gain"], weights[f"{prefix}.ln_bias"]
+        rope_q, rope_k = (cos[rows], sin[rows]), rope
+    q, kt, attn = _rotated_logits(
+        xq, xd, wq.data, bq.data, wk.data, bk.data, n_heads, rope_q, rope_k
     )
+    v = _heads(xd @ wv.data + bv.data, n_heads)
+    if mask_bias is not None:
+        attn += mask_bias.astype(xd.dtype, copy=False)
+    attn -= np.max(attn, axis=-1, keepdims=True)
+    np.exp(attn, out=attn)
+    attn /= np.sum(attn, axis=-1, keepdims=True)
+    ctx = np.transpose(attn @ v, (0, 2, 1, 3)).reshape(B, Lq, D)
+    xhat = ctx @ wo.data + bo.data
+    xhat += xq  # the residual: IEEE addition commutes, so xq + out
+    xhat -= np.mean(xhat, axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(
+        np.mean(xhat * xhat, axis=-1, keepdims=True) + xhat.dtype.type(T.LAYER_NORM_EPS)
+    )
+    xhat *= inv
+    out = xhat * gain.data + bias.data
+
+    def merge_heads(g, rows):
+        return np.transpose(g, (0, 2, 1, 3)).reshape(B, rows, D)
+
+    def linear_bwd(g, a, w, b):
+        gw = T._reduce_to(np.swapaxes(a, -1, -2) @ g, w.shape)
+        return g @ w.data.T, gw, T._reduce_to(g, b.shape)
+
+    def bwd(g):
+        # Each temporary is dropped once used, as the tape sweep drops it:
+        # freed all at once at the end, their pages go back to the OS and
+        # every step faults them in again.
+        # layer_norm, then the residual add hands its gradient to both terms
+        g_gain = np.sum(g * xhat, axis=(0, 1))
+        g_bias = np.sum(g, axis=(0, 1))
+        g = g * gain.data
+        m1 = np.mean(g, axis=-1, keepdims=True)
+        m2 = np.mean(g * xhat, axis=-1, keepdims=True)
+        g_res = inv * (g - m1 - xhat * m2)
+        g, g_wo, g_bo = linear_bwd(g_res, ctx, wo, bo)
+        # merge heads, attn @ v
+        g = np.transpose(g.reshape(B, Lq, n_heads, dh), (0, 2, 1, 3))
+        g_v = np.swapaxes(attn, -1, -2) @ g
+        g = g @ np.swapaxes(v, -1, -2)
+        # softmax, the scale, q @ k^T
+        g = attn * (g - np.sum(g * attn, axis=-1, keepdims=True))
+        g *= attn.dtype.type(1.0 / math.sqrt(dh))
+        g_q = g @ np.swapaxes(kt, -1, -2)
+        g_k = np.transpose(np.swapaxes(q, -1, -2) @ g, (0, 1, 3, 2))
+        del g
+        # split heads, then the v/k/q projections in the tape's order
+        g_xv, g_wv, g_bv = linear_bwd(merge_heads(g_v, L), xd, wv, bv)
+        del g_v
+        gx = g_xv if rows_from else g_res + g_xv
+        del g_xv
+        if rope is not None:
+            g_k = _rotate(g_k, cos, -sin)
+        g_xk, g_wk, g_bk = linear_bwd(merge_heads(g_k, L), xd, wk, bk)
+        del g_k
+        gx += g_xk
+        del g_xk
+        if rope is not None:
+            g_q = _rotate(g_q, rope_q[0], -rope_q[1])
+        g_xq, g_wq, g_bq = linear_bwd(merge_heads(g_q, Lq), xq, wq, bq)
+        del g_q
+        if rows_from:  # narrow's backward: the rows get g_residual + g_q
+            full = np.zeros_like(xd)
+            full[:, rows] = g_res + g_xq
+            g_xq = full
+        gx += g_xq
+        return gx, g_wq, g_bq, g_wk, g_bk, g_wv, g_bv, g_wo, g_bo, g_gain, g_bias
+
+    return T.make_op((x, wq, bq, wk, bk, wv, bv, wo, bo, gain, bias), out, bwd)
 
 
 def attention_logits(
     x: T.Tensor, weights: dict, prefix: str, n_heads: int, positions: np.ndarray
 ) -> np.ndarray:
-    """Rotary-rotated attention logits (probe hook for position tests)."""
-    D = x.shape[-1]
-    dh = D // n_heads
-    q = T.linear(x, weights[f"{prefix}.wq"], weights[f"{prefix}.bq"])
-    k = T.linear(x, weights[f"{prefix}.wk"], weights[f"{prefix}.bk"])
-    q, k = (_split_heads(t, n_heads) for t in (q, k))
-    cos, sin = _rope_tables_at(positions, dh, x.dtype)
-    q = T.rope_rotate(q, cos, sin)
-    k = T.rope_rotate(k, cos, sin)
-    logits = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
-    return logits.data
+    """Rotary-rotated attention logits (probe hook for position tests), by
+    the expressions of the attention forward."""
+    rope = _rope_tables_at(positions, x.shape[-1] // n_heads, x.dtype)
+    wq, bq, wk, bk = (weights[f"{prefix}.{name}"].data for name in ("wq", "bq", "wk", "bk"))
+    return _rotated_logits(x.data, x.data, wq, bq, wk, bk, n_heads, rope, rope)[2]
 
 
 def time_attention(
@@ -323,7 +430,9 @@ def group_attention(
     group for all series (MV) takes unmasked attention, and anything else
     takes attention masked by group_mask_bias. Each gives the bits of the
     masked form, gradients included (the UV form leaves the q/k weights off
-    the tape; the masked form gives them exactly zero gradient).
+    the tape; the masked form gives them exactly zero gradient). MV and
+    masked attention are one fused tape entry (_attention), whose input,
+    the series-major view of the tokens, feeds nothing else.
 
     The separator token (at reg_position) is excluded: it neither updates
     nor contributes, and is copied through unchanged.

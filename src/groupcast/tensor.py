@@ -16,7 +16,6 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from . import kernels
 from .errors import ContractError, ShapeError
 
 DEFAULT_DTYPE = np.float32
@@ -207,16 +206,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return make_op((a, b), out, bwd)
 
 
-def scale(a: Tensor, c: float) -> Tensor:
-    c = a.data.dtype.type(c)
-    out = a.data * c
-
-    def bwd(g):
-        return (g * c,)
-
-    return make_op((a,), out, bwd)
-
-
 def tanh(a: Tensor) -> Tensor:
     y = np.tanh(a.data)
 
@@ -305,25 +294,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         return gx, g_gain, g_bias
 
     return make_op((x, gain, bias), y, bwd)
-
-
-def rope_rotate(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
-    """Rotate channel pairs of x (..., T, D) by per-position angles.
-
-    cos/sin are plain (T, D//2) arrays; the rotation is orthogonal, so the
-    backward pass is the inverse rotation of the incoming gradient.
-    """
-    sh = x.shape
-    if sh[-1] % 2 != 0:
-        raise ShapeError(f"rope_rotate needs an even last dim, got {sh}")
-    flat = x.data.reshape(-1, sh[-2], sh[-1])
-    out = kernels.rotary_apply(flat, cos, sin).reshape(sh)
-
-    def bwd(g):
-        gf = np.ascontiguousarray(g.reshape(-1, sh[-2], sh[-1]))
-        return (kernels.rotary_apply(gf, cos, -sin).reshape(sh),)
-
-    return make_op((x,), out, bwd)
 
 
 def reshape(x: Tensor, shape) -> Tensor:

@@ -11,7 +11,9 @@ preprocessing functions one series at a time, the reference for the
 whole-array ``model.assemble_batch``; and the scan-based artifact writer,
 which rescans the records for every table cell and shares the package's
 formatting, sorting and file-writing helpers, the reference for the
-group-by ``evalharness.emit_artifacts``.
+group-by ``evalharness.emit_artifacts``; and the attention as a chain of
+tape ops (with the ``scale`` and ``rope_rotate`` ops it alone uses), the
+reference for the fused ``model._attention``.
 """
 
 import logging
@@ -22,9 +24,11 @@ from pathlib import Path
 import numpy as np
 
 from groupcast import evalharness as E
+from groupcast import kernels as K
 from groupcast import model as M
 from groupcast import preprocess as P
 from groupcast import tensor as T
+from groupcast.errors import ShapeError
 
 
 def matmul_triple_loop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -181,7 +185,7 @@ def group_attention_dense_masked(tokens, group_ids, weights, prefix, n_heads, re
     q = heads(T.linear(x, weights[f"{prefix}.wq"], weights[f"{prefix}.bq"]))
     k = heads(T.linear(x, weights[f"{prefix}.wk"], weights[f"{prefix}.bk"]))
     v = heads(T.linear(x, weights[f"{prefix}.wv"], weights[f"{prefix}.bv"]))
-    logits = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
+    logits = scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
     g = np.asarray(group_ids)
     bias = np.where(g[:, None] == g[None, :], 0.0, -1e9).astype(tokens.dtype)
     logits = T.add(logits, T.constant(bias, dtype=tokens.dtype))
@@ -195,6 +199,90 @@ def group_attention_dense_masked(tokens, group_ids, weights, prefix, n_heads, re
     out_before = T.narrow(out, 1, 0, reg_position)
     out_after = T.narrow(out, 1, reg_position, out.shape[1] - reg_position)
     return T.concat([out_before, reg_tok, out_after], axis=1)
+
+
+# ---------------------------------------------------------------------------
+# attention as a chain of tensor ops: the bitwise reference for the fused
+# model._attention. scale and rope_rotate are the tape ops only this chain
+# uses.
+
+
+def scale(a: T.Tensor, c: float) -> T.Tensor:
+    c = a.data.dtype.type(c)
+    out = a.data * c
+
+    def bwd(g):
+        return (g * c,)
+
+    return T.make_op((a,), out, bwd)
+
+
+def rope_rotate(x: T.Tensor, cos: np.ndarray, sin: np.ndarray) -> T.Tensor:
+    """Rotate channel pairs of x (..., T, D) by per-position angles.
+
+    cos/sin are plain (T, D//2) arrays; the rotation is orthogonal, so the
+    backward pass is the inverse rotation of the incoming gradient.
+    """
+    sh = x.shape
+    if sh[-1] % 2 != 0:
+        raise ShapeError(f"rope_rotate needs an even last dim, got {sh}")
+    flat = x.data.reshape(-1, sh[-2], sh[-1])
+    out = K.rotary_apply(flat, cos, sin).reshape(sh)
+
+    def bwd(g):
+        gf = np.ascontiguousarray(g.reshape(-1, sh[-2], sh[-1]))
+        return (K.rotary_apply(gf, cos, -sin).reshape(sh),)
+
+    return T.make_op((x,), out, bwd)
+
+
+def _split_heads(x: T.Tensor, n_heads: int) -> T.Tensor:
+    S, L, D = x.shape
+    dh = D // n_heads
+    return T.transpose(T.reshape(x, (S, L, n_heads, dh)), (0, 2, 1, 3))
+
+
+def _merge_heads(x: T.Tensor) -> T.Tensor:
+    S, H, L, dh = x.shape
+    return T.reshape(T.transpose(x, (0, 2, 1, 3)), (S, L, H * dh))
+
+
+def attention_op_chain(
+    x: T.Tensor,
+    weights: dict,
+    prefix: str,
+    n_heads: int,
+    rope: tuple[np.ndarray, np.ndarray] | None = None,
+    mask_bias: np.ndarray | None = None,
+    rows_from: int = 0,
+) -> T.Tensor:
+    """Multi-head attention over axis 1 of (B, L, D), with residual + norm,
+    one tape entry per op; model._attention's signature and result.
+
+    Only rows rows_from: are computed: they form the queries, the residual
+    and the norm, while keys and values come from all L rows. Returns
+    (B, L - rows_from, D).
+    """
+    D = x.shape[-1]
+    dh = D // n_heads
+    xq = x if rows_from == 0 else T.narrow(x, 1, rows_from, x.shape[1] - rows_from)
+    q = T.linear(xq, weights[f"{prefix}.wq"], weights[f"{prefix}.bq"])
+    k = T.linear(x, weights[f"{prefix}.wk"], weights[f"{prefix}.bk"])
+    v = T.linear(x, weights[f"{prefix}.wv"], weights[f"{prefix}.bv"])
+    q, k, v = (_split_heads(t, n_heads) for t in (q, k, v))
+    if rope is not None:
+        cos, sin = rope
+        q = rope_rotate(q, cos[rows_from:], sin[rows_from:])
+        k = rope_rotate(k, cos, sin)
+    logits = scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
+    if mask_bias is not None:
+        logits = T.add(logits, T.constant(mask_bias, dtype=x.dtype))
+    attn = T.softmax_rows(logits)
+    ctx = _merge_heads(T.matmul(attn, v))
+    out = T.linear(ctx, weights[f"{prefix}.wo"], weights[f"{prefix}.bo"])
+    return T.layer_norm(
+        T.add(xq, out), weights[f"{prefix}.ln_gain"], weights[f"{prefix}.ln_bias"]
+    )
 
 
 def softmax_three_temporaries(x):

@@ -13,6 +13,7 @@ from groupcast.errors import CheckpointError, ConfigError, DegenerateInputError,
 
 from oracles import (
     assemble_batch_per_row,
+    attention_op_chain,
     finish_unpruned,
     finite_diff_grad,
     group_attention_dense_masked,
@@ -126,6 +127,51 @@ def test_time_attention_single_token_hand_composition():
     expect = (pre - mu) / np.sqrt(var + 1e-5)
     expect = expect * w["block0.time.ln_gain"].data + w["block0.time.ln_bias"].data
     assert np.abs(out.data[0, 0] - expect).max() <= 1e-10
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("B,L", [(1, 5), (3, 8)])
+@pytest.mark.parametrize(
+    "kind,rows_from",
+    [("time", 0), ("time", 3), ("MV", 0), ("MV", 2), ("mixed", 0)],
+)
+def test_fused_attention_equals_op_chain_bitwise(kind, rows_from, B, L, dtype):
+    rng = np.random.default_rng(21)
+    D, H = CFG.d_model, CFG.n_heads
+    weights = {
+        f"a.{name}": T.parameter(rng.normal(size=(D, D) if name.startswith("w") else D) * 0.5, dtype=dtype)
+        for name in M._ATTENTION_PARAMS
+    }
+    # group attention reads the series-major view of (S, L', D) tokens
+    base = T.parameter(rng.normal(size=(B, L, D) if kind == "time" else (L, B, D)), dtype=dtype)
+    probe = T.constant(rng.normal(size=(B, L - rows_from, D)), dtype=dtype)
+    rope = M._rope_tables(L, D // H, dtype) if kind == "time" else None
+    mask = M.group_mask_bias(np.arange(L) % 3 // 2, dtype) if kind == "mixed" else None
+    leaves = [base] + list(weights.values())
+
+    def run(fn):
+        for t in leaves:
+            t.zero_grad()
+        with T.record() as tape:
+            x = base if kind == "time" else T.transpose(base, (1, 0, 2))
+            out = fn(x, weights, "a", H, rope=rope, mask_bias=mask, rows_from=rows_from)
+            loss = T.sum_all(T.mul(out, probe))
+        T.backward(loss, tape)
+        return [out.data.copy()] + [t.grad.copy() for t in leaves]
+
+    fused = run(M._attention)
+    chain = run(attention_op_chain)
+    for name, a, b in zip(["out", "x"] + list(M._ATTENTION_PARAMS), fused, chain):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def test_fused_attention_is_one_tape_entry():
+    w = _weights()
+    rng = np.random.default_rng(22)
+    x = T.parameter(rng.normal(size=(2, 6, CFG.d_model)), dtype=np.float64)
+    with T.record() as tape:
+        M.time_attention(x, w, "block0.time", CFG.n_heads)
+    assert len(tape.entries) == 1
 
 
 def test_rotary_logits_shift_invariant():

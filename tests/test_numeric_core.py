@@ -1,12 +1,22 @@
 """Tensor engine: op semantics, tape ordering, gradients vs finite differences."""
 
+import zlib
+
 import numpy as np
 import pytest
 
+from groupcast import model as M
 from groupcast import tensor as T
 from groupcast.errors import ContractError, ShapeError
 
-from oracles import finite_diff_grad, matmul_triple_loop, rel_err, softmax_three_temporaries
+from oracles import (
+    finite_diff_grad,
+    matmul_triple_loop,
+    rel_err,
+    rope_rotate,
+    scale,
+    softmax_three_temporaries,
+)
 
 
 def test_matmul_identity():
@@ -207,11 +217,30 @@ def _p(rng, shape):
     return T.parameter(rng.normal(size=shape), dtype=np.float64)
 
 
+def _attention_case(r):
+    """The fused attention with rotary positions and a group mask, over
+    (2, 3, 4) inputs with two heads; params x then M._ATTENTION_PARAMS.
+    The weight matrices enter at init_weights' scale, 1/sqrt(fan_in)."""
+    probe = T.constant(r.normal(size=(2, 3, 4)), dtype=np.float64)
+    rope = M._rope_tables(3, 2, np.float64)
+    mask = M.group_mask_bias(np.array([0, 0, 1]), np.float64)
+
+    def build(x, *params):
+        weights = {
+            f"a.{name}": scale(p, 0.5) if name.startswith("w") else p
+            for name, p in zip(M._ATTENTION_PARAMS, params)
+        }
+        out = M._attention(x, weights, "a", 2, rope=rope, mask_bias=mask)
+        return T.sum_all(T.mul(out, probe))
+
+    return build, [(2, 3, 4)] + [(4, 4) if n.startswith("w") else (4,) for n in M._ATTENTION_PARAMS]
+
+
 OP_CASES = {
     "add": lambda r: (lambda a, b: T.sum_all(T.mul(T.add(a, b), T.add(a, b))), [(3, 4), (4,)]),
     "mul": lambda r: (lambda a, b: T.sum_all(T.mul(T.mul(a, b), T.mul(a, b))), [(2, 5), (2, 5)]),
     "tanh": lambda r: (lambda a: T.sum_all(T.mul(T.tanh(a), T.tanh(a))), [(3, 3)]),
-    "scale": lambda r: (lambda a: T.sum_all(T.mul(T.scale(a, 1.7), T.scale(a, 1.7))), [(2, 6)]),
+    "scale": lambda r: (lambda a: T.sum_all(T.mul(scale(a, 1.7), scale(a, 1.7))), [(2, 6)]),
     "matmul": lambda r: (lambda a, b: T.sum_all(T.mul(T.matmul(a, b), T.matmul(a, b))), [(3, 4), (4, 2)]),
     "linear": lambda r: (
         lambda x, w, b: T.sum_all(T.mul(T.linear(x, w, b), T.linear(x, w, b))),
@@ -234,13 +263,14 @@ OP_CASES = {
         [(4, 6), (6,), (6,)],
     ),
     "rope": lambda r: (
-        (lambda c, cos, sin: lambda a: T.sum_all(T.mul(T.rope_rotate(a, cos, sin), c)))(
+        (lambda c, cos, sin: lambda a: T.sum_all(T.mul(rope_rotate(a, cos, sin), c)))(
             T.constant(r.normal(size=(2, 5, 4)), dtype=np.float64),
             np.cos(0.3 * np.arange(5))[:, None] * np.ones((5, 2)),
             np.sin(0.3 * np.arange(5))[:, None] * np.ones((5, 2)),
         ),
         [(2, 5, 4)],
     ),
+    "attention": _attention_case,
     "concat_narrow": lambda r: (
         lambda a, b: T.sum_all(T.mul(T.narrow(T.concat([a, b], axis=1), 1, 1, 3),
                                      T.narrow(T.concat([a, b], axis=1), 1, 1, 3))),
@@ -257,7 +287,7 @@ OP_CASES = {
 
 @pytest.mark.parametrize("name", sorted(OP_CASES))
 def test_gradients_match_finite_differences(name):
-    rng = np.random.default_rng(hash(name) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
     for trial in range(10):
         build_fn, shapes = OP_CASES[name](rng)
         params = [_p(rng, s) for s in shapes]
