@@ -17,7 +17,6 @@ training precision, and round-trip bit-exactly.
 """
 
 import json
-import os
 import struct
 from pathlib import Path
 
@@ -26,6 +25,7 @@ import numpy as np
 from . import tensor as T
 from .errors import CheckpointError, ConfigError
 from .model import ModelConfig
+from .panels import atomic_open
 
 MAGIC = b"GROUPCAST-CKPT"
 VERSION = 1
@@ -64,16 +64,8 @@ def save_checkpoint(
         blob += struct.pack("<B", arr.ndim)
         blob += struct.pack(f"<{arr.ndim}I", *arr.shape)
         blob += arr.tobytes()
-    # write beside the target, then rename: a failed write leaves the old file
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as f:
-            f.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with atomic_open(path, "wb") as f:
+        f.write(blob)
 
 
 def load_checkpoint(path):

@@ -40,6 +40,7 @@ from .errors import (
     ConfigError,
     DataError,
     GroupcastError,
+    StabilityError,
     TrainingAbort,
 )
 from .panels import RATE_IDS, STOCK_IDS, build_combined, load_csv_panel, panel_summary
@@ -171,11 +172,17 @@ REPORT_KEYS = {"records": None, "out_dir": None, "cutoff": E.DEFAULT_CUTOFF.isof
 
 
 def _explicit_specs(spec_cls, entries: list) -> list:
-    """Explicit generator specs from config entries, each validated, so a
-    bad one exits before any dataset is written."""
+    """Explicit generator specs from config entries, each validated (a tcm
+    spec also checked for stationarity), so a bad one exits before any
+    dataset is written."""
     specs = [spec_cls.from_dict(d) for d in entries]
     for spec in specs:
         spec.validate()
+        if isinstance(spec, S.TcmSpec):
+            try:
+                S.check_stationary(spec.adjacency_array())
+            except StabilityError as exc:
+                raise ConfigError(f"explicit_tcm: {exc}") from exc
     return specs
 
 

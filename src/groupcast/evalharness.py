@@ -18,7 +18,6 @@ and a crash loses only the computed cells still waiting to be written.
 import csv
 import logging
 import multiprocessing
-import os
 from bisect import bisect_left
 from contextlib import ExitStack
 from dataclasses import dataclass
@@ -29,7 +28,7 @@ import numpy as np
 
 from . import model as M
 from .errors import ConfigError, DataError, DegenerateInputError
-from .panels import SeriesPanel, slice_context
+from .panels import FLOAT_FMT, SeriesPanel, atomic_open, slice_context
 
 logger = logging.getLogger(__name__)
 
@@ -39,8 +38,6 @@ DEFAULT_CONTEXTS = (126, 252, 504, 756)
 DEFAULT_HORIZONS = (21, 63)
 PANEL_ORDER = ("stocks", "rates", "combined")
 MODE_ORDER = ("MV", "UV")
-
-FLOAT_FMT = "%.17g"
 
 RECORD_FIELDS = ("panel", "mode", "series", "n", "m", "origin", "rmse", "mape", "skipped", "regime")
 TABLE1_COLUMNS = ("panel", "mode", "mape_mean", "mape_std", "rmse_mean", "rmse_std", "n_records")
@@ -528,17 +525,10 @@ def _canonical_records(records: list[EvalRecord]) -> list[EvalRecord]:
 
 
 def _write_csv(path: Path, header: list[str] | tuple[str, ...], rows: list[list]) -> None:
-    """Write beside the target, then rename: a failed write leaves the old file."""
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with atomic_open(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _fmt(x) -> str:

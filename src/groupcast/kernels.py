@@ -1,16 +1,14 @@
-"""Hot numeric kernels, one numpy implementation each.
+"""Hot numeric kernels, one implementation each.
 
-``var_recursion`` is the one inherently sequential kernel; it is
-jit-compiled when numba is importable and runs as plain Python otherwise.
-The jitted build is bit-identical: it runs the same per-element
-expressions in the same order, without fastmath. A traced
+Every kernel is whole-array numpy except ``var_recursion``, the one
+inherently sequential kernel, which loops over Python floats: each
+multiply and add is the same IEEE double operation a numpy scalar would
+do, without a numpy scalar's per-operation overhead. A traced
 ``perfbench/run.py`` run times every kernel in its workloads (the
 ``kernels.*`` per-layer metrics).
 """
 
 import numpy as np
-
-from .backend import USING_NUMBA, jit_kernel
 
 # SplitMix64 constants.
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -37,27 +35,27 @@ def var_recursion(coeffs: np.ndarray, innovations: np.ndarray) -> np.ndarray:
     coeffs: (L, K, K) with coeffs[l, i, j] = effect of series j at lag l+1
     on series i. innovations: (T, K). Returns x with
     x[t, i] = sum_{l, j} coeffs[l, i, j] * x[t-1-l, j] + innovations[t, i],
-    zero-initialized before t=0. The inner accumulation order (l outer,
-    j inner) is fixed so the jitted build is bit-identical.
+    zero-initialized before t=0. The accumulation order is fixed (l outer,
+    j inner, starting from the innovation), so the output bits are too.
     """
     L, K, _ = coeffs.shape
     T = innovations.shape[0]
-    x = np.zeros((T, K), dtype=np.float64)
-    for t in range(T):
-        for i in range(K):
-            acc = innovations[t, i]
-            for l in range(L):
-                s = t - 1 - l
-                if s < 0:
-                    break
-                for j in range(K):
-                    acc = acc + coeffs[l, i, j] * x[s, j]
-            x[t, i] = acc
-    return x
-
-
-if USING_NUMBA:
-    var_recursion = jit_kernel(var_recursion)
+    # coeff_rows[i] lists coeffs[l, i, j] for l outer, j inner; recent lists
+    # x[t-1, j], x[t-2, j], ... in the same order, so zip pairs them up and
+    # stops at the lags that exist (t < L)
+    coeff_rows = coeffs.transpose(1, 0, 2).reshape(K, L * K).tolist()
+    keep = (L - 1) * K
+    out: list[float] = []
+    recent: list[float] = []
+    for innov in innovations.tolist():
+        row = []
+        for c_i, acc in zip(coeff_rows, innov):
+            for a, x in zip(c_i, recent):
+                acc = acc + a * x
+            row.append(acc)
+        out += row
+        recent = row + recent[:keep]
+    return np.array(out, dtype=np.float64).reshape(T, K)
 
 
 def rotary_apply(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:

@@ -4,12 +4,18 @@ A panel CSV has header ``date,<id>,<id>,...`` with ISO dates and empty
 cells for missing observations. Values stay in their published units
 (prices in currency, rates in percent); any transformation is the model's
 own scaling at forecast time.
+
+The module also holds what every file writer in the package shares: the
+CSV float format and ``atomic_open``.
 """
 
 import csv
+import os
 from bisect import bisect_left
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 
@@ -32,7 +38,24 @@ RATE_IDS = (
 # Joint study window for the combined panel (both markets covered).
 COMBINED_WINDOW = (date(2010, 7, 1), date(2025, 12, 31))
 
+# Every float the package writes to a CSV: round-trips float64 exactly.
 FLOAT_FMT = "%.17g"
+
+
+@contextmanager
+def atomic_open(path, mode: str = "w"):
+    """Open a temporary sibling of ``path`` for writing and rename it over
+    ``path`` when the block exits cleanly. The file appears whole or not at
+    all: a failed write removes the temporary and leaves any old file."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, mode, newline=None if "b" in mode else "") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 @dataclass

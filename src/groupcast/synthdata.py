@@ -18,16 +18,17 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import kernels
 from .config import DictConfig
 from .errors import ConfigError, DataError, StabilityError
+from .panels import FLOAT_FMT, atomic_open
 from .rng import PortableRng
 
-FLOAT_FMT = "%.17g"
+# csv.writer would quote an id holding one of these; the joined rows do not
+_QUOTED_CHARS = frozenset(',"\r\n')
 
 
 @dataclass(frozen=True)
@@ -179,19 +180,25 @@ def tsi_generate(spec: TsiSpec) -> np.ndarray:
     return x
 
 
-def tcm_generate(spec: TcmSpec) -> np.ndarray:
-    """Simulate the lagged autoregression; returns (K, length).
-
-    Burn-in of 10 * L * K steps is discarded. Raises StabilityError with
-    the measured radius when the companion spectral radius is >= 1.
-    """
-    spec.validate()
-    adj = spec.adjacency_array()
-    radius = spectral_radius(companion_matrix(adj))
+def check_stationary(adjacency: np.ndarray) -> None:
+    """Raise StabilityError with the measured radius when the (K, K, L)
+    adjacency's companion spectral radius is >= 1."""
+    radius = spectral_radius(companion_matrix(adjacency))
     if radius >= 1.0:
         raise StabilityError(
             f"companion spectral radius {radius:.6f} >= 1; spec is non-stationary"
         )
+
+
+def tcm_generate(spec: TcmSpec) -> np.ndarray:
+    """Simulate the lagged autoregression; returns (K, length).
+
+    Burn-in of 10 * L * K steps is discarded. Raises StabilityError (see
+    check_stationary) for a non-stationary spec.
+    """
+    spec.validate()
+    adj = spec.adjacency_array()
+    check_stationary(adj)
     K, L = spec.n_series, spec.lag_order
     burn = 10 * L * K
     total = spec.length + burn
@@ -383,18 +390,25 @@ def make_independent_panel(
 
 
 def save_panel_dataset(path, panel: np.ndarray, series_ids=None) -> None:
+    """Write a (K, T) panel, or one (T,) series, as ``series_id,t,value``
+    rows with CRLF line ends, in one atomic write.
+
+    The bytes are those csv.writer gives, which quotes nothing here: an id
+    that would need quoting raises DataError. ids default to s0..s{K-1}.
+    """
     panel = np.asarray(panel, dtype=np.float64)
     if panel.ndim == 1:
         panel = panel[None, :]
-    K, T = panel.shape
     if series_ids is None:
-        series_ids = [f"s{i}" for i in range(K)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["series_id", "t", "value"])
-        for i, sid in enumerate(series_ids):
-            for t in range(T):
-                writer.writerow([sid, t, FLOAT_FMT % panel[i, t]])
+        series_ids = [f"s{i}" for i in range(panel.shape[0])]
+    quoted = [sid for sid in series_ids if not _QUOTED_CHARS.isdisjoint(str(sid))]
+    if quoted:
+        raise DataError(f"series ids {quoted} hold a comma, quote or line break")
+    lines = ["series_id,t,value\r\n"]
+    for sid, row in zip(series_ids, panel.tolist(), strict=True):
+        lines += [f"{sid},{t},{FLOAT_FMT % v}\r\n" for t, v in enumerate(row)]
+    with atomic_open(path) as fh:
+        fh.write("".join(lines))
 
 
 def load_panel_dataset(path) -> tuple[list[str], np.ndarray]:
@@ -418,4 +432,5 @@ def load_panel_dataset(path) -> tuple[list[str], np.ndarray]:
 
 
 def save_provenance(path, prov: dict) -> None:
-    Path(path).write_text(json.dumps(prov, sort_keys=True, indent=1) + "\n")
+    with atomic_open(path) as fh:
+        fh.write(json.dumps(prov, sort_keys=True, indent=1) + "\n")

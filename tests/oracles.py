@@ -13,9 +13,13 @@ which rescans the records for every table cell and shares the package's
 formatting, sorting and file-writing helpers, the reference for the
 group-by ``evalharness.emit_artifacts``; and the attention as a chain of
 tape ops (with the ``scale`` and ``rope_rotate`` ops it alone uses), the
-reference for the fused ``model._attention``.
+reference for the fused ``model._attention``. The ``csv.writer`` dataset
+writer and the numpy-scalar VAR loop are the byte references for the
+joined-string ``synthdata.save_panel_dataset`` and the Python-float
+``kernels.var_recursion``.
 """
 
+import csv
 import logging
 import math
 from datetime import date
@@ -123,6 +127,40 @@ def splitmix64_reference(seed: int, n: int) -> list[int]:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
         out.append(z ^ (z >> 31))
     return out
+
+
+def var_recursion_numpy_scalars(coeffs: np.ndarray, innovations: np.ndarray) -> np.ndarray:
+    """The VAR loop indexing numpy arrays, one numpy scalar per operation."""
+    L, K, _ = coeffs.shape
+    T = innovations.shape[0]
+    x = np.zeros((T, K), dtype=np.float64)
+    for t in range(T):
+        for i in range(K):
+            acc = innovations[t, i]
+            for l in range(L):
+                s = t - 1 - l
+                if s < 0:
+                    break
+                for j in range(K):
+                    acc = acc + coeffs[l, i, j] * x[s, j]
+            x[t, i] = acc
+    return x
+
+
+def save_panel_dataset_csv_writer(path, panel: np.ndarray, series_ids=None) -> None:
+    """One csv.writer row per value, formatting each numpy scalar."""
+    panel = np.asarray(panel, dtype=np.float64)
+    if panel.ndim == 1:
+        panel = panel[None, :]
+    K, T = panel.shape
+    if series_ids is None:
+        series_ids = [f"s{i}" for i in range(K)]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["series_id", "t", "value"])
+        for i, sid in enumerate(series_ids):
+            for t in range(T):
+                writer.writerow([sid, t, "%.17g" % panel[i, t]])
 
 
 def pinball_cell(level: float, err: float) -> float:

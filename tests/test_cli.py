@@ -92,11 +92,13 @@ def test_unknown_config_key_exits_2(tmp_path):
     ["synth", "--set", 'tsi={"count": 1, "length": 32}', "--set", 'explicit_tsi=[{"length": 0}]'],
     ["synth", "--set", 'tsi={"count": 1, "length": 32}', "--set",
      'explicit_tcm=[{"n_series": 1, "lag_order": 1, "adjacency": [[[0.5, 0.1]]], "length": 32}]'],
+    ["synth", "--set", 'tsi={"count": 1, "length": 32}', "--set",
+     'explicit_tcm=[{"n_series": 1, "lag_order": 1, "adjacency": [[[1.5]]], "length": 32}]'],
     ["train", "--set", "model=5"],
     ["train", "--set", 'model.d_model="abc"'],
     ["train", "--set", "seed=4"],
 ], ids=["tsi-int", "count-str", "tsi-key", "tcm-missing", "tsi-length0", "tcm-adjacency",
-        "model-int", "d_model-str", "top-seed"])
+        "tcm-unstable", "model-int", "d_model-str", "top-seed"])
 def test_malformed_config_exits_2_and_writes_nothing(tmp_path, capsys, argv):
     inputs = ["--data", str(_synth_small(tmp_path))] + TRAIN_OVERRIDES if argv[0] == "train" else []
     out = tmp_path / "out"

@@ -1,18 +1,17 @@
-"""Kernels, the optional jit of var_recursion, and the portable RNG stream contract."""
-
-import types
+"""Kernels, the Python-float VAR loop against its numpy-scalar oracle, and
+the portable RNG stream contract."""
 
 import numpy as np
 
 from groupcast import kernels
-from groupcast.backend import USING_NUMBA, backend_name
+from groupcast.backend import backend_name
 from groupcast.rng import PortableRng
 
-from oracles import splitmix64_reference
+from oracles import splitmix64_reference, var_recursion_numpy_scalars
 
 
 def test_backend_is_reported():
-    assert backend_name() in ("numba", "numpy")
+    assert backend_name() == "numpy"
 
 
 def test_mix64_matches_pure_int_reference():
@@ -28,16 +27,24 @@ def test_mix64_counter_offset():
     assert [int(v) for v in got] == ref[20:]
 
 
-def test_var_recursion_jit_matches_python():
+def test_var_recursion_bytes_match_numpy_scalar_loop():
+    rng = np.random.default_rng(11)
+    shapes = [(1, 1, 0), (2, 3, 0), (1, 1, 1), (3, 1, 2), (3, 4, 1), (2, 5, 2), (1, 1, 300)]
+    shapes += [tuple(int(v) for v in rng.integers((1, 1, 0), (4, 6, 200))) for _ in range(60)]
+    for L, K, T in shapes:
+        coeffs = rng.normal(size=(L, K, K)) * rng.choice([0.05, 0.3, 1.5])
+        innov = rng.normal(size=(T, K)) * 10.0 ** rng.integers(-3, 4)
+        got = kernels.var_recursion(coeffs, innov)
+        want = var_recursion_numpy_scalars(coeffs, innov)
+        assert got.dtype == want.dtype and got.shape == want.shape == (T, K)
+        assert got.tobytes() == want.tobytes(), (L, K, T)
+
+
+def test_var_recursion_matches_hand_sum():
     rng = np.random.default_rng(0)
     coeffs = rng.normal(size=(2, 3, 3)) * 0.2
     innov = rng.normal(size=(50, 3))
     got = kernels.var_recursion(coeffs, innov)
-    if USING_NUMBA:
-        assert np.array_equal(got, kernels.var_recursion.py_func(coeffs, innov))
-    else:
-        assert isinstance(kernels.var_recursion, types.FunctionType)
-        assert kernels.var_recursion.__module__ == "groupcast.kernels"
     # x[t] = innov[t] + A1 x[t-1] + A2 x[t-2], summed in the kernel's order
     for t in (0, 1, 2, 49):
         for i in range(3):
@@ -86,12 +93,3 @@ def test_rng_integers_bounds():
     assert v.min() >= 0 and v.max() <= 6
     assert len(np.unique(v)) == 7
 
-
-def test_numba_backend_active_when_available():
-    try:
-        import numba  # noqa: F401
-
-        expect = True
-    except ImportError:
-        expect = False
-    assert USING_NUMBA == expect

@@ -375,7 +375,7 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
 
 
 def test_checkpoint_failed_write_keeps_previous_file(tmp_path, monkeypatch):
-    from groupcast import checkpoint as C
+    from groupcast import panels as PN  # save_checkpoint opens through PN.atomic_open
 
     w = M.init_weights(CFG, seed=20, dtype=np.float32)
     path = tmp_path / "model.ckpt"
@@ -398,7 +398,7 @@ def test_checkpoint_failed_write_keeps_previous_file(tmp_path, monkeypatch):
             self.f.write(bytes(data[: len(data) // 2]))
             raise OSError("no space left on device")
 
-    monkeypatch.setattr(C, "open", lambda p, mode: TornFile(open(p, mode)), raising=False)
+    monkeypatch.setattr(PN, "open", lambda p, mode, **kw: TornFile(open(p, mode, **kw)), raising=False)
     with pytest.raises(OSError):
         save_checkpoint(path, M.init_weights(CFG, seed=21), CFG, extra={"step": 2})
     monkeypatch.undo()

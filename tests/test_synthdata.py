@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from groupcast import kernels
+from groupcast import panels as PN
 from groupcast import synthdata as S
-from groupcast.errors import ConfigError, StabilityError
+from groupcast.errors import ConfigError, DataError, StabilityError
 from groupcast.rng import PortableRng
+
+from oracles import save_panel_dataset_csv_writer
 
 
 def test_tsi_pure_sinusoid_exactly_periodic():
@@ -173,3 +176,68 @@ def test_dataset_csv_roundtrip_and_provenance(tmp_path):
     assert ids == ["lead", "f1", "f2"]
     assert np.array_equal(back, panel)
     assert json.loads(json_path.read_text())["kind"] == "derived"
+
+
+SPECIAL_VALUES = (np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, -1.7976931348623157e308)
+
+
+def _random_panel(rng, K, T):
+    panel = rng.normal(size=(K, T)) * 10.0 ** rng.integers(-300, 301, size=(K, T))
+    hits = rng.random((K, T)) < 0.1
+    panel[hits] = rng.choice(SPECIAL_VALUES, size=int(hits.sum()))
+    return panel
+
+
+def test_dataset_csv_bytes_match_csv_writer(tmp_path):
+    rng = np.random.default_rng(5)
+    shapes = [(1, 1), (1, 1100), (5, 1), (5, 1100)]
+    shapes += [(int(rng.integers(1, 6)), int(rng.integers(1, 1101))) for _ in range(30)]
+    for K, T in shapes:
+        panel = _random_panel(rng, K, T)
+        ids = None if rng.random() < 0.5 else [f"id {k};é'" for k in range(K)]
+        S.save_panel_dataset(tmp_path / "got.csv", panel, series_ids=ids)
+        save_panel_dataset_csv_writer(tmp_path / "want.csv", panel, series_ids=ids)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes(), (K, T)
+    series = _random_panel(rng, 1, 50)[0]
+    S.save_panel_dataset(tmp_path / "got.csv", series)
+    save_panel_dataset_csv_writer(tmp_path / "want.csv", series)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("sid", ["a,b", 'a"b', "a\rb", "a\nb"])
+def test_dataset_series_id_needing_quotes_is_rejected(tmp_path, sid):
+    path = tmp_path / "d.csv"
+    with pytest.raises(DataError, match="series ids"):
+        S.save_panel_dataset(path, np.zeros((2, 3)), series_ids=["ok", sid])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_dataset_write_failing_halfway_leaves_old_file(tmp_path, monkeypatch):
+    old = tmp_path / "old.csv"
+    S.save_panel_dataset(old, np.ones((2, 4)))
+    before = old.read_bytes()
+
+    class HalfWriter:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.fh.__exit__(*exc)
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            self.fh.flush()
+            raise OSError("disk full")
+
+    real_open = open
+    monkeypatch.setattr(PN, "open", lambda *a, **kw: HalfWriter(real_open(*a, **kw)), raising=False)
+    for name in ("old.csv", "new.csv"):
+        with pytest.raises(OSError, match="disk full"):
+            S.save_panel_dataset(tmp_path / name, np.full((3, 500), 2.5))
+    with pytest.raises(OSError, match="disk full"):
+        S.save_provenance(tmp_path / "new.json", {"kind": "tsi"})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old.csv"]
+    assert old.read_bytes() == before
