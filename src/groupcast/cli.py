@@ -321,6 +321,9 @@ def _cutoff(cfg: dict) -> date:
 
 def cmd_evaluate(args) -> int:
     cfg = _load_config(args, EVAL_KEYS)
+    workers = cfg["workers"]
+    if workers is not None and (type(workers) is not int or workers < 1):
+        raise ConfigError(f"workers must be an integer >= 1 (null for all cores), got {workers!r}")
     out_dir = Path(cfg["out_dir"] or _default_out())
     panel_paths = cfg["panels"]
     panels = {}
@@ -385,7 +388,7 @@ def cmd_evaluate(args) -> int:
 
     out_dir.mkdir(parents=True, exist_ok=True)
     records_path = out_dir / "records.csv"
-    workers = int(cfg["workers"] or os.cpu_count() or 1)
+    workers = workers or os.cpu_count() or 1
     start = time.perf_counter()
     records, skips, cells = E.run_grid(
         specs, panels, forecaster, records_path=records_path, workers=workers

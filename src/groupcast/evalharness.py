@@ -7,12 +7,20 @@ realized values are the m trading days starting at the origin. One
 EvalRecord is written per (panel, mode, series, n, m, origin), averaging
 within the origin first.
 
+A cell scores all its series at once: the rows that are fully observed and
+have no near-zero actual get their RMSE and MAPE from whole-array ops over
+the (S, m) arrays, bit for bit what rmse and mape give on each row. Rows
+with gaps or near-zero actuals, and every row of a forecast of the wrong
+shape, are scored by rmse and mape one at a time and keep their skip counts
+and reasons.
+
 Grid cells are independent. They are computed in pairing order, with the
 modes of one context back to back, so a model forecaster can share the
 mode-independent trunk between them. With workers > 1 they run on a fork
-pool in the same order. Rows are written in canonical order as soon as
-every earlier cell is done, so worker count never changes the output bytes
-and a crash loses only the computed cells still waiting to be written.
+pool in the same order, each task a whole run of one context's cells. Rows
+are written in canonical order as soon as every earlier cell is done, so
+worker count never changes the output bytes and a crash loses only the
+computed cells still waiting to be written.
 """
 
 import csv
@@ -22,6 +30,7 @@ from bisect import bisect_left
 from contextlib import ExitStack
 from dataclasses import dataclass
 from datetime import date
+from itertools import chain, groupby
 from pathlib import Path
 
 import numpy as np
@@ -245,24 +254,36 @@ def _init_pool(panels, forecaster):
     _POOL_STATE["forecaster"] = forecaster
 
 
-def _eval_cell(args):
-    spec, origin = args
-    return evaluate_cell(_POOL_STATE["panels"][spec.panel], spec, origin, _POOL_STATE["forecaster"])
+def _eval_run(run):
+    """The results of one run of cells that share a context, in order."""
+    panels, forecaster = _POOL_STATE["panels"], _POOL_STATE["forecaster"]
+    return [evaluate_cell(panels[spec.panel], spec, origin, forecaster) for spec, origin in run]
 
 
 def evaluate_cell(
     panel: SeriesPanel, spec: ExperimentSpec, origin: date, forecaster
 ) -> tuple[list[EvalRecord], list[dict]]:
-    """All per-series records for one (spec, origin) grid cell."""
+    """All per-series records for one (spec, origin) grid cell, and a skip
+    for each series that has none.
+
+    Fully observed rows with no actual below MAPE_SKIP_THRESHOLD are scored
+    together in whole-array ops when the forecast has the realized shape
+    (see _whole_array_scores); the other rows fall back to rmse and mape one
+    at a time. The records and skip reasons are those of calling rmse and
+    mape on every row.
+    """
     records: list[EvalRecord] = []
     skips: list[dict] = []
 
+    def skip(sid, reason):
+        skips.append(
+            {"panel": spec.panel, "mode": spec.mode, "series": sid, "n": spec.n,
+             "m": spec.m, "origin": origin.isoformat(), "reason": reason}
+        )
+
     def skip_all(reason):
         for sid in panel.series_ids:
-            skips.append(
-                {"panel": spec.panel, "mode": spec.mode, "series": sid, "n": spec.n,
-                 "m": spec.m, "origin": origin.isoformat(), "reason": reason}
-            )
+            skip(sid, reason)
 
     ctx = slice_context(panel, origin, spec.n)
     if ctx is None:
@@ -288,16 +309,17 @@ def evaluate_cell(
                        spec.panel, spec.mode, spec.n, spec.m, origin, exc)
         skip_all(f"forecast error: {exc}")
         return records, skips
+    whole = _whole_array_scores(realized, realized_mask, point)
     for k, sid in enumerate(panel.series_ids):
-        try:
-            r = rmse(realized[k], point[k], realized_mask[k])
-            mp, nskip = mape(realized[k], point[k], realized_mask[k])
-        except DegenerateInputError as exc:
-            skips.append(
-                {"panel": spec.panel, "mode": spec.mode, "series": sid, "n": spec.n,
-                 "m": spec.m, "origin": origin.isoformat(), "reason": str(exc)}
-            )
-            continue
+        if k in whole:
+            (r, mp), nskip = whole[k], 0
+        else:
+            try:
+                r = rmse(realized[k], point[k], realized_mask[k])
+                mp, nskip = mape(realized[k], point[k], realized_mask[k])
+            except DegenerateInputError as exc:
+                skip(sid, str(exc))
+                continue
         records.append(
             EvalRecord(
                 panel=spec.panel, mode=spec.mode, series=sid, n=spec.n, m=spec.m,
@@ -305,6 +327,26 @@ def evaluate_cell(
             )
         )
     return records, skips
+
+
+def _whole_array_scores(realized: np.ndarray, realized_mask: np.ndarray, point) -> dict:
+    """(rmse, mape) by row index for the rows that need neither a mask nor a
+    MAPE skip: fully observed, no actual below MAPE_SKIP_THRESHOLD, and a
+    forecast of the realized shape (else no row qualifies).
+
+    The rows are copied out contiguous, so numpy reduces each with the same
+    pairwise sum it uses on the 1-D row that rmse and mape reduce: the bits
+    are theirs. A near-zero row is never divided, so it raises no warning.
+    """
+    if np.shape(point) != realized.shape:
+        return {}
+    near_zero = np.abs(realized) < MAPE_SKIP_THRESHOLD
+    rows = np.flatnonzero((realized_mask > 0).all(axis=1) & ~near_zero.any(axis=1))
+    actual = realized[rows]
+    err = actual - np.asarray(point, dtype=np.float64)[rows]
+    rmses = np.sqrt(np.mean(err * err, axis=1))
+    mapes = np.mean(np.abs(err / actual), axis=1)
+    return dict(zip(rows.tolist(), zip(rmses.tolist(), mapes.tolist())))
 
 
 def _pairing_key(cell):
@@ -328,13 +370,15 @@ def run_grid(
 
     Cells are computed in pairing order (panel, n, m, origin, mode), so the
     modes of one context run back to back and ModelForecaster builds its
-    trunk once. Rows are written in canonical order (panel, mode, n, m,
-    origin), whatever the worker count: a cell's rows are written and
-    flushed as soon as every cell before it in that order is done, and
-    computed cells wait in memory until then. Cells already present in
-    records_path are skipped, so a rerun after a crash resumes where the
-    file ends and writes the same bytes as an uninterrupted run; a crash
-    loses only the cells still waiting.
+    trunk once. A pool is handed whole runs of the cells of one context, so
+    the modes of a context never land on different workers. Rows are
+    written in canonical order (panel, mode, n, m, origin), whatever the
+    worker count: a cell's rows are written and flushed as soon as every
+    cell before it in that order is done, and computed cells wait in memory
+    until then. Cells already present in records_path are skipped, so a
+    rerun after a crash resumes where the file ends and writes the same
+    bytes as an uninterrupted run; a crash loses only the cells still
+    waiting.
     """
     specs = sorted(dict.fromkeys(specs), key=_canonical_spec_key)
     done: set = set()
@@ -371,7 +415,9 @@ def run_grid(
             pool = stack.enter_context(
                 ctx.Pool(workers, initializer=_init_pool, initargs=(panels, forecaster))
             )
-            results = pool.imap(_eval_cell, paired, chunksize=max(1, len(cells) // (workers * 4)))
+            runs = [list(run) for _, run in groupby(paired, key=lambda c: _pairing_key(c)[:-1])]
+            chunks = pool.imap(_eval_run, runs, chunksize=max(1, len(runs) // (workers * 4)))
+            results = chain.from_iterable(chunks)
         else:
             results = (evaluate_cell(panels[s.panel], s, o, forecaster) for s, o in paired)
         waiting: dict[int, tuple] = {}

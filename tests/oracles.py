@@ -16,7 +16,9 @@ tape ops (with the ``scale`` and ``rope_rotate`` ops it alone uses), the
 reference for the fused ``model._attention``. The ``csv.writer`` dataset
 writer and the numpy-scalar VAR loop are the byte references for the
 joined-string ``synthdata.save_panel_dataset`` and the Python-float
-``kernels.var_recursion``.
+``kernels.var_recursion``. The per-series scoring loop, which calls the
+package's ``rmse`` and ``mape`` once per series, is the byte reference for
+the whole-array metrics of ``evalharness.evaluate_cell``.
 """
 
 import csv
@@ -32,7 +34,8 @@ from groupcast import kernels as K
 from groupcast import model as M
 from groupcast import preprocess as P
 from groupcast import tensor as T
-from groupcast.errors import ShapeError
+from groupcast.errors import DegenerateInputError, ShapeError
+from groupcast.panels import slice_context
 
 
 def matmul_triple_loop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -196,6 +199,50 @@ def brute_force_metrics(panel_values, panel_mask, forecast_fn, origins_idx, n, m
                 cnt += 1
             out[(oi, k)] = ((sq / nsq) ** 0.5, tot / cnt, skipped)
     return out
+
+
+def evaluate_cell_per_series(panel, spec, origin, forecaster):
+    """evaluate_cell with each series scored by its own rmse and mape call."""
+    records, skips = [], []
+
+    def skip(sid, reason):
+        skips.append(
+            {"panel": spec.panel, "mode": spec.mode, "series": sid, "n": spec.n,
+             "m": spec.m, "origin": origin.isoformat(), "reason": reason}
+        )
+
+    ctx = slice_context(panel, origin, spec.n)
+    if ctx is None:
+        for sid in panel.series_ids:
+            skip(sid, "insufficient history")
+        return records, skips
+    oi = panel.dates.index(origin)
+    realized = panel.values[:, oi : oi + spec.m]
+    realized_mask = panel.mask[:, oi : oi + spec.m]
+    regime = "pre" if origin < spec.cutoff else "post"
+    try:
+        point = forecaster.forecast_panel(
+            ctx[0], ctx[1], spec.mode, spec.m,
+            realized=(realized, realized_mask) if forecaster.needs_truth else None,
+        )
+    except Exception as exc:
+        for sid in panel.series_ids:
+            skip(sid, f"forecast error: {exc}")
+        return records, skips
+    for k, sid in enumerate(panel.series_ids):
+        try:
+            r = E.rmse(realized[k], point[k], realized_mask[k])
+            mp, nskip = E.mape(realized[k], point[k], realized_mask[k])
+        except DegenerateInputError as exc:
+            skip(sid, str(exc))
+            continue
+        records.append(
+            E.EvalRecord(
+                panel=spec.panel, mode=spec.mode, series=sid, n=spec.n, m=spec.m,
+                origin=origin, rmse=r, mape=mp, skipped=nskip, regime=regime,
+            )
+        )
+    return records, skips
 
 
 def group_attention_dense_masked(tokens, group_ids, weights, prefix, n_heads, reg_position=None):

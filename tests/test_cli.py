@@ -97,10 +97,15 @@ def test_unknown_config_key_exits_2(tmp_path):
     ["train", "--set", "model=5"],
     ["train", "--set", 'model.d_model="abc"'],
     ["train", "--set", "seed=4"],
+    ["evaluate", "--workers", "0"],
+    ["evaluate", "--workers", "-3"],
 ], ids=["tsi-int", "count-str", "tsi-key", "tcm-missing", "tsi-length0", "tcm-adjacency",
-        "tcm-unstable", "model-int", "d_model-str", "top-seed"])
+        "tcm-unstable", "model-int", "d_model-str", "top-seed", "workers-0", "workers-negative"])
 def test_malformed_config_exits_2_and_writes_nothing(tmp_path, capsys, argv):
-    inputs = ["--data", str(_synth_small(tmp_path))] + TRAIN_OVERRIDES if argv[0] == "train" else []
+    inputs = {
+        "train": lambda: ["--data", str(_synth_small(tmp_path))] + TRAIN_OVERRIDES,
+        "evaluate": lambda: _eval_inputs(tmp_path),
+    }.get(argv[0], list)()
     out = tmp_path / "out"
     capsys.readouterr()
     assert cli.main(argv[:1] + inputs + ["--out", str(out)] + argv[1:]) == 2
@@ -146,6 +151,14 @@ def _synth_small(tmp_path, seed=5) -> Path:
     }))
     assert cli.main(["synth", "--config", str(cfg_path), "--out", str(data), "--seed", str(seed)]) == 0
     return data
+
+
+def _eval_inputs(tmp_path) -> list[str]:
+    """Flags for a small stub grid that evaluates cleanly."""
+    sp = tmp_path / "stocks.csv"
+    save_csv_panel(sp, make_price_panel(STOCK_IDS, date(2019, 1, 1), 400, seed=31))
+    return ["--stocks", str(sp), "--stub", "last-value", "--mode", "UV", "--n", "30", "--m", "5",
+            "--set", "start_years_after=1"]
 
 
 TRAIN_OVERRIDES = [

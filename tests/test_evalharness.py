@@ -1,5 +1,7 @@
 """Metrics, rolling origins, the grid, aggregation, artifact emission."""
 
+import os
+import warnings
 from dataclasses import replace
 from datetime import date
 
@@ -15,6 +17,7 @@ from conftest import make_price_panel, make_rate_panel, weekday_calendar
 from oracles import (
     brute_force_metrics,
     emit_artifacts_scan,
+    evaluate_cell_per_series,
     finish_unpruned,
     mape_loop,
     rmse_two_lines,
@@ -335,6 +338,30 @@ def test_modes_of_a_context_run_back_to_back_and_rows_stay_canonical(tmp_path, m
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_pool_gets_each_context_whole(tmp_path, monkeypatch):
+    specs, panels = _two_panel_grid()
+    # 60 cells: chunks of 60 // (2 * 4) = 7 cells would split MV/UV pairs
+    specs = [spec for spec in specs if spec.n == 30]
+    seen = tmp_path / "seen.txt"
+    evaluate_cell = E.evaluate_cell
+
+    def recording(panel, spec, origin, forecaster):
+        with open(seen, "a") as fh:
+            fh.write(f"{os.getpid()},{spec.panel},{spec.n},{spec.m},{origin},{spec.mode}\n")
+        return evaluate_cell(panel, spec, origin, forecaster)
+
+    monkeypatch.setattr(E, "evaluate_cell", recording)
+    _, _, cells = E.run_grid(specs, panels, E.LastValueStub(), workers=2)
+    lines = [line.split(",") for line in seen.read_text().splitlines()]
+    assert len(lines) == cells == 60
+    by_pid = {}
+    for pid, *cell in lines:
+        by_pid.setdefault(pid, []).append(cell)
+    for run in by_pid.values():
+        for mv, uv in zip(run[::2], run[1::2]):
+            assert mv[:4] == uv[:4] and (mv[4], uv[4]) == ("MV", "UV")
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_crash_at_uv_with_mv_pending_writes_no_uv_row_and_resumes(tmp_path, monkeypatch, workers):
     specs, panels = _two_panel_grid()
@@ -369,6 +396,131 @@ def test_evaluate_cell_rejects_origin_off_the_calendar(toy_panel):
     assert saturday not in toy_panel.dates and toy_panel.dates[0] < saturday < toy_panel.dates[-1]
     with pytest.raises(KeyError, match="2015-09-05"):
         E.evaluate_cell(toy_panel, _spec(panel="toy", n=5, m=3), saturday, E.LastValueStub())
+
+
+# ---------------------------------------------------------------------------
+# whole-array metrics against the per-series oracle
+
+
+class FixedForecast:
+    """Returns a preset point path whatever the context."""
+
+    needs_truth = False
+
+    def __init__(self, point):
+        self.point = point
+
+    def forecast_panel(self, context_values, context_mask, mode, m, realized=None):
+        return self.point
+
+
+N_CTX = 4
+
+
+def _metric_cell(S, m, scale, seed):
+    """A panel whose one origin has S series and m realized days, and a
+    forecast near the realized values."""
+    rng = np.random.default_rng(seed)
+    T = N_CTX + m
+    values = scale * rng.lognormal(0.0, 0.7, size=(S, T)) * rng.choice([-1.0, 1.0], size=(S, 1))
+    panel = SeriesPanel(
+        dates=weekday_calendar(date(2015, 1, 6), T), series_ids=[f"s{k}" for k in range(S)],
+        values=values, mask=np.ones((S, T)),
+    )
+    point = values[:, N_CTX:] * (1.0 + 0.1 * rng.normal(size=(S, m)))
+    return panel, point
+
+
+def _cell_bytes(panel, m, point, evaluate):
+    spec = _spec(panel="p", mode="MV", n=N_CTX, m=m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        records, skips = evaluate(panel, spec, panel.dates[N_CTX], FixedForecast(point))
+    return [E._record_row(r) for r in records], skips
+
+
+def _assert_cell_matches_oracle(panel, m, point):
+    got = _cell_bytes(panel, m, point, E.evaluate_cell)
+    assert got == _cell_bytes(panel, m, point, evaluate_cell_per_series)
+    return got
+
+
+@pytest.mark.parametrize("m", [1, 7, 8, 9, 127, 128, 129, 257])
+def test_whole_array_metrics_equal_per_series_bitwise(m):
+    # m crosses the blocks of numpy's pairwise sum (8 and 128 elements)
+    for S in (1, 7, 10, 17):
+        for i, scale in enumerate((1e-2, 1.0, 1e2)):
+            panel, point = _metric_cell(S, m, scale, seed=1000 * m + 10 * S + i)
+            records, skips = _assert_cell_matches_oracle(panel, m, point)
+            assert len(records) == S and skips == []
+
+
+def test_irregular_rows_fall_back_and_match_per_series_bitwise():
+    m = 9
+    panel, point = _metric_cell(7, m, 1.0, seed=5)
+    panel.mask[0, N_CTX + 3] = 0.0
+    panel.values[0, N_CTX + 3] = np.nan  # a gap holds no value
+    panel.values[1, N_CTX + 2] = 1e-9    # a near-zero actual
+    panel.values[2, N_CTX + 5] = 0.0
+    panel.mask[3, N_CTX:] = 0.0          # every realized day missing
+    point[4, 1] = np.nan
+    point[5, :] = np.inf
+    point[6, 0] = -np.inf
+    rows, skips = _assert_cell_matches_oracle(panel, m, point)
+    finite = [(series, float(r) < np.inf, float(mp) < np.inf, skipped)
+              for _, _, series, _, _, _, r, mp, skipped, _ in rows]
+    assert finite == [
+        ("s0", True, True, 0), ("s1", True, True, 1), ("s2", True, True, 1),
+        ("s4", False, False, 0), ("s5", False, False, 0), ("s6", False, False, 0),
+    ]
+    assert [s["reason"] for s in skips] == ["rmse: no observed cells"]
+
+
+@pytest.mark.parametrize("shape", [(7, 10), (7, 8)])
+def test_wrong_forecast_shape_skips_every_series(shape):
+    panel, point = _metric_cell(7, 9, 1.0, seed=6)
+    wrong = np.ones(shape)
+    records, skips = _assert_cell_matches_oracle(panel, 9, wrong)
+    assert records == []
+    reason = f"rmse needs equal non-empty shapes, got (9,) vs ({shape[1]},)"
+    assert [s["reason"] for s in skips] == [reason] * 7
+
+
+def test_only_fallback_rows_call_the_per_series_metrics(monkeypatch):
+    calls = {"rmse": 0, "mape": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(E, "rmse", counted("rmse", E.rmse))
+    monkeypatch.setattr(E, "mape", counted("mape", E.mape))
+    panel, point = _metric_cell(10, 21, 1.0, seed=7)
+    _assert_cell_matches_oracle(panel, 21, point)
+    assert calls == {"rmse": 10, "mape": 10}  # all of them from the oracle
+    calls.update(rmse=0, mape=0)
+    _cell_bytes(panel, 21, point, E.evaluate_cell)
+    assert calls == {"rmse": 0, "mape": 0}
+    panel.mask[2, N_CTX + 4] = 0.0
+    panel.values[8, N_CTX] = 0.0
+    _cell_bytes(panel, 21, point, E.evaluate_cell)
+    assert calls == {"rmse": 2, "mape": 2}
+
+
+def test_grid_records_equal_per_series_grid_bytes(tmp_path, monkeypatch):
+    specs, panels = _two_panel_grid()
+    panels["stocks"].mask[1, 60:75] = 0.0
+    panels["rates"].values[0, 90:93] = 0.0
+    fast = tmp_path / "fast.csv"
+    E.run_grid(specs, panels, E.LastValueStub(), records_path=fast)
+    monkeypatch.setattr(E, "evaluate_cell", evaluate_cell_per_series)
+    oracle = tmp_path / "oracle.csv"
+    E.run_grid(specs, panels, E.LastValueStub(), records_path=oracle)
+    assert fast.read_bytes() == oracle.read_bytes()
+    skipped = [line.split(",")[8] for line in fast.read_text().splitlines()[1:]]
+    assert set(skipped) == {"0", "2"}  # the near-zero rates rows took the fallback
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,17 @@ config classes' to_dict; deleting or renaming one of those breaks the
 benchmark, so these run its code against the current source.
 """
 
+from datetime import date
 from pathlib import Path
 
+import pytest
+
 from groupcast import cli
+from groupcast import evalharness as E
 from groupcast import model as M
 from groupcast import train as TR
+
+from conftest import make_price_panel, make_rate_panel
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -54,3 +60,48 @@ def test_perfbench_cli_argv_and_configs_still_parse(monkeypatch, tmp_path, capsy
     recorded = desk.config()  # calls both configs' to_dict
     assert M.ModelConfig.from_dict(recorded["model"]) == desk.model_config
     assert TR.TrainConfig.from_dict(recorded["train"]) == desk.train_config
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_timing_patch_sees_every_grid_cell_with_its_spec(monkeypatch, tmp_path, workers):
+    """workloads.EvalGrid times each cell by replacing E.evaluate_cell, and
+    layers names its span from the spec at argument 1: run_grid must reach
+    every cell through that attribute, on the pool's workers too."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+    import spans
+
+    panels = {
+        "stocks": make_price_panel(["s0", "s1", "s2"], date(2015, 1, 6), 160, seed=51),
+        "rates": make_rate_panel(["r0", "r1"], date(2015, 1, 6), 160, seed=52),
+    }
+    specs = [
+        E.ExperimentSpec(panel=p, mode=mo, n=n, m=5, start_years_after=0)
+        for p in panels for mo in ("MV", "UV") for n in (30, 60)
+    ]
+    expected = sorted(
+        f"{spec.panel},{spec.mode},{spec.n},{spec.m},{origin}"
+        for spec in specs for origin in E.rolling_origins(panels[spec.panel], spec)
+    )
+    seen = tmp_path / "seen.txt"  # appended from whichever process ran the cell
+    evaluate_cell = E.evaluate_cell
+
+    def timed_cell(*args, **kwargs):
+        spec = layers._arg(args, kwargs, 1, "spec")
+        with open(seen, "a") as fh:
+            fh.write(f"{spec.panel},{spec.mode},{spec.n},{spec.m},{args[2]}\n")
+        return evaluate_cell(*args, **kwargs)
+
+    with spans.Patcher() as patcher:
+        patcher.set(E, "evaluate_cell", timed_cell)
+        _, _, cells = E.run_grid(specs, panels, E.LastValueStub(), workers=workers)
+    assert cells == len(expected)
+    assert sorted(seen.read_text().splitlines()) == expected
+
+    if workers == 1:  # spans live in this process
+        tracer = spans.Tracer()
+        with spans.Patcher() as patcher:
+            layers.instrument(tracer, patcher)
+            E.run_grid(specs, panels, E.LastValueStub(), workers=workers)
+        per_mode = {mo: tracer.calls[f"evalharness.evaluate_cell.{mo}"] for mo in ("MV", "UV")}
+        assert per_mode == {mo: sum(line.split(",")[1] == mo for line in expected) for mo in per_mode}
