@@ -43,7 +43,7 @@ from .errors import (
     StabilityError,
     TrainingAbort,
 )
-from .panels import RATE_IDS, STOCK_IDS, build_combined, load_csv_panel, panel_summary
+from .panels import PANEL_IDS, build_combined, load_csv_panel, panel_summary
 from .rng import PortableRng
 
 EXIT_OK = 0
@@ -90,10 +90,17 @@ def _load_config(args, table: dict) -> dict:
     return cfg
 
 
+# Keys naming a file or directory: a string, or null for not set.
+PATH_KEYS = frozenset(
+    ("out_dir", "data_dir", "resume", "checkpoint", "panels.stocks", "panels.rates", "records")
+)
+
+
 def _assign(cfg: dict, table: dict, key: str, value) -> None:
     """Set the dotted key of cfg, checked against the key table: the key must
     exist, a section takes an object and a leaf a value of its default's JSON
-    kind (a bool only for a bool, any number for a float, anything for None)."""
+    kind (a bool only for a bool, any number for a float, a string or null
+    for a path key, anything for another None)."""
     node, known = cfg, table
     *path, leaf = key.split(".")
     for part in path:
@@ -114,6 +121,8 @@ def _assign(cfg: dict, table: dict, key: str, value) -> None:
     if default is not None and not _same_kind(value, default):
         kind = type(default).__name__
         raise ConfigError(f"config key {key!r} must be of type {kind}, got {value!r}")
+    if key in PATH_KEYS and value is not None and not isinstance(value, str):
+        raise ConfigError(f"config key {key!r} takes a path string or null, got {value!r}")
     node[leaf] = value
 
 
@@ -328,10 +337,9 @@ def cmd_evaluate(args) -> int:
     panel_paths = cfg["panels"]
     panels = {}
     try:
-        if panel_paths["stocks"]:
-            panels["stocks"] = load_csv_panel(panel_paths["stocks"], expected_ids=STOCK_IDS)
-        if panel_paths["rates"]:
-            panels["rates"] = load_csv_panel(panel_paths["rates"], expected_ids=RATE_IDS)
+        for name, ids in PANEL_IDS.items():
+            if panel_paths[name]:
+                panels[name] = load_csv_panel(panel_paths[name], expected_ids=ids)
     except (DataError, OSError) as exc:
         print(f"panel load failure: {exc}", file=sys.stderr)
         return EXIT_LOAD
@@ -353,11 +361,7 @@ def cmd_evaluate(args) -> int:
         ckpt = cfg["checkpoint"]
         if not ckpt:
             raise ConfigError("evaluate needs a checkpoint (or --stub for harness self-test)")
-        try:
-            weights, model_cfg, _extra, _m = load_checkpoint(ckpt)
-        except CheckpointError as exc:
-            print(f"checkpoint load failure: {exc}", file=sys.stderr)
-            return EXIT_LOAD
+        weights, model_cfg, _extra, _m = load_checkpoint(ckpt)
         forecaster = E.ModelForecaster(weights, model_cfg)
 
     cutoff = _cutoff(cfg)
@@ -433,13 +437,8 @@ def cmd_report(args) -> int:
 
 
 def cmd_panel_validate(args) -> int:
-    expected = None
-    if args.ids == "stocks":
-        expected = STOCK_IDS
-    elif args.ids == "rates":
-        expected = RATE_IDS
     try:
-        panel = load_csv_panel(args.path, expected_ids=expected)
+        panel = load_csv_panel(args.path, expected_ids=PANEL_IDS.get(args.ids))
     except (DataError, OSError) as exc:
         print(f"invalid panel: {exc}", file=sys.stderr)
         return EXIT_MALFORMED

@@ -10,9 +10,9 @@ within the origin first.
 A cell scores all its series at once: the rows that are fully observed and
 have no near-zero actual get their RMSE and MAPE from whole-array ops over
 the (S, m) arrays, bit for bit what rmse and mape give on each row. Rows
-with gaps or near-zero actuals, and every row of a forecast of the wrong
-shape, are scored by rmse and mape one at a time and keep their skip counts
-and reasons.
+with gaps or near-zero actuals are scored by rmse and mape one at a time
+and keep their skip counts and reasons. A forecast that fails, or whose
+shape is not the realized (S, m), is a forecast error for every series.
 
 Grid cells are independent. They are computed in pairing order, with the
 modes of one context back to back, so a model forecaster can share the
@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import model as M
-from .errors import ConfigError, DataError, DegenerateInputError
+from .errors import ConfigError, DataError, DegenerateInputError, ShapeError
 from .panels import FLOAT_FMT, SeriesPanel, atomic_open, slice_context
 
 logger = logging.getLogger(__name__)
@@ -92,15 +92,21 @@ class EvalRecord:
 # metrics
 
 
-def rmse(actual: np.ndarray, forecast: np.ndarray, mask: np.ndarray | None = None) -> float:
-    """Root mean squared error over observed cells."""
+def _metric_args(name: str, actual, forecast, mask) -> tuple:
+    """(actual, forecast, keep mask) of one non-empty shape, as rmse and mape need."""
     actual = np.asarray(actual, dtype=np.float64)
     forecast = np.asarray(forecast, dtype=np.float64)
     if actual.shape != forecast.shape or actual.size == 0:
         raise DegenerateInputError(
-            f"rmse needs equal non-empty shapes, got {actual.shape} vs {forecast.shape}"
+            f"{name} needs equal non-empty shapes, got {actual.shape} vs {forecast.shape}"
         )
     keep = np.ones(actual.shape, dtype=bool) if mask is None else np.asarray(mask) > 0
+    return actual, forecast, keep
+
+
+def rmse(actual: np.ndarray, forecast: np.ndarray, mask: np.ndarray | None = None) -> float:
+    """Root mean squared error over observed cells."""
+    actual, forecast, keep = _metric_args("rmse", actual, forecast, mask)
     if not keep.any():
         raise DegenerateInputError("rmse: no observed cells")
     err = actual[keep] - forecast[keep]
@@ -112,13 +118,7 @@ def mape(
 ) -> tuple[float, int]:
     """Mean |(a - f) / a| over observed cells; near-zero actuals are
     skipped and counted rather than epsilon-floored."""
-    actual = np.asarray(actual, dtype=np.float64)
-    forecast = np.asarray(forecast, dtype=np.float64)
-    if actual.shape != forecast.shape or actual.size == 0:
-        raise DegenerateInputError(
-            f"mape needs equal non-empty shapes, got {actual.shape} vs {forecast.shape}"
-        )
-    keep = np.ones(actual.shape, dtype=bool) if mask is None else np.asarray(mask) > 0
+    actual, forecast, keep = _metric_args("mape", actual, forecast, mask)
     near_zero = np.abs(actual) < MAPE_SKIP_THRESHOLD
     skipped = int((keep & near_zero).sum())
     keep = keep & ~near_zero
@@ -266,11 +266,12 @@ def evaluate_cell(
     """All per-series records for one (spec, origin) grid cell, and a skip
     for each series that has none.
 
-    Fully observed rows with no actual below MAPE_SKIP_THRESHOLD are scored
-    together in whole-array ops when the forecast has the realized shape
-    (see _whole_array_scores); the other rows fall back to rmse and mape one
-    at a time. The records and skip reasons are those of calling rmse and
-    mape on every row.
+    A forecast that raises or has another shape than the realized values
+    skips every series as a forecast error. Otherwise fully observed rows
+    with no actual below MAPE_SKIP_THRESHOLD are scored together in
+    whole-array ops (see _whole_array_scores); the other rows fall back to
+    rmse and mape one at a time. The records and skip reasons are those of
+    calling rmse and mape on every row.
     """
     records: list[EvalRecord] = []
     skips: list[dict] = []
@@ -304,6 +305,8 @@ def evaluate_cell(
             spec.m,
             realized=(realized, realized_mask) if forecaster.needs_truth else None,
         )
+        if np.shape(point) != realized.shape:
+            raise ShapeError(f"forecast shape {np.shape(point)}, expected {realized.shape}")
     except Exception as exc:  # per-origin failures never kill the grid
         logger.warning("forecast failed at %s %s n=%d m=%d %s: %s",
                        spec.panel, spec.mode, spec.n, spec.m, origin, exc)
@@ -331,15 +334,13 @@ def evaluate_cell(
 
 def _whole_array_scores(realized: np.ndarray, realized_mask: np.ndarray, point) -> dict:
     """(rmse, mape) by row index for the rows that need neither a mask nor a
-    MAPE skip: fully observed, no actual below MAPE_SKIP_THRESHOLD, and a
-    forecast of the realized shape (else no row qualifies).
+    MAPE skip: fully observed and no actual below MAPE_SKIP_THRESHOLD. The
+    forecast has the realized shape (evaluate_cell checks it).
 
     The rows are copied out contiguous, so numpy reduces each with the same
     pairwise sum it uses on the 1-D row that rmse and mape reduce: the bits
     are theirs. A near-zero row is never divided, so it raises no warning.
     """
-    if np.shape(point) != realized.shape:
-        return {}
     near_zero = np.abs(realized) < MAPE_SKIP_THRESHOLD
     rows = np.flatnonzero((realized_mask > 0).all(axis=1) & ~near_zero.any(axis=1))
     actual = realized[rows]

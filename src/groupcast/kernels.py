@@ -19,14 +19,18 @@ _S27 = np.uint64(27)
 _S31 = np.uint64(31)
 
 
-def mix64_stream(base: np.uint64, start: int, n: int) -> np.ndarray:
-    """SplitMix64 outputs for counters start..start+n-1 (vectorized)."""
+def mix64(z):
+    """The SplitMix64 finalizer of a uint64 scalar or array, wrapping."""
     with np.errstate(over="ignore"):
-        idx = np.arange(start + 1, start + n + 1, dtype=np.uint64)
-        z = np.uint64(base) + idx * _GAMMA
         z = (z ^ (z >> _S30)) * _MIX1
         z = (z ^ (z >> _S27)) * _MIX2
         return z ^ (z >> _S31)
+
+
+def mix64_stream(base: np.uint64, start: int, n: int) -> np.ndarray:
+    """SplitMix64 outputs for counters start..start+n-1 (vectorized)."""
+    idx = np.arange(start + 1, start + n + 1, dtype=np.uint64)
+    return mix64(np.uint64(base) + idx * _GAMMA)
 
 
 def var_recursion(coeffs: np.ndarray, innovations: np.ndarray) -> np.ndarray:

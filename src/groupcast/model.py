@@ -18,9 +18,10 @@ Each attention with q and k (time attention, MV and masked group
 attention) is one tape entry, `_attention`: its forward runs the numpy
 expressions of the op-by-op chain (projections, head split, rotary,
 scaled logits, mask, softmax, context, output projection, residual and
-LayerNorm) and its hand-written backward repeats that chain's backward
-expressions in reverse, so outputs and gradients keep the chain's bits
-(the chain is the reference in tests/oracles.py). The input's gradient is
+LayerNorm) and its hand-written backward runs that chain's gradients in
+reverse. The softmax, the LayerNorm and the linear gradients are
+tensor.py's own helpers, the ones its ops call, so outputs and gradients
+keep the chain's bits (the chain is the reference in tests/oracles.py). The input's gradient is
 summed in the tape's order, ((g_residual + g_v) + g_k) + g_q. That is
 bitwise only because the attention's input has no other consumer: the
 tape would add a second consumer's gradient to the op's sum, not inside it.
@@ -39,7 +40,8 @@ rows alone. With one future patch the separator row stays too, because a
 single query row would take BLAS's matrix-vector path, which sums in
 another order. The forecasts keep the bits of the full block. Training
 keeps the full last block, whose weight gradients would otherwise reduce
-over fewer rows and change bits.
+over fewer rows and change bits, so pruned rows have no backward:
+`_attention` raises ContractError for them while a tape records.
 """
 
 import logging
@@ -51,7 +53,7 @@ import numpy as np
 from . import kernels, preprocess
 from . import tensor as T
 from .config import DictConfig
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ContractError, ShapeError
 from .preprocess import ScalingState
 from .rng import PortableRng
 
@@ -273,97 +275,78 @@ def _attention(
     normalized rows in place. Only rows rows_from: are computed: they form
     the queries, the residual and the norm, while keys and values come from
     all L rows. Returns (B, L - rows_from, D), the same bits as those rows
-    of the full output when at least two rows remain.
+    of the full output when at least two rows remain. Only inference prunes
+    rows, so rows_from > 0 under an active tape raises ContractError.
 
-    Backward repeats, op by op in reverse, the expressions of the unfused
-    chain of tensor ops (layer_norm, add, linear, reshape/transpose,
-    matmul, softmax_rows, the scale, the inverse rotation), so every
-    gradient has its bits. x's gradient is summed in the order the tape
-    summed it, ((g_residual + g_v) + g_k) + g_q (with rows_from > 0,
-    (g_v + g_k) + the rows of g_residual + g_q). That is bitwise only
-    because the attention is the sole consumer of x in forward; a second
-    consumer would add its gradient to this sum, not in the middle of it.
+    Backward runs, op by op in reverse, the gradients of the unfused chain
+    of tensor ops (layer_norm, add, linear, reshape/transpose, matmul,
+    softmax_rows, the scale, the inverse rotation), with tensor.py's
+    LayerNorm, softmax and linear gradients, so every gradient has its
+    bits. x's gradient is summed in the order the tape summed it,
+    ((g_residual + g_v) + g_k) + g_q. That is bitwise only because the
+    attention is the sole consumer of x in forward; a second consumer
+    would add its gradient to this sum, not in the middle of it.
     """
+    if rows_from and T._active_tape() is not None:
+        raise ContractError(f"{prefix}: rows_from={rows_from} prunes rows, which has no backward")
     wq, bq, wk, bk, wv, bv, wo, bo, gain, bias = (
         weights[f"{prefix}.{name}"] for name in _ATTENTION_PARAMS
     )
     xd = x.data
     B, L, D = xd.shape
     dh = D // n_heads
-    rows = slice(rows_from, None)
-    xq = xd if rows_from == 0 else np.ascontiguousarray(xd[:, rows])
+    xq = xd if rows_from == 0 else np.ascontiguousarray(xd[:, rows_from:])
     Lq = xq.shape[1]
-    rope_q = rope_k = None
+    rope_q = rope
     if rope is not None:
         cos, sin = rope
-        rope_q, rope_k = (cos[rows], sin[rows]), rope
-    q, kt, attn = _rotated_logits(
-        xq, xd, wq.data, bq.data, wk.data, bk.data, n_heads, rope_q, rope_k
-    )
+        rope_q = (cos[rows_from:], sin[rows_from:])
+    q, kt, attn = _rotated_logits(xq, xd, wq.data, bq.data, wk.data, bk.data, n_heads, rope_q, rope)
     v = _heads(xd @ wv.data + bv.data, n_heads)
     if mask_bias is not None:
         attn += mask_bias.astype(xd.dtype, copy=False)
-    attn -= np.max(attn, axis=-1, keepdims=True)
-    np.exp(attn, out=attn)
-    attn /= np.sum(attn, axis=-1, keepdims=True)
+    T._softmax(attn, out=attn)
     ctx = np.transpose(attn @ v, (0, 2, 1, 3)).reshape(B, Lq, D)
     xhat = ctx @ wo.data + bo.data
     xhat += xq  # the residual: IEEE addition commutes, so xq + out
-    xhat -= np.mean(xhat, axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(
-        np.mean(xhat * xhat, axis=-1, keepdims=True) + xhat.dtype.type(T.LAYER_NORM_EPS)
-    )
-    xhat *= inv
+    xhat, inv = T._normalize(xhat, out=xhat)
     out = xhat * gain.data + bias.data
 
-    def merge_heads(g, rows):
-        return np.transpose(g, (0, 2, 1, 3)).reshape(B, rows, D)
-
-    def linear_bwd(g, a, w, b):
-        gw = T._reduce_to(np.swapaxes(a, -1, -2) @ g, w.shape)
-        return g @ w.data.T, gw, T._reduce_to(g, b.shape)
+    def merge_heads(g):
+        return np.transpose(g, (0, 2, 1, 3)).reshape(B, L, D)
 
     def bwd(g):
         # Each temporary is dropped once used, as the tape sweep drops it:
         # freed all at once at the end, their pages go back to the OS and
         # every step faults them in again.
         # layer_norm, then the residual add hands its gradient to both terms
-        g_gain = np.sum(g * xhat, axis=(0, 1))
-        g_bias = np.sum(g, axis=(0, 1))
-        g = g * gain.data
-        m1 = np.mean(g, axis=-1, keepdims=True)
-        m2 = np.mean(g * xhat, axis=-1, keepdims=True)
-        g_res = inv * (g - m1 - xhat * m2)
-        g, g_wo, g_bo = linear_bwd(g_res, ctx, wo, bo)
+        g_res, g_gain, g_bias = T._layer_norm_bwd(g, xhat, inv, gain.data)
+        g, g_wo, g_bo = T._linear_bwd(g_res, ctx, wo.data, bo.data)
         # merge heads, attn @ v
-        g = np.transpose(g.reshape(B, Lq, n_heads, dh), (0, 2, 1, 3))
+        g = np.transpose(g.reshape(B, L, n_heads, dh), (0, 2, 1, 3))
         g_v = np.swapaxes(attn, -1, -2) @ g
         g = g @ np.swapaxes(v, -1, -2)
         # softmax, the scale, q @ k^T
-        g = attn * (g - np.sum(g * attn, axis=-1, keepdims=True))
+        g = T._softmax_bwd(g, attn)
         g *= attn.dtype.type(1.0 / math.sqrt(dh))
         g_q = g @ np.swapaxes(kt, -1, -2)
         g_k = np.transpose(np.swapaxes(q, -1, -2) @ g, (0, 1, 3, 2))
         del g
         # split heads, then the v/k/q projections in the tape's order
-        g_xv, g_wv, g_bv = linear_bwd(merge_heads(g_v, L), xd, wv, bv)
+        g_xv, g_wv, g_bv = T._linear_bwd(merge_heads(g_v), xd, wv.data, bv.data)
         del g_v
-        gx = g_xv if rows_from else g_res + g_xv
+        gx = g_res + g_xv
         del g_xv
         if rope is not None:
             g_k = _rotate(g_k, cos, -sin)
-        g_xk, g_wk, g_bk = linear_bwd(merge_heads(g_k, L), xd, wk, bk)
+        g_xk, g_wk, g_bk = T._linear_bwd(merge_heads(g_k), xd, wk.data, bk.data)
         del g_k
         gx += g_xk
         del g_xk
         if rope is not None:
-            g_q = _rotate(g_q, rope_q[0], -rope_q[1])
-        g_xq, g_wq, g_bq = linear_bwd(merge_heads(g_q, Lq), xq, wq, bq)
+            g_q = _rotate(g_q, cos, -sin)
+        g_xq, g_wq, g_bq = T._linear_bwd(merge_heads(g_q), xd, wq.data, bq.data)
         del g_q
-        if rows_from:  # narrow's backward: the rows get g_residual + g_q
-            full = np.zeros_like(xd)
-            full[:, rows] = g_res + g_xq
-            g_xq = full
         gx += g_xq
         return gx, g_wq, g_bq, g_wk, g_bk, g_wv, g_bv, g_wo, g_bo, g_gain, g_bias
 

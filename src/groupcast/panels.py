@@ -34,6 +34,7 @@ RATE_IDS = (
     "DGS20",
     "DGS30",
 )
+PANEL_IDS = {"stocks": STOCK_IDS, "rates": RATE_IDS}
 
 # Joint study window for the combined panel (both markets covered).
 COMBINED_WINDOW = (date(2010, 7, 1), date(2025, 12, 31))
@@ -152,7 +153,7 @@ def load_csv_panel(path, expected_ids=None) -> SeriesPanel:
 
 
 def save_csv_panel(path, panel: SeriesPanel) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["date"] + list(panel.series_ids))
         for t, d in enumerate(panel.dates):

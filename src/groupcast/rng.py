@@ -35,18 +35,8 @@ import numpy as np
 from . import kernels
 
 _SPAWN_GAMMA = np.uint64(0xD1B54A32D192ED03)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
 
 _TWO_NEG_53 = float(2.0**-53)
-
-
-def _mix(z: np.uint64) -> np.uint64:
-    with np.errstate(over="ignore"):
-        z = np.uint64(z)
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-        return z ^ (z >> np.uint64(31))
 
 
 class PortableRng:
@@ -64,7 +54,7 @@ class PortableRng:
     def spawn(self, key: int) -> "PortableRng":
         """Independent child stream; does not consume from this stream."""
         with np.errstate(over="ignore"):
-            child = _mix(
+            child = kernels.mix64(
                 self.state + np.uint64((key + 1) & 0xFFFFFFFFFFFFFFFF) * _SPAWN_GAMMA
             )
         return PortableRng(0, _state=child)

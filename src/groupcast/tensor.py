@@ -246,27 +246,37 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     out = x.data @ w.data + b.data
 
     def bwd(g):
-        gx = g @ w.data.T
-        gw = _reduce_to(np.swapaxes(x.data, -1, -2) @ g, w.shape)
-        return gx, gw, _reduce_to(g, b.shape)
+        return _linear_bwd(g, x.data, w.data, b.data)
 
     return make_op((x, w, b), out, bwd)
 
 
-def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax over the last axis, max-shifted for stability.
+def _linear_bwd(g: np.ndarray, x: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple:
+    """Gradients (gx, gw, gb) of ``x @ w + b`` for the output gradient g."""
+    return g @ w.T, _reduce_to(np.swapaxes(x, -1, -2) @ g, w.shape), _reduce_to(g, b.shape)
 
-    The shift makes the one new array; exp and the division run in place.
-    """
-    y = x.data - np.max(x.data, axis=-1, keepdims=True)
-    np.exp(y, out=y)
-    y /= np.sum(y, axis=-1, keepdims=True)
+
+def softmax_rows(x: Tensor) -> Tensor:
+    """Row-wise softmax over the last axis, max-shifted for stability."""
+    y = _softmax(x.data)
 
     def bwd(g):
-        dot = np.sum(g * y, axis=-1, keepdims=True)
-        return (y * (g - dot),)
+        return (_softmax_bwd(g, y),)
 
     return make_op((x,), y, bwd)
+
+
+def _softmax(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Max-shifted softmax of the last axis, in out (default a new array)."""
+    y = np.subtract(x, np.max(x, axis=-1, keepdims=True), out=out)
+    np.exp(y, out=y)
+    y /= np.sum(y, axis=-1, keepdims=True)
+    return y
+
+
+def _softmax_bwd(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Gradient of the softmax y for the output gradient g."""
+    return y * (g - np.sum(g * y, axis=-1, keepdims=True))
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -276,24 +286,33 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
             f"layer_norm affine params must be shape {x.shape[-1:]}, "
             f"got gain {gain.shape}, bias {bias.shape}"
         )
-    mu = np.mean(x.data, axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = np.mean(xc * xc, axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + x.data.dtype.type(LAYER_NORM_EPS))
-    xhat = xc * inv
+    xhat, inv = _normalize(x.data)
     y = xhat * gain.data + bias.data
 
     def bwd(g):
-        lead = tuple(range(g.ndim - 1))
-        g_gain = np.sum(g * xhat, axis=lead) if lead else g * xhat
-        g_bias = np.sum(g, axis=lead) if lead else g
-        gx_hat = g * gain.data
-        m1 = np.mean(gx_hat, axis=-1, keepdims=True)
-        m2 = np.mean(gx_hat * xhat, axis=-1, keepdims=True)
-        gx = inv * (gx_hat - m1 - xhat * m2)
-        return gx, g_gain, g_bias
+        return _layer_norm_bwd(g, xhat, inv, gain.data)
 
     return make_op((x, gain, bias), y, bwd)
+
+
+def _normalize(x: np.ndarray, out: np.ndarray | None = None) -> tuple:
+    """(xhat, inv) of the last axis, xhat in out (default a new array)."""
+    xhat = np.subtract(x, np.mean(x, axis=-1, keepdims=True), out=out)
+    var = np.mean(xhat * xhat, axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + xhat.dtype.type(LAYER_NORM_EPS))
+    xhat *= inv
+    return xhat, inv
+
+
+def _layer_norm_bwd(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gain: np.ndarray) -> tuple:
+    """Gradients (gx, g_gain, g_bias) of LayerNorm for the output gradient g."""
+    lead = tuple(range(g.ndim - 1))
+    g_gain = np.sum(g * xhat, axis=lead) if lead else g * xhat
+    g_bias = np.sum(g, axis=lead) if lead else g
+    gx_hat = g * gain
+    m1 = np.mean(gx_hat, axis=-1, keepdims=True)
+    m2 = np.mean(gx_hat * xhat, axis=-1, keepdims=True)
+    return inv * (gx_hat - m1 - xhat * m2), g_gain, g_bias
 
 
 def reshape(x: Tensor, shape) -> Tensor:

@@ -13,7 +13,12 @@ which rescans the records for every table cell and shares the package's
 formatting, sorting and file-writing helpers, the reference for the
 group-by ``evalharness.emit_artifacts``; and the attention as a chain of
 tape ops (with the ``scale`` and ``rope_rotate`` ops it alone uses), the
-reference for the fused ``model._attention``. The ``csv.writer`` dataset
+reference for the fused ``model._attention``; and LayerNorm, softmax and
+linear as tape ops with their own forward and backward expressions, the
+byte references for the helpers of ``groupcast.tensor`` that
+``T.layer_norm``, ``T.softmax_rows``, ``T.linear`` and the fused attention
+share (the masked group attention and the attention chain use them, so
+no LayerNorm, softmax or linear code is shared with what they check). The ``csv.writer`` dataset
 writer and the numpy-scalar VAR loop are the byte references for the
 joined-string ``synthdata.save_panel_dataset`` and the Python-float
 ``kernels.var_recursion``. The per-series scoring loop, which calls the
@@ -36,6 +41,8 @@ from groupcast import preprocess as P
 from groupcast import tensor as T
 from groupcast.errors import DegenerateInputError, ShapeError
 from groupcast.panels import slice_context
+
+LAYER_NORM_EPS = 1e-5
 
 
 def matmul_triple_loop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -132,6 +139,15 @@ def splitmix64_reference(seed: int, n: int) -> list[int]:
     return out
 
 
+def spawn_state_reference(state: int, key: int) -> int:
+    """Pure-int child state of PortableRng.spawn; the documented algorithm."""
+    mask = (1 << 64) - 1
+    z = (state + ((key + 1) & mask) * 0xD1B54A32D192ED03) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
 def var_recursion_numpy_scalars(coeffs: np.ndarray, innovations: np.ndarray) -> np.ndarray:
     """The VAR loop indexing numpy arrays, one numpy scalar per operation."""
     L, K, _ = coeffs.shape
@@ -225,6 +241,8 @@ def evaluate_cell_per_series(panel, spec, origin, forecaster):
             ctx[0], ctx[1], spec.mode, spec.m,
             realized=(realized, realized_mask) if forecaster.needs_truth else None,
         )
+        if np.shape(point) != realized.shape:
+            raise ShapeError(f"forecast shape {np.shape(point)}, expected {realized.shape}")
     except Exception as exc:
         for sid in panel.series_ids:
             skip(sid, f"forecast error: {exc}")
@@ -267,23 +285,90 @@ def group_attention_dense_masked(tokens, group_ids, weights, prefix, n_heads, re
     def heads(t):
         return T.transpose(T.reshape(t, (B, S, n_heads, dh)), (0, 2, 1, 3))
 
-    q = heads(T.linear(x, weights[f"{prefix}.wq"], weights[f"{prefix}.bq"]))
-    k = heads(T.linear(x, weights[f"{prefix}.wk"], weights[f"{prefix}.bk"]))
-    v = heads(T.linear(x, weights[f"{prefix}.wv"], weights[f"{prefix}.bv"]))
+    q = heads(linear_op(x, weights[f"{prefix}.wq"], weights[f"{prefix}.bq"]))
+    k = heads(linear_op(x, weights[f"{prefix}.wk"], weights[f"{prefix}.bk"]))
+    v = heads(linear_op(x, weights[f"{prefix}.wv"], weights[f"{prefix}.bv"]))
     logits = scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
     g = np.asarray(group_ids)
     bias = np.where(g[:, None] == g[None, :], 0.0, -1e9).astype(tokens.dtype)
     logits = T.add(logits, T.constant(bias, dtype=tokens.dtype))
-    ctx = T.matmul(T.softmax_rows(logits), v)
+    ctx = T.matmul(softmax_rows_op(logits), v)
     ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (B, S, D))
-    out = T.linear(ctx, weights[f"{prefix}.wo"], weights[f"{prefix}.bo"])
-    out = T.layer_norm(T.add(x, out), weights[f"{prefix}.ln_gain"], weights[f"{prefix}.ln_bias"])
+    out = linear_op(ctx, weights[f"{prefix}.wo"], weights[f"{prefix}.bo"])
+    out = layer_norm_op(T.add(x, out), weights[f"{prefix}.ln_gain"], weights[f"{prefix}.ln_bias"])
     out = T.transpose(out, (1, 0, 2))
     if reg_position is None:
         return out
     out_before = T.narrow(out, 1, 0, reg_position)
     out_after = T.narrow(out, 1, reg_position, out.shape[1] - reg_position)
     return T.concat([out_before, reg_tok, out_after], axis=1)
+
+
+# ---------------------------------------------------------------------------
+# LayerNorm, softmax and linear as self-contained tape ops, each with its
+# own forward and backward expressions: the byte references for the shared
+# helpers of groupcast.tensor, which T.layer_norm, T.softmax_rows, T.linear
+# and the fused model._attention all call.
+
+
+def linear_op(x: T.Tensor, w: T.Tensor, b: T.Tensor) -> T.Tensor:
+    """``x @ w + b`` as one tape entry; bitwise equal to ``add(matmul(x, w), b)``.
+
+    x is (..., n), w is (n, k) and b is (k,).
+    """
+    if x.data.ndim < 2 or w.data.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError(f"linear needs x (..., n), w (n, k), b (k,), got {x.shape}, {w.shape}, {b.shape}")
+    out = x.data @ w.data + b.data
+
+    def bwd(g):
+        gx = g @ w.data.T
+        gw = T._reduce_to(np.swapaxes(x.data, -1, -2) @ g, w.shape)
+        return gx, gw, T._reduce_to(g, b.shape)
+
+    return T.make_op((x, w, b), out, bwd)
+
+
+def softmax_rows_op(x: T.Tensor) -> T.Tensor:
+    """Row-wise softmax over the last axis, max-shifted for stability.
+
+    The shift makes the one new array; exp and the division run in place.
+    """
+    y = x.data - np.max(x.data, axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= np.sum(y, axis=-1, keepdims=True)
+
+    def bwd(g):
+        dot = np.sum(g * y, axis=-1, keepdims=True)
+        return (y * (g - dot),)
+
+    return T.make_op((x,), y, bwd)
+
+
+def layer_norm_op(x: T.Tensor, gain: T.Tensor, bias: T.Tensor) -> T.Tensor:
+    """Normalize the last axis to zero mean / unit variance, then affine."""
+    if gain.shape != x.shape[-1:] or bias.shape != x.shape[-1:]:
+        raise ShapeError(
+            f"layer_norm affine params must be shape {x.shape[-1:]}, "
+            f"got gain {gain.shape}, bias {bias.shape}"
+        )
+    mu = np.mean(x.data, axis=-1, keepdims=True)
+    xc = x.data - mu
+    var = np.mean(xc * xc, axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + x.data.dtype.type(LAYER_NORM_EPS))
+    xhat = xc * inv
+    y = xhat * gain.data + bias.data
+
+    def bwd(g):
+        lead = tuple(range(g.ndim - 1))
+        g_gain = np.sum(g * xhat, axis=lead) if lead else g * xhat
+        g_bias = np.sum(g, axis=lead) if lead else g
+        gx_hat = g * gain.data
+        m1 = np.mean(gx_hat, axis=-1, keepdims=True)
+        m2 = np.mean(gx_hat * xhat, axis=-1, keepdims=True)
+        gx = inv * (gx_hat - m1 - xhat * m2)
+        return gx, g_gain, g_bias
+
+    return T.make_op((x, gain, bias), y, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +436,9 @@ def attention_op_chain(
     D = x.shape[-1]
     dh = D // n_heads
     xq = x if rows_from == 0 else T.narrow(x, 1, rows_from, x.shape[1] - rows_from)
-    q = T.linear(xq, weights[f"{prefix}.wq"], weights[f"{prefix}.bq"])
-    k = T.linear(x, weights[f"{prefix}.wk"], weights[f"{prefix}.bk"])
-    v = T.linear(x, weights[f"{prefix}.wv"], weights[f"{prefix}.bv"])
+    q = linear_op(xq, weights[f"{prefix}.wq"], weights[f"{prefix}.bq"])
+    k = linear_op(x, weights[f"{prefix}.wk"], weights[f"{prefix}.bk"])
+    v = linear_op(x, weights[f"{prefix}.wv"], weights[f"{prefix}.bv"])
     q, k, v = (_split_heads(t, n_heads) for t in (q, k, v))
     if rope is not None:
         cos, sin = rope
@@ -362,10 +447,10 @@ def attention_op_chain(
     logits = scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
     if mask_bias is not None:
         logits = T.add(logits, T.constant(mask_bias, dtype=x.dtype))
-    attn = T.softmax_rows(logits)
+    attn = softmax_rows_op(logits)
     ctx = _merge_heads(T.matmul(attn, v))
-    out = T.linear(ctx, weights[f"{prefix}.wo"], weights[f"{prefix}.bo"])
-    return T.layer_norm(
+    out = linear_op(ctx, weights[f"{prefix}.wo"], weights[f"{prefix}.bo"])
+    return layer_norm_op(
         T.add(xq, out), weights[f"{prefix}.ln_gain"], weights[f"{prefix}.ln_bias"]
     )
 

@@ -78,6 +78,27 @@ def test_synth_explicit_tcm_specs(tmp_path):
     assert len(list(out.glob("tcm_*.json"))) == 2
 
 
+@pytest.mark.parametrize("command,key", [
+    ("synth", "out_dir"), ("train", "out_dir"), ("evaluate", "out_dir"), ("report", "out_dir"),
+    ("train", "data_dir"), ("train", "resume"), ("evaluate", "checkpoint"),
+    ("evaluate", "panels.stocks"), ("evaluate", "panels.rates"), ("report", "records"),
+])
+@pytest.mark.parametrize("value", ["5", "true", "[1]", '{"path": "x"}'])
+def test_path_key_takes_only_a_string_or_null(monkeypatch, tmp_path, capsys, command, key, value):
+    def no_open(*args, **kwargs):
+        raise AssertionError(f"opened {args[0]!r} before the config error")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("builtins.open", no_open)
+    capsys.readouterr()
+    assert cli.main([command, "--set", f"{key}={value}"]) == 2
+    assert f"config error: config key {key!r} takes a path string or null" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+    if key.startswith("panels."):  # through the section's object, too
+        sub = key.split(".")[1]
+        assert cli.main([command, "--set", f'panels={{"{sub}": {value}}}']) == 2
+
+
 def test_unknown_config_key_exits_2(tmp_path):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text('{"tsii": {"count": 1}}')

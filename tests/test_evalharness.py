@@ -482,8 +482,41 @@ def test_wrong_forecast_shape_skips_every_series(shape):
     wrong = np.ones(shape)
     records, skips = _assert_cell_matches_oracle(panel, 9, wrong)
     assert records == []
-    reason = f"rmse needs equal non-empty shapes, got (9,) vs ({shape[1]},)"
+    reason = f"forecast error: forecast shape {shape}, expected (7, 9)"
     assert [s["reason"] for s in skips] == [reason] * 7
+
+
+class DropsARowInMV(E.LastValueStub):
+    """The last-value forecast, one row short in MV mode."""
+
+    def forecast_panel(self, context_values, context_mask, mode, m, realized=None):
+        point = super().forecast_panel(context_values, context_mask, mode, m, realized)
+        return point[:-1] if mode == "MV" else point
+
+
+def test_forecast_with_too_few_rows_skips_its_cell_and_the_grid_finishes(toy_panel):
+    specs = [
+        _spec(panel="toy", mode=mo, n=30, m=m, start_years_after=0)
+        for mo in ("MV", "UV") for m in (5, 10)
+    ]
+    records, skips, cells = E.run_grid(specs, {"toy": toy_panel}, DropsARowInMV())
+    n_origins = {spec: len(E.rolling_origins(toy_panel, spec)) for spec in specs}
+    assert cells == sum(n_origins.values())
+    assert {r.mode for r in records} == {"UV"}
+    assert len(records) == 3 * sum(n for spec, n in n_origins.items() if spec.mode == "UV")
+    assert len(skips) == 3 * sum(n for spec, n in n_origins.items() if spec.mode == "MV")
+    assert {s["reason"] for s in skips} == {
+        f"forecast error: forecast shape (2, {m}), expected (3, {m})" for m in (5, 10)
+    }
+
+
+@pytest.mark.parametrize("metric", [E.rmse, E.mape])
+def test_metric_argument_errors_name_the_metric(metric):
+    for actual, forecast in (([1.0, 2.0], [1.0, 2.0, 3.0]), ([], [])):
+        with pytest.raises(DegenerateInputError) as err:
+            metric(actual, forecast)
+        shapes = f"({len(actual)},) vs ({len(forecast)},)"
+        assert str(err.value) == f"{metric.__name__} needs equal non-empty shapes, got {shapes}"
 
 
 def test_only_fallback_rows_call_the_per_series_metrics(monkeypatch):

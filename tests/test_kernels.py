@@ -7,7 +7,7 @@ from groupcast import kernels
 from groupcast.backend import backend_name
 from groupcast.rng import PortableRng
 
-from oracles import splitmix64_reference, var_recursion_numpy_scalars
+from oracles import spawn_state_reference, splitmix64_reference, var_recursion_numpy_scalars
 
 
 def test_backend_is_reported():
@@ -86,6 +86,17 @@ def test_rng_spawn_streams_differ_and_are_stable():
     # spawning never consumes from the parent stream
     fresh = PortableRng(9).uniform(4)
     assert np.array_equal(fresh, root.uniform(4))
+
+
+def test_rng_spawn_states_match_pure_int_reference():
+    mask = (1 << 64) - 1
+    for seed in (0, 1, 9, 2**63, mask):
+        for key in (0, 1, 101, 30_000, 2**63, mask):
+            child = PortableRng(seed).spawn(key)
+            assert int(child.state) == spawn_state_reference(seed, key), (seed, key)
+            assert child.counter == 0
+            grandchild = child.spawn(key)
+            assert int(grandchild.state) == spawn_state_reference(int(child.state), key)
 
 
 def test_rng_integers_bounds():

@@ -9,7 +9,13 @@ from groupcast import model as M
 from groupcast import preprocess as P
 from groupcast import tensor as T
 from groupcast.checkpoint import MAGIC, load_checkpoint, save_checkpoint
-from groupcast.errors import CheckpointError, ConfigError, DegenerateInputError, ShapeError
+from groupcast.errors import (
+    CheckpointError,
+    ConfigError,
+    ContractError,
+    DegenerateInputError,
+    ShapeError,
+)
 
 from oracles import (
     assemble_batch_per_row,
@@ -149,20 +155,38 @@ def test_fused_attention_equals_op_chain_bitwise(kind, rows_from, B, L, dtype):
     mask = M.group_mask_bias(np.arange(L) % 3 // 2, dtype) if kind == "mixed" else None
     leaves = [base] + list(weights.values())
 
+    def attend(fn):
+        x = base if kind == "time" else T.transpose(base, (1, 0, 2))
+        return fn(x, weights, "a", H, rope=rope, mask_bias=mask, rows_from=rows_from)
+
     def run(fn):
+        if rows_from:  # pruned rows are inference only: the forward, untaped
+            return [attend(fn).data.copy()]
         for t in leaves:
             t.zero_grad()
         with T.record() as tape:
-            x = base if kind == "time" else T.transpose(base, (1, 0, 2))
-            out = fn(x, weights, "a", H, rope=rope, mask_bias=mask, rows_from=rows_from)
+            out = attend(fn)
             loss = T.sum_all(T.mul(out, probe))
         T.backward(loss, tape)
         return [out.data.copy()] + [t.grad.copy() for t in leaves]
 
     fused = run(M._attention)
     chain = run(attention_op_chain)
+    assert len(fused) == len(chain) == (1 if rows_from else 2 + len(M._ATTENTION_PARAMS))
     for name, a, b in zip(["out", "x"] + list(M._ATTENTION_PARAMS), fused, chain):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def test_pruned_attention_under_a_tape_raises():
+    w = _weights()
+    rng = np.random.default_rng(23)
+    x = T.parameter(rng.normal(size=(2, 6, CFG.d_model)), dtype=np.float64)
+    with T.record() as tape:
+        with pytest.raises(ContractError, match="rows_from=2"):
+            M.time_attention(x, w, "block0.time", CFG.n_heads, rows_from=2)
+        assert M.time_attention(x, w, "block0.time", CFG.n_heads).shape == (2, 6, CFG.d_model)
+    assert len(tape.entries) == 1
+    assert M.time_attention(x, w, "block0.time", CFG.n_heads, rows_from=2).shape == (2, 4, CFG.d_model)
 
 
 def test_fused_attention_is_one_tape_entry():

@@ -11,10 +11,13 @@ from groupcast.errors import ContractError, ShapeError
 
 from oracles import (
     finite_diff_grad,
+    layer_norm_op,
+    linear_op,
     matmul_triple_loop,
     rel_err,
     rope_rotate,
     scale,
+    softmax_rows_op,
     softmax_three_temporaries,
 )
 
@@ -313,6 +316,49 @@ def test_linear_equals_add_matmul_bitwise(dtype):
     split = run(lambda x, w, b: T.add(T.matmul(x, w), b))
     for a, b in zip(fused, split):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+SHARED_HELPER_OPS = {
+    # name: (package op, oracle op, shapes of its leaves after x)
+    "layer_norm": (T.layer_norm, layer_norm_op, lambda d: [(d,), (d,)]),
+    "softmax_rows": (T.softmax_rows, softmax_rows_op, lambda d: []),
+    "linear": (T.linear, linear_op, lambda d: [(d, 5), (5,)]),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(6, 9), (3, 7, 16), (2, 3, 5, 64)])
+@pytest.mark.parametrize("transposed", [False, True])
+@pytest.mark.parametrize("name", sorted(SHARED_HELPER_OPS))
+def test_shared_helpers_match_oracle_ops_bitwise(name, shape, dtype, transposed):
+    """Outputs and every gradient of the ops built on tensor.py's shared
+    LayerNorm, softmax and linear helpers equal, byte for byte, those of
+    the oracle ops that keep their own expressions."""
+    op, oracle, rest = SHARED_HELPER_OPS[name]
+    rng = np.random.default_rng(zlib.crc32(f"{name}{shape}".encode()))
+    d = shape[-1]
+    # transposed: x is a view whose last axis is strided in memory
+    swap = tuple(range(len(shape) - 2)) + (len(shape) - 1, len(shape) - 2)
+    raw = rng.normal(size=tuple(shape[i] for i in swap) if transposed else shape) * 3.0
+    base = T.parameter(raw, dtype=dtype)
+    leaves = [base] + [T.parameter(rng.normal(size=s), dtype=dtype) for s in rest(d)]
+    out_shape = shape[:-1] + (5,) if name == "linear" else shape
+    probe = T.constant(rng.normal(size=out_shape), dtype=dtype)
+
+    def run(fn):
+        for t in leaves:
+            t.zero_grad()
+        with T.record() as tape:
+            out = fn(T.transpose(base, swap) if transposed else base, *leaves[1:])
+            loss = T.sum_all(T.mul(out, probe))
+        T.backward(loss, tape)
+        return [out.data.copy()] + [t.grad.copy() for t in leaves]
+
+    got, want = run(op), run(oracle)
+    assert len(got) == len(want) == 1 + len(leaves)
+    for i, (a, b) in enumerate(zip(got, want)):
+        assert a.dtype == b.dtype == dtype and a.shape == b.shape, i
+        assert a.tobytes() == b.tobytes(), i
 
 
 def test_gradient_single_precision_tolerance():

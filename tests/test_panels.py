@@ -69,6 +69,19 @@ def test_save_load_roundtrip_value_identical(tmp_path):
     assert np.array_equal(back.values[obs], panel.values[obs])
 
 
+def test_save_csv_panel_failed_write_keeps_previous_file(tmp_path):
+    path = tmp_path / "p.csv"
+    PN.save_csv_panel(path, make_price_panel(["A", "B"], date(2020, 1, 1), 20, seed=4))
+    before = path.read_bytes()
+    bad = make_price_panel(["A", "B"], date(2020, 1, 1), 20, seed=5)
+    bad.values = bad.values.astype(object)
+    bad.values[1, 12] = "not a float"  # the format fails mid-file
+    with pytest.raises(TypeError):
+        PN.save_csv_panel(path, bad)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["p.csv"]
+
+
 def test_combined_disjoint_ranges_error():
     stocks = make_price_panel(PN.STOCK_IDS, date(2019, 1, 1), 30, seed=1)
     rates = make_rate_panel(PN.RATE_IDS, date(2021, 6, 1), 30, seed=2)
