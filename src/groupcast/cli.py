@@ -100,7 +100,8 @@ def _assign(cfg: dict, table: dict, key: str, value) -> None:
     """Set the dotted key of cfg, checked against the key table: the key must
     exist, a section takes an object and a leaf a value of its default's JSON
     kind (a bool only for a bool, any number for a float, a string or null
-    for a path key, anything for another None)."""
+    for a path key, anything for another None). A list whose default has
+    elements takes elements of their kind."""
     node, known = cfg, table
     *path, leaf = key.split(".")
     for part in path:
@@ -121,6 +122,9 @@ def _assign(cfg: dict, table: dict, key: str, value) -> None:
     if default is not None and not _same_kind(value, default):
         kind = type(default).__name__
         raise ConfigError(f"config key {key!r} must be of type {kind}, got {value!r}")
+    if isinstance(default, list) and default and not all(_same_kind(v, default[0]) for v in value):
+        kind = type(default[0]).__name__
+        raise ConfigError(f"config key {key!r} takes a list of {kind}, got {value!r}")
     if key in PATH_KEYS and value is not None and not isinstance(value, str):
         raise ConfigError(f"config key {key!r} takes a path string or null, got {value!r}")
     node[leaf] = value
@@ -367,7 +371,7 @@ def cmd_evaluate(args) -> int:
     cutoff = _cutoff(cfg)
     specs = [
         E.ExperimentSpec(
-            panel=p, mode=mo.upper(), n=int(n), m=int(m),
+            panel=p, mode=mo.upper(), n=n, m=m,
             start_years_after=cfg["start_years_after"],
             cutoff=cutoff,
         )

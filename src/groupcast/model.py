@@ -44,6 +44,7 @@ over fewer rows and change bits, so pruned rows have no backward:
 `_attention` raises ContractError for them while a tape records.
 """
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field, replace
@@ -197,9 +198,6 @@ def insert_reg(context_tokens: T.Tensor, future_tokens: T.Tensor, reg_param: T.T
     return tokens, context_tokens.shape[1]
 
 
-_rope_cache: dict = {}
-
-
 def _rope_tables_at(positions: np.ndarray, d_head: int, dtype) -> tuple[np.ndarray, np.ndarray]:
     """(cos, sin) rotary tables, (len(positions), d_head // 2), in dtype."""
     half = d_head // 2
@@ -208,17 +206,10 @@ def _rope_tables_at(positions: np.ndarray, d_head: int, dtype) -> tuple[np.ndarr
     return np.cos(ang).astype(dtype), np.sin(ang).astype(dtype)
 
 
+@functools.lru_cache(maxsize=256)
 def _rope_tables(n_pos: int, d_head: int, dtype) -> tuple[np.ndarray, np.ndarray]:
     """Cached tables for positions 0..n_pos-1."""
-    key = (n_pos, d_head, np.dtype(dtype).str)
-    hit = _rope_cache.get(key)
-    if hit is not None:
-        return hit
-    tables = _rope_tables_at(np.arange(n_pos), d_head, dtype)
-    if len(_rope_cache) > 256:
-        _rope_cache.clear()
-    _rope_cache[key] = tables
-    return tables
+    return _rope_tables_at(np.arange(n_pos), d_head, dtype)
 
 
 _ATTENTION_PARAMS = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo", "ln_gain", "ln_bias")

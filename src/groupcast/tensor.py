@@ -48,11 +48,7 @@ class Tensor:
 
     def zero_grad(self):
         """Zero the accumulator in place, so views into it stay valid."""
-        if not self.requires_grad:
-            return
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        else:
+        if self.grad is not None:
             self.grad.fill(0)
 
 
@@ -104,45 +100,35 @@ def make_op(inputs, out_data, backward) -> Tensor:
 
 
 def backward(loss: Tensor, tape: Tape) -> None:
-    """Reverse sweep: accumulate dLoss/dLeaf into every requiring leaf.
+    """Reverse sweep: add dLoss/dLeaf into every leaf's accumulator.
 
-    Only leaves (tensors that are no op's output on this tape) receive a
-    gradient; intermediate outputs keep ``grad is None``. Accumulation is
-    additive across fan-out and across calls and happens in place, so a
-    leaf's ``grad`` array keeps its identity. Leaves with no path to the
-    loss end up with (or keep) a zero gradient.
+    A leaf is a tensor with an accumulator (``grad is not None``): every
+    ``parameter`` is born with one and op outputs never get one. Each
+    gradient a leaf receives is added into its ``grad`` in place, in reverse
+    tape order, so accumulation is additive across fan-out and across calls,
+    the array keeps its identity and a leaf off the loss's path keeps what it
+    held. Op outputs' gradients are summed out of place until their entry is
+    reached. From a zeroed accumulator the bits equal those of adding a leaf's
+    summed gradients once, since 0 + x == x in IEEE arithmetic.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward expects a scalar loss, got shape {loss.data.shape}")
     buffers: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    holders: dict[int, Tensor] = {id(loss): loss}
-    outputs: set[int] = set()
     for inputs, out, bwd in reversed(tape.entries):
-        outputs.add(id(out))
         g = buffers.pop(id(out), None)
-        holders.pop(id(out), None)
         if g is None:
             continue
-        grads = bwd(g)
-        for inp, gi in zip(inputs, grads):
+        for inp, gi in zip(inputs, bwd(g)):
             if gi is None or not inp.requires_grad:
                 continue
             key = id(inp)
-            if key in buffers:
+            if inp.grad is not None:
+                inp.grad += gi
+            elif key in buffers:
                 # out of place: closures may hand the same array to several inputs
                 buffers[key] = buffers[key] + gi
             else:
                 buffers[key] = gi
-                holders[key] = inp
-    for key, t in holders.items():
-        if t.grad is None:
-            t.grad = np.zeros_like(t.data)
-        t.grad += buffers[key]
-    # leaves on the tape with no path to the loss still get an accumulator
-    for inputs, _, _ in tape.entries:
-        for inp in inputs:
-            if inp.requires_grad and inp.grad is None and id(inp) not in outputs:
-                inp.grad = np.zeros_like(inp.data)
 
 
 # ---------------------------------------------------------------------------

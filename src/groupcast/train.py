@@ -44,6 +44,14 @@ class TrainConfig(DictConfig):
             raise ConfigError(f"task_mix must be 3 nonnegative ratios summing to 1, got {mix}")
         if any(s < 0 for s in self.stage_steps):
             raise ConfigError("stage_steps must be >= 0")
+        if len(self.stage_contexts) != len(self.stage_steps):
+            stages = f"stage_contexts {self.stage_contexts} and stage_steps {self.stage_steps}"
+            raise ConfigError(f"{stages} differ in length")
+        for name in ("batch_groups", "checkpoint_every"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.max_horizon_patches is not None and self.max_horizon_patches < 1:
+            raise ConfigError(f"max_horizon_patches must be null or >= 1, got {self.max_horizon_patches}")
 
 
 @dataclass
@@ -244,6 +252,22 @@ def _scaled_targets(target_values, target_mask, scaling, n_positions: int):
     return tv, tm
 
 
+def _loss(
+    weights: dict, model_config: M.ModelConfig, context_values, context_mask, group_ids,
+    horizon_len: int, target_values, target_mask, future_values=None, future_known_mask=None,
+) -> T.Tensor:
+    """Scaled-space pinball loss of one forward pass: assemble the batch,
+    run the model and score the (S, m) targets; recorded when a tape is
+    active. train_step and evaluate_pinball both call it."""
+    batch = M.assemble_batch(
+        context_values, context_mask, group_ids, horizon_len, weights, model_config,
+        future_values=future_values, future_known_mask=future_known_mask,
+    )
+    pred = M.forward(batch, weights, model_config)
+    tv, tm = _scaled_targets(target_values, target_mask, batch.scaling, pred.shape[1])
+    return pinball_loss(pred, tv, tm, model_config.quantile_levels)
+
+
 # ---------------------------------------------------------------------------
 # optimizer and steps
 
@@ -290,21 +314,12 @@ def train_step(
     lr: float | None = None,
 ) -> float:
     """One forward/backward/update pass; returns the (float) loss."""
-    weights = state.weights
     with T.record() as tape:
-        batch = M.assemble_batch(
-            sample.context_values,
-            sample.context_mask,
-            sample.group_ids,
-            sample.horizon_len,
-            weights,
-            model_config,
-            future_values=sample.future_values,
-            future_known_mask=sample.future_known_mask,
+        loss = _loss(
+            state.weights, model_config, sample.context_values, sample.context_mask,
+            sample.group_ids, sample.horizon_len, sample.target_values, sample.target_mask,
+            sample.future_values, sample.future_known_mask,
         )
-        pred = M.forward(batch, weights, model_config)
-        tv, tm = _scaled_targets(sample.target_values, sample.target_mask, batch.scaling, pred.shape[1])
-        loss = pinball_loss(pred, tv, tm, model_config.quantile_levels)
     loss_val = float(loss.data)
     if not np.isfinite(loss_val):
         raise TrainingAbort(
@@ -334,15 +349,11 @@ def evaluate_pinball(
     Comparable across modes because scaling depends only on the context.
     """
     panel = np.asarray(panel, dtype=np.float64)
-    K = panel.shape[0]
     ctx = panel[:, :ctx_len]
     fut = panel[:, ctx_len : ctx_len + horizon_len]
-    gids = M.mode_group_ids(mode, K)
-    mask = np.ones_like(ctx)
-    batch = M.assemble_batch(ctx, mask, gids, horizon_len, weights, model_config)
-    pred = M.forward(batch, weights, model_config)
-    tv, tm = _scaled_targets(fut, np.ones_like(fut), batch.scaling, pred.shape[1])
-    return float(pinball_loss(pred, tv, tm, model_config.quantile_levels).data)
+    gids = M.mode_group_ids(mode, panel.shape[0])
+    loss = _loss(weights, model_config, ctx, np.ones_like(ctx), gids, horizon_len, fut, np.ones_like(fut))
+    return float(loss.data)
 
 
 # ---------------------------------------------------------------------------

@@ -120,8 +120,30 @@ def test_unknown_config_key_exits_2(tmp_path):
     ["train", "--set", "seed=4"],
     ["evaluate", "--workers", "0"],
     ["evaluate", "--workers", "-3"],
+    # train configs that failed mid-curriculum, after files were written
+    ["train", "--set", "train.stage_contexts=[64]", "--set", "train.stage_steps=[2,2]"],
+    ["train", "--set", "train.stage_contexts=[16,32,32]"],
+    ["train", "--set", "train.batch_groups=0"],
+    ["train", "--set", "train.checkpoint_every=0"],
+    ["train", "--set", "train.max_horizon_patches=-1"],
+    ["train", "--set", "train.max_horizon_patches=0"],
+    # list keys: each element takes the JSON kind of the default's elements
+    ["evaluate", "--set", 'contexts=["a"]'],
+    ["evaluate", "--set", "contexts=[1.5]"],
+    ["evaluate", "--set", "horizons=[true]"],
+    ["evaluate", "--set", 'horizons=[5, "5"]'],
+    ["evaluate", "--set", "modes=[1]"],
+    ["evaluate", "--set", "modes=[null]"],
+    ["synth", "--set", "tcm.lag_range=[1, 2.5]"],
+    ["synth", "--set", 'tcm.lag_range=["1", 2]'],
+    ["synth", "--set", "derived.lag_choices=[8, false]"],
+    ["synth", "--set", "derived.lag_choices=[[8]]"],
 ], ids=["tsi-int", "count-str", "tsi-key", "tcm-missing", "tsi-length0", "tcm-adjacency",
-        "tcm-unstable", "model-int", "d_model-str", "top-seed", "workers-0", "workers-negative"])
+        "tcm-unstable", "model-int", "d_model-str", "top-seed", "workers-0", "workers-negative",
+        "one-context-two-stages", "three-contexts-two-stages", "batch_groups-0", "checkpoint_every-0",
+        "max_horizon_patches-negative", "max_horizon_patches-0",
+        "contexts-str", "contexts-float", "horizons-bool", "horizons-mixed", "modes-int", "modes-null",
+        "lag_range-float", "lag_range-str", "lag_choices-bool", "lag_choices-list"])
 def test_malformed_config_exits_2_and_writes_nothing(tmp_path, capsys, argv):
     inputs = {
         "train": lambda: ["--data", str(_synth_small(tmp_path))] + TRAIN_OVERRIDES,
@@ -293,6 +315,7 @@ def test_train_resume_from_corrupt_checkpoint_exits_4(tmp_path):
     assert code == 4
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the inf weights make NaNs on purpose
 def test_train_non_finite_loss_exits_3(tmp_path):
     data = _synth_small(tmp_path)
     cfg = M.ModelConfig(d_model=8, n_blocks=1, n_heads=2, patch_len=4,

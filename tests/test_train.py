@@ -14,9 +14,10 @@ from groupcast.checkpoint import load_checkpoint
 from groupcast.errors import ConfigError, ContractError, DegenerateInputError, TrainingAbort
 from groupcast.rng import PortableRng
 
-from conftest import build_training_corpus
+from conftest import DESK_TRAIN_CONFIG, build_training_corpus
 from oracles import (
     adam_per_parameter,
+    backward_two_phase,
     group_attention_dense_masked,
     sample_task_per_draw,
     scaled_targets_per_row,
@@ -239,6 +240,34 @@ def test_flat_adam_matches_per_parameter_oracle_bitwise(corpus):
             assert np.shares_memory(t.data, state.flat["data"]), k
 
 
+def test_sweep_into_leaves_matches_two_phase_oracle_bitwise(corpus, monkeypatch):
+    """The tape of one desk-config train_step, swept by T.backward (each
+    gradient added into its leaf as the sweep reaches it) and by the
+    two-phase oracle (leaf gradients summed first, added once): every
+    parameter gradient has the same bytes, in TrainState's flat view."""
+    tc, cfg = DESK_TRAIN_CONFIG, M.ModelConfig()
+    rng = PortableRng(tc.seed).spawn(2_000_001)
+    sample = TR.sample_task(corpus, tc.task_mix, rng, tc.batch_groups, 128, 32)
+    sizes = np.unique(sample.group_ids, return_counts=True)[1]
+    assert sizes.min() == 1 and sizes.max() > 1 and sample.future_known_mask.any()
+    state = TR.TrainState.fresh(M.init_weights(cfg, seed=tc.seed))
+    sweep, oracle = T.backward, {}
+
+    def both(loss, tape):
+        backward_two_phase(loss, tape)
+        oracle.update((k, t.grad.copy()) for k, t in state.weights.items())
+        state.flat["grad"].fill(0)
+        sweep(loss, tape)
+
+    monkeypatch.setattr(T, "backward", both)
+    TR.train_step(state, sample, cfg, tc)
+    assert oracle.keys() == state.weights.keys()
+    for k, t in state.weights.items():
+        assert np.shares_memory(t.grad, state.flat["grad"]), k
+        assert t.grad.tobytes() == oracle[k].tobytes(), k
+    assert all(oracle[f"embed.{k}"].any() for k in ("w1", "b1", "w2", "b2", "skip"))
+
+
 def test_uv_closed_form_trains_like_dense_masked_oracle(corpus, monkeypatch):
     tc = TR.TrainConfig(learning_rate=3e-3, seed=5)
     samples = [TR.sample_task(corpus, (1, 0, 0), PortableRng(5).spawn(i), 3, 16, 4) for i in range(5)]
@@ -397,6 +426,7 @@ def test_resume_writes_a_lost_log_header(tmp_path, corpus, log):
     assert _log_without_wallclock(tmp_path / "run") == full[:1] + full[5:]  # header, steps 5-8
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the inf weights make NaNs on purpose
 def test_non_finite_loss_aborts(corpus):
     w = M.init_weights(CFG, seed=3)
     w["head.w"].data[:] = np.inf
