@@ -199,8 +199,16 @@ def _explicit_specs(spec_cls, entries: list) -> list:
     return specs
 
 
+def _synth_summary(wall_s: float, datasets: int, points: int) -> str:
+    """One stderr line: synth wall time, the datasets and series points
+    written, and the point rate."""
+    rate = points / wall_s if wall_s > 0 else 0.0
+    return f"synth: {wall_s:.2f} s wall, {datasets} datasets, {points} points ({rate:.1f} points/s)"
+
+
 def cmd_synth(args) -> int:
     cfg = _load_config(args, SYNTH_KEYS)
+    start = time.perf_counter()
     out_dir = Path(cfg["out_dir"] or _default_out())
     seed = cfg["seed"]
     root = PortableRng(seed)
@@ -251,6 +259,7 @@ def cmd_synth(args) -> int:
     if jobs:
         out_dir.mkdir(parents=True, exist_ok=True)
     counters: dict[str, int] = {}
+    points = 0
     for kind, make in jobs:
         idx = counters.get(kind, 0)
         counters[kind] = idx + 1
@@ -258,6 +267,8 @@ def cmd_synth(args) -> int:
         panel, prov = make()
         S.save_panel_dataset(f"{stem}.csv", panel)
         S.save_provenance(f"{stem}.json", prov)
+        points += panel.size
+    print(_synth_summary(time.perf_counter() - start, len(jobs), points), file=sys.stderr)
     print(f"wrote {len(jobs)} datasets to {out_dir}" if jobs else "no generator specs; nothing to do")
     return EXIT_OK
 

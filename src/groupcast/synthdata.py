@@ -15,6 +15,7 @@ JSON written next to each dataset.
 """
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -130,12 +131,13 @@ def spectral_radius(M: np.ndarray, tol: float = 1e-8, max_iter: int = 5000) -> f
     prev = None
     stable = 0
     est = 0.0
+    z = M @ q
     for _ in range(max_iter):
-        z = M @ q
         if not np.isfinite(z).all() or float(np.abs(z).max()) == 0.0:
             return 0.0 if float(np.abs(z).max()) == 0.0 else float("inf")
         q, _ = np.linalg.qr(z)
-        t = q.T @ (M @ q)
+        z = M @ q  # the next iterate, and the product the projection needs
+        t = q.T @ z
         tr = t[0, 0] + t[1, 1]
         det = t[0, 0] * t[1, 1] - t[0, 1] * t[1, 0]
         disc = tr * tr - 4.0 * det
@@ -389,12 +391,23 @@ def make_independent_panel(
 # dataset files: CSV long format plus provenance JSON
 
 
+@functools.lru_cache(maxsize=8)
+def _row_pieces(length: int) -> tuple[str, ...]:
+    """The row template of a series of ``length`` values, cut where the id
+    goes: joining the pieces with an id gives ``<id>,<t>,%.17g\r\n`` for
+    t = 0 .. length-1 (and "" for length 0)."""
+    return ("",) + tuple(f",{t},{FLOAT_FMT}\r\n" for t in range(length))
+
+
 def save_panel_dataset(path, panel: np.ndarray, series_ids=None) -> None:
     """Write a (K, T) panel, or one (T,) series, as ``series_id,t,value``
     rows with CRLF line ends, in one atomic write.
 
-    The bytes are those csv.writer gives, which quotes nothing here: an id
-    that would need quoting raises DataError. ids default to s0..s{K-1}.
+    Each series is formatted by one ``%`` over its values: the row template
+    of its length (cached per length, without the id) joined around the id,
+    whose ``%`` signs are doubled. The bytes are those csv.writer gives,
+    which quotes nothing here: an id that would need quoting raises
+    DataError. ids default to s0..s{K-1}.
     """
     panel = np.asarray(panel, dtype=np.float64)
     if panel.ndim == 1:
@@ -404,14 +417,19 @@ def save_panel_dataset(path, panel: np.ndarray, series_ids=None) -> None:
     quoted = [sid for sid in series_ids if not _QUOTED_CHARS.isdisjoint(str(sid))]
     if quoted:
         raise DataError(f"series ids {quoted} hold a comma, quote or line break")
+    pieces = _row_pieces(panel.shape[1])
     lines = ["series_id,t,value\r\n"]
     for sid, row in zip(series_ids, panel.tolist(), strict=True):
-        lines += [f"{sid},{t},{FLOAT_FMT % v}\r\n" for t, v in enumerate(row)]
+        lines.append(str(sid).replace("%", "%%").join(pieces) % tuple(row))
     with atomic_open(path) as fh:
         fh.write("".join(lines))
 
 
 def load_panel_dataset(path) -> tuple[list[str], np.ndarray]:
+    """Read a dataset CSV that save_panel_dataset wrote: (ids in order of
+    first appearance, (K, T) values). Each series' t must run 0, 1, 2, ...
+    in file order; a malformed row, an unparseable value or a t out of
+    order raises DataError naming the file and line."""
     by_series: dict[str, list[float]] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -420,8 +438,17 @@ def load_panel_dataset(path) -> tuple[list[str], np.ndarray]:
             raise DataError(f"{path}: expected header series_id,t,value, got {header}")
         for row in reader:
             if len(row) != 3:
-                raise DataError(f"{path}: malformed row {row}")
-            by_series.setdefault(row[0], []).append(float(row[2]))
+                raise DataError(f"{path}, line {reader.line_num}: malformed row {row}")
+            values = by_series.setdefault(row[0], [])
+            if row[1] != str(len(values)):
+                raise DataError(
+                    f"{path}, line {reader.line_num}: series {row[0]!r} has t={row[1]!r}, "
+                    f"expected {len(values)}"
+                )
+            try:
+                values.append(float(row[2]))
+            except ValueError:
+                raise DataError(f"{path}, line {reader.line_num}: unparseable value {row[2]!r}") from None
     ids = list(by_series)
     if not ids:
         raise DataError(f"{path}: empty dataset")

@@ -399,14 +399,23 @@ def run_curriculum(
     (<out_dir>/model.ckpt). Resuming cuts the log back to the checkpoint's
     step, so a run resumed in place logs every step once. A stats dict,
     when given, receives "steps": the number of steps this call ran.
+    A max_horizon_patches above the model's horizon_patches raises
+    ConfigError before out_dir is created.
     """
+    if resume_from is not None:
+        weights, model_config, extra, moments = load_checkpoint(resume_from)
+    max_fut = train_config.max_horizon_patches or model_config.horizon_patches
+    if max_fut > model_config.horizon_patches:
+        raise ConfigError(
+            f"max_horizon_patches {max_fut} exceeds the model's horizon_patches "
+            f"{model_config.horizon_patches}"
+        )
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     log_path = out_dir / log_name
     final_path = out_dir / "model.ckpt"
 
     if resume_from is not None:
-        weights, model_config, extra, moments = load_checkpoint(resume_from)
         state = TrainState.fresh(weights)
         state.step = int(extra.get("step", 0))
         for name in state.m:
@@ -421,7 +430,6 @@ def run_curriculum(
         log_path.unlink(missing_ok=True)
 
     total_steps = sum(train_config.stage_steps)
-    max_fut = train_config.max_horizon_patches or model_config.horizon_patches
     boundaries = np.cumsum([0] + list(train_config.stage_steps))
 
     def save(path):

@@ -20,8 +20,9 @@ byte references for the helpers of ``groupcast.tensor`` that
 share (the masked group attention and the attention chain use them, so
 no LayerNorm, softmax or linear code is shared with what they check). The ``csv.writer`` dataset
 writer and the numpy-scalar VAR loop are the byte references for the
-joined-string ``synthdata.save_panel_dataset`` and the Python-float
-``kernels.var_recursion``. The per-series scoring loop, which calls the
+%-template ``synthdata.save_panel_dataset`` and the Python-float
+``kernels.var_recursion``; the power iteration with two products by M per
+step is the byte reference for ``synthdata.spectral_radius``. The per-series scoring loop, which calls the
 package's ``rmse`` and ``mape`` once per series, is the byte reference for
 the whole-array metrics of ``evalharness.evaluate_cell``. The two-phase
 reverse sweep, which sums every gradient before it touches a leaf, is the
@@ -184,6 +185,42 @@ def save_panel_dataset_csv_writer(path, panel: np.ndarray, series_ids=None) -> N
         for i, sid in enumerate(series_ids):
             for t in range(T):
                 writer.writerow([sid, t, "%.17g" % panel[i, t]])
+
+
+def spectral_radius_two_products(M: np.ndarray, tol: float = 1e-8, max_iter: int = 5000) -> float:
+    """Block power iteration that multiplies by M twice per step: once for
+    the next iterate and again for the 2x2 projection."""
+    n = M.shape[0]
+    if n == 1:
+        return float(abs(M[0, 0]))
+    p = min(2, n)
+    q = np.stack([np.ones(n), np.arange(1, n + 1, dtype=np.float64)], axis=1)[:, :p]
+    q, _ = np.linalg.qr(q)
+    prev = None
+    stable = 0
+    est = 0.0
+    for _ in range(max_iter):
+        z = M @ q
+        if not np.isfinite(z).all() or float(np.abs(z).max()) == 0.0:
+            return 0.0 if float(np.abs(z).max()) == 0.0 else float("inf")
+        q, _ = np.linalg.qr(z)
+        t = q.T @ (M @ q)
+        tr = t[0, 0] + t[1, 1]
+        det = t[0, 0] * t[1, 1] - t[0, 1] * t[1, 0]
+        disc = tr * tr - 4.0 * det
+        if disc >= 0:
+            r = math.sqrt(disc)
+            est = max(abs((tr + r) / 2.0), abs((tr - r) / 2.0))
+        else:
+            est = math.sqrt(det)
+        if prev is not None and abs(est - prev) <= tol * max(abs(est), 1.0):
+            stable += 1
+            if stable >= 3:
+                return float(est)
+        else:
+            stable = 0
+        prev = est
+    return float(est)
 
 
 def pinball_cell(level: float, err: float) -> float:

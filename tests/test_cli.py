@@ -65,6 +65,22 @@ def test_synth_counts_and_determinism(tmp_path):
     assert files1 == _dir_bytes(out2)
 
 
+def test_synth_prints_wall_datasets_and_points_to_stderr(tmp_path, capsys):
+    cfg_path = tmp_path / "synth.json"
+    cfg_path.write_text(json.dumps({"tsi": {"count": 2, "length": 64}, "tcm": {"count": 3, "length": 40},
+                                    "independent": {"count": 1, "length": 32}}))
+    out = tmp_path / "data"
+    capsys.readouterr()
+    assert cli.main(["synth", "--config", str(cfg_path), "--out", str(out), "--seed", "5"]) == 0
+    run = capsys.readouterr()
+    lines = [ln for ln in run.err.splitlines() if ln.startswith("synth: ")]
+    assert len(lines) == 1 and "synth: " not in run.out, run
+    hit = re.fullmatch(r"synth: \d+\.\d\d s wall, (\d+) datasets, (\d+) points \(\d+\.\d points/s\)", lines[0])
+    assert hit, lines[0]
+    rows = sum(len(p.read_text().splitlines()) - 1 for p in out.glob("*.csv"))
+    assert (int(hit[1]), int(hit[2])) == (6, rows)
+
+
 def test_synth_explicit_tcm_specs(tmp_path):
     cfg = {"explicit_tcm": [
         {"n_series": 1, "lag_order": 1, "adjacency": [[[0.5]]], "length": 32, "seed": 3},
@@ -127,6 +143,7 @@ def test_unknown_config_key_exits_2(tmp_path):
     ["train", "--set", "train.checkpoint_every=0"],
     ["train", "--set", "train.max_horizon_patches=-1"],
     ["train", "--set", "train.max_horizon_patches=0"],
+    ["train", "--set", "train.max_horizon_patches=3"],  # past the model's horizon_patches=2
     # list keys: each element takes the JSON kind of the default's elements
     ["evaluate", "--set", 'contexts=["a"]'],
     ["evaluate", "--set", "contexts=[1.5]"],
@@ -141,7 +158,7 @@ def test_unknown_config_key_exits_2(tmp_path):
 ], ids=["tsi-int", "count-str", "tsi-key", "tcm-missing", "tsi-length0", "tcm-adjacency",
         "tcm-unstable", "model-int", "d_model-str", "top-seed", "workers-0", "workers-negative",
         "one-context-two-stages", "three-contexts-two-stages", "batch_groups-0", "checkpoint_every-0",
-        "max_horizon_patches-negative", "max_horizon_patches-0",
+        "max_horizon_patches-negative", "max_horizon_patches-0", "max_horizon_patches-past-model",
         "contexts-str", "contexts-float", "horizons-bool", "horizons-mixed", "modes-int", "modes-null",
         "lag_range-float", "lag_range-str", "lag_choices-bool", "lag_choices-list"])
 def test_malformed_config_exits_2_and_writes_nothing(tmp_path, capsys, argv):
@@ -558,6 +575,21 @@ def test_report_drops_torn_final_row(tmp_path, market_csvs):
     rep = tmp_path / "rep"
     assert cli.main(["report", "--records", str(records), "--out", str(rep)]) == 0
     assert _dir_bytes(rep)["table1.csv"] == (out / "table1.csv").read_bytes()
+
+
+@pytest.mark.parametrize("rows,message", [
+    (["s0,0,1.5", "s0,1,abc"], "line 3: unparseable value 'abc'"),
+    (["s0,5,1.5", "s0,5,2.5", "s0,0,3.0"], "line 2: series 's0' has t='5', expected 0"),
+], ids=["value-abc", "t-out-of-order"])
+def test_train_malformed_dataset_exits_5(tmp_path, capsys, rows, message):
+    data = _synth_small(tmp_path)
+    bad = data / "zz_bad.csv"
+    bad.write_text("series_id,t,value\r\n" + "".join(f"{r}\r\n" for r in rows), newline="")
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert cli.main(["train", "--data", str(data), "--out", str(out)] + TRAIN_OVERRIDES) == 5
+    assert f"malformed data: {bad}, {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_panel_validate_prints_summary(tmp_path, market_csvs, capsys):

@@ -105,3 +105,28 @@ def test_timing_patch_sees_every_grid_cell_with_its_spec(monkeypatch, tmp_path, 
             E.run_grid(specs, panels, E.LastValueStub(), workers=workers)
         per_mode = {mo: tracer.calls[f"evalharness.evaluate_cell.{mo}"] for mo in ("MV", "UV")}
         assert per_mode == {mo: sum(line.split(",")[1] == mo for line in expected) for mo in per_mode}
+
+
+def test_synth_pass_saves_each_dataset_once_through_the_module_attributes(monkeypatch, tmp_path):
+    """workloads.SynthCorpus counts points by replacing S.save_panel_dataset
+    and times each dataset by replacing S.save_provenance: cmd_synth must
+    call both through the module, once per dataset."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import hostspeed
+    import workloads
+
+    monkeypatch.setattr(workloads.SynthCorpus, "CONFIG", {
+        "tsi": {"count": 2, "length": 48},
+        "tcm": {"count": 2, "length": 40, "n_series_range": [3, 3], "lag_range": [2, 2]},
+        "derived": {"count": 1, "length": 32, "lag_choices": [4]},
+        "independent": {"count": 1, "length": 24},
+    })
+    synth = workloads.SynthCorpus(3)
+    synth.setup(tmp_path)
+    out = tmp_path / "out"
+    result = synth.run_pass(out, hostspeed.HostSpeed(None))
+    csvs, jsons = sorted(out.glob("*.csv")), sorted(out.glob("*.json"))
+    assert result.error is None and (result.ops, result.failed) == (6, 0)
+    assert len(csvs) == len(jsons) == 6
+    assert result.work == sum(len(p.read_text().splitlines()) - 1 for p in csvs)  # one row per point
+    assert len(result.latencies_ms) == len(result.op_ends) == 5  # the first interval is dropped

@@ -11,7 +11,7 @@ from groupcast import synthdata as S
 from groupcast.errors import ConfigError, DataError, StabilityError
 from groupcast.rng import PortableRng
 
-from oracles import save_panel_dataset_csv_writer
+from oracles import save_panel_dataset_csv_writer, spectral_radius_two_products
 
 
 def test_tsi_pure_sinusoid_exactly_periodic():
@@ -108,6 +108,43 @@ def test_spectral_radius_matches_eigvals_oracle():
         ref = float(np.abs(np.linalg.eigvals(comp)).max())
         worst = max(worst, abs(mine - ref))
     assert worst <= 1e-6
+
+
+def _companions():
+    """Companion matrices of sampled specs (stationary and, scaled up,
+    not), of lag matrices with complex-conjugate dominant pairs, and the
+    edge cases n=1, nilpotent and overflowing."""
+    root = PortableRng(8)
+    rng = np.random.default_rng(8)
+    out = []
+    for i in range(20):
+        adj = S.sample_tcm_spec(root.spawn(i), length=10, seed=i).adjacency_array()
+        out.append(S.companion_matrix(adj))
+        out.append(S.companion_matrix(adj * 3.0))  # non-stationary
+    for radius in (0.3, 0.9, 0.999, 1.5):
+        for theta in rng.uniform(0.1, 3.0, size=3):
+            rot = radius * np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+            adj = np.zeros((3, 3, 2))
+            adj[:2, :2, 0] = rot
+            adj[2, 2, 0] = 0.1
+            adj[:, :, 1] = rng.normal(size=(3, 3)) * 0.01
+            out.append(S.companion_matrix(adj))
+    for K, L in ((1, 1), (1, 3), (2, 2), (5, 2)):
+        out.append(S.companion_matrix(rng.normal(size=(K, K, L)) * 0.4))
+    out += [np.array([[0.7]]), np.array([[-1.3]]), np.array([[0.0, 1.0], [0.0, 0.0]])]
+    return out
+
+
+def test_spectral_radius_matches_two_product_oracle_bit_for_bit():
+    radii = []
+    for comp in _companions():
+        mine, ref = S.spectral_radius(comp), spectral_radius_two_products(comp)
+        assert np.float64(mine).tobytes() == np.float64(ref).tobytes(), (comp, mine, ref)
+        radii.append(mine)
+    assert min(radii) == 0.0 and any(1.0 < r < np.inf for r in radii)
+    with np.errstate(over="ignore"):  # the first product overflows: the other early exit
+        huge = np.full((2, 2), 1.7e308)
+        assert S.spectral_radius(huge) == spectral_radius_two_products(huge) == np.inf
 
 
 def test_sampled_tcm_specs_are_stationary_and_stable():
@@ -241,3 +278,70 @@ def test_dataset_write_failing_halfway_leaves_old_file(tmp_path, monkeypatch):
         S.save_provenance(tmp_path / "new.json", {"kind": "tsi"})
     assert sorted(p.name for p in tmp_path.iterdir()) == ["old.csv"]
     assert old.read_bytes() == before
+
+
+@pytest.mark.parametrize("ids", [
+    ["a%b", "%d", "%%"], ["%(x)s", "100%", "%"], [7, np.int64(3), 1.5],
+])
+def test_dataset_csv_bytes_match_csv_writer_for_ids_holding_percent(tmp_path, ids):
+    panel = np.arange(3 * 4, dtype=np.float64).reshape(3, 4) / 7.0
+    S.save_panel_dataset(tmp_path / "got.csv", panel, series_ids=ids)
+    save_panel_dataset_csv_writer(tmp_path / "want.csv", panel, series_ids=ids)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_dataset_csv_bytes_match_csv_writer_at_short_and_changing_lengths(tmp_path):
+    rng = np.random.default_rng(9)
+    # lengths 0, 1 and 2, then lengths alternating back to back so that each
+    # write takes another length's template from the cache
+    for T in (0, 1, 2, 3, 5, 3, 1024, 5, 0, 2):
+        for K in (1, 2):
+            panel = rng.normal(size=(K, T))
+            ids = ["a%s" % k for k in range(K)] if T % 2 else None
+            S.save_panel_dataset(tmp_path / "got.csv", panel, series_ids=ids)
+            save_panel_dataset_csv_writer(tmp_path / "want.csv", panel, series_ids=ids)
+            assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes(), (K, T)
+        series = rng.normal(size=T)  # the 1-D path
+        S.save_panel_dataset(tmp_path / "got.csv", series, series_ids=["%s"])
+        save_panel_dataset_csv_writer(tmp_path / "want.csv", series, series_ids=["%s"])
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes(), T
+
+
+def test_dataset_csv_bytes_match_csv_writer_at_special_values(tmp_path):
+    values = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324,
+              1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3]
+    for panel in (np.array(values), np.array([values, values[::-1]])):
+        S.save_panel_dataset(tmp_path / "got.csv", panel)
+        save_panel_dataset_csv_writer(tmp_path / "want.csv", panel)
+        got = (tmp_path / "got.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+    assert b",nan\r\n" in got and b",-0\r\n" in got and b",4.9406564584124654e-324\r\n" in got
+
+
+def _write_rows(path, rows):
+    path.write_text("series_id,t,value\r\n" + "".join(f"{r}\r\n" for r in rows), newline="")
+    return path
+
+
+def test_load_dataset_unparseable_value_names_file_and_line(tmp_path):
+    path = _write_rows(tmp_path / "d.csv", ["s0,0,1.5", "s0,1,abc"])
+    with pytest.raises(DataError, match=r"d\.csv, line 3: unparseable value 'abc'"):
+        S.load_panel_dataset(path)
+
+
+@pytest.mark.parametrize("rows,line", [
+    (["s0,5,1.5", "s0,5,2.5", "s0,0,3.0"], 2),
+    (["s0,0,1.5", "s0,0,2.5"], 3),
+    (["s0,0,1.5", "s1,0,1.0", "s0,2,2.5"], 4),
+    (["s0,0,1.5", "s0,01,2.5"], 3),
+])
+def test_load_dataset_rejects_t_out_of_order(tmp_path, rows, line):
+    path = _write_rows(tmp_path / "d.csv", rows)
+    with pytest.raises(DataError, match=rf"d\.csv, line {line}: series 's\d' has t="):
+        S.load_panel_dataset(path)
+
+
+def test_load_dataset_takes_interleaved_series_in_order(tmp_path):
+    path = _write_rows(tmp_path / "d.csv", ["a,0,1", "b,0,2", "a,1,3", "b,1,4"])
+    ids, values = S.load_panel_dataset(path)
+    assert ids == ["a", "b"] and values.tolist() == [[1.0, 3.0], [2.0, 4.0]]
