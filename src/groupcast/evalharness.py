@@ -19,8 +19,10 @@ modes of one context back to back, so a model forecaster can share the
 mode-independent trunk between them. With workers > 1 they run on a fork
 pool in the same order, each task a whole run of one context's cells. Rows
 are written in canonical order as soon as every earlier cell is done, so
-worker count never changes the output bytes and a crash loses only the
-computed cells still waiting to be written.
+worker count never changes the output bytes. A rerun over records.csv cuts
+it back to every cell but the last one in the file (panels.resume_log) and
+computes the rest, so a crash loses only that cell and the computed cells
+still waiting to be written.
 """
 
 import csv
@@ -37,7 +39,7 @@ import numpy as np
 
 from . import model as M
 from .errors import ConfigError, DataError, DegenerateInputError, ShapeError
-from .panels import FLOAT_FMT, SeriesPanel, atomic_open, slice_context
+from .panels import FLOAT_FMT, SeriesPanel, atomic_open, resume_log, slice_context
 
 logger = logging.getLogger(__name__)
 
@@ -49,6 +51,7 @@ PANEL_ORDER = ("stocks", "rates", "combined")
 MODE_ORDER = ("MV", "UV")
 
 RECORD_FIELDS = ("panel", "mode", "series", "n", "m", "origin", "rmse", "mape", "skipped", "regime")
+RECORDS_HEADER = ",".join(RECORD_FIELDS) + "\r\n"  # as csv.writer writes it
 TABLE1_COLUMNS = ("panel", "mode", "mape_mean", "mape_std", "rmse_mean", "rmse_std", "n_records")
 TABLE2_COLUMNS = (
     "panel", "series", "mape_mv", "mape_uv", "rmse_mv", "rmse_uv",
@@ -376,28 +379,33 @@ def run_grid(
     written in canonical order (panel, mode, n, m, origin), whatever the
     worker count: a cell's rows are written and flushed as soon as every
     cell before it in that order is done, and computed cells wait in memory
-    until then. Cells already present in records_path are skipped, so a
-    rerun after a crash resumes where the file ends and writes the same
-    bytes as an uninterrupted run; a crash loses only the cells still
-    waiting.
+    until then. A rerun keeps the rows of every cell in records_path but
+    the last one in the file, which it computes again whether or not a
+    crash cut its rows short (see panels.resume_log); a last cell outside
+    this grid is kept as it is. So a rerun after a crash writes the same
+    bytes as an uninterrupted run, and a crash loses only that cell and the
+    cells still waiting. A records_path that does not start with the
+    records header, or that holds a malformed whole row, raises DataError.
     """
     specs = sorted(dict.fromkeys(specs), key=_canonical_spec_key)
-    done: set = set()
+    cells = [(spec, origin) for spec in specs for origin in rolling_origins(panels[spec.panel], spec)]
+    grid = {(s.panel, s.mode, s.n, s.m, o) for s, o in cells}
     existing: list[EvalRecord] = []
     path = None if records_path is None else Path(records_path)
-    if path is not None and path.exists():
-        _cut_torn_cell(path)
-    new_file = path is not None and (not path.exists() or path.stat().st_size == 0)
-    if path is not None and not new_file:
-        existing = read_records(path)
-        done = {(r.panel, r.mode, r.n, r.m, r.origin) for r in existing}
-    cells = []
-    for spec in specs:
-        panel = panels[spec.panel]
-        for origin in rolling_origins(panel, spec):
-            if (spec.panel, spec.mode, spec.n, spec.m, origin) in done:
-                continue
-            cells.append((spec, origin))
+    if path is not None:
+
+        def keep(rows):
+            # every cell but the last in the file, whose rows may be
+            # incomplete, unless this grid cannot compute that cell again
+            existing.extend(_parse_records(rows, path))
+            last = _cell_key(existing[-1]) if existing else None
+            while existing and last in grid and _cell_key(existing[-1]) == last:
+                existing.pop()
+            return len(existing)
+
+        resume_log(path, RECORDS_HEADER, keep)
+    done = {_cell_key(r) for r in existing}
+    cells = [(s, o) for s, o in cells if (s.panel, s.mode, s.n, s.m, o) not in done]
     order = sorted(range(len(cells)), key=lambda i: _pairing_key(cells[i]))
     paired = [cells[i] for i in order]
 
@@ -408,9 +416,6 @@ def run_grid(
         if path is not None:
             fh = stack.enter_context(open(path, "a", newline=""))
             writer = csv.writer(fh)
-            if new_file:
-                writer.writerow(RECORD_FIELDS)
-                fh.flush()
         if workers > 1 and len(cells) > 1:
             ctx = multiprocessing.get_context("fork")
             pool = stack.enter_context(
@@ -443,31 +448,8 @@ def _record_row(r: EvalRecord) -> list:
     ]
 
 
-def _cell_of(line: bytes) -> list[bytes]:
-    fields = line.split(b",")
-    return fields[:2] + fields[3:6]  # panel, mode, n, m, origin
-
-
-def _cut_torn_cell(path: Path) -> None:
-    """Cut an unterminated final row together with the rows of the last cell.
-
-    A crash can tear the row being written. Rows are written a cell at a
-    time, so the torn row's cell may be incomplete; the rerun computes the
-    last cell again.
-    """
-    with open(path, "r+b") as fh:
-        lines = fh.read().splitlines(keepends=True)
-        if not lines or lines[-1].endswith(b"\n"):
-            return
-        torn = lines.pop()
-        keep = len(lines)
-        while keep > 1 and _cell_of(lines[keep - 1]) == _cell_of(lines[-1]):
-            keep -= 1
-        fh.truncate(sum(map(len, lines[:keep])))
-    logger.warning(
-        "%s: cut unterminated final row %r and the %d rows of the last cell",
-        path, torn, len(lines) - keep,
-    )
+def _cell_key(r: EvalRecord) -> tuple:
+    return r.panel, r.mode, r.n, r.m, r.origin
 
 
 def read_records(path) -> list[EvalRecord]:
@@ -476,12 +458,17 @@ def read_records(path) -> list[EvalRecord]:
         lines = fh.readlines()
     if lines and not lines[-1].endswith("\n"):
         logger.warning("%s: dropped unterminated final row %r", path, lines.pop())
-    reader = csv.reader(lines)
-    header = next(reader, None)
+    header = next(csv.reader(lines[:1]), None)
     if header != list(RECORD_FIELDS):
         raise DataError(f"{path}: unexpected records header {header}")
+    return _parse_records(lines[1:], path)
+
+
+def _parse_records(lines: list[str], path) -> list[EvalRecord]:
+    """The records of the whole rows that follow the header of records.csv;
+    a malformed row raises DataError naming its line."""
     out = []
-    for li, row in enumerate(reader, start=2):
+    for li, row in enumerate(csv.reader(lines), start=2):
         if len(row) != len(RECORD_FIELDS):
             raise DataError(f"{path}: row {li} malformed")
         try:

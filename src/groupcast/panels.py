@@ -6,7 +6,8 @@ cells for missing observations. Values stay in their published units
 own scaling at forecast time.
 
 The module also holds what every file writer in the package shares: the
-CSV float format and ``atomic_open``.
+CSV float format, ``atomic_open`` and ``resume_log``, the one rule by which
+a rerun cuts an append-only log back after a crash.
 """
 
 import csv
@@ -57,6 +58,33 @@ def atomic_open(path, mode: str = "w"):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def resume_log(path, header: str, keep) -> list[str]:
+    """Cut an append-only CSV log back to where a rerun resumes and return
+    the rows kept, each with its line end. A missing or empty file, or one
+    torn inside ``header``, restarts with the header alone; a file that does
+    not start with it raises DataError. Otherwise one truncate keeps the
+    header and the first ``keep(rows)`` whole rows, so a torn last line is
+    never kept. A ValueError from ``keep`` is raised as DataError."""
+    head = header.encode()
+    with open(path, "a+b") as fh:
+        fh.seek(0)
+        data = fh.read()
+        if len(data) < len(head) and head.startswith(data):
+            fh.truncate(0)
+            fh.write(head)
+            return []
+        if not data.startswith(head):
+            raise DataError(f"{path}: does not start with the header {header.rstrip()!r}")
+        whole = data[len(head) :].split(b"\n")[:-1]
+        try:
+            rows = [row.decode() + "\n" for row in whole]
+            n = keep(rows)
+        except ValueError as exc:
+            raise DataError(f"{path}: {exc}") from exc
+        fh.truncate(len(head) + sum(len(row) + 1 for row in whole[:n]))
+    return rows[:n]
 
 
 @dataclass

@@ -28,9 +28,6 @@ from .errors import ConfigError, DataError, StabilityError
 from .panels import FLOAT_FMT, atomic_open
 from .rng import PortableRng
 
-# csv.writer would quote an id holding one of these; the joined rows do not
-_QUOTED_CHARS = frozenset(',"\r\n')
-
 
 @dataclass(frozen=True)
 class TsiSpec(DictConfig):
@@ -399,28 +396,21 @@ def _row_pieces(length: int) -> tuple[str, ...]:
     return ("",) + tuple(f",{t},{FLOAT_FMT}\r\n" for t in range(length))
 
 
-def save_panel_dataset(path, panel: np.ndarray, series_ids=None) -> None:
+def save_panel_dataset(path, panel: np.ndarray) -> None:
     """Write a (K, T) panel, or one (T,) series, as ``series_id,t,value``
-    rows with CRLF line ends, in one atomic write.
+    rows with CRLF line ends, in one atomic write. The ids are s0..s{K-1}.
 
     Each series is formatted by one ``%`` over its values: the row template
-    of its length (cached per length, without the id) joined around the id,
-    whose ``%`` signs are doubled. The bytes are those csv.writer gives,
-    which quotes nothing here: an id that would need quoting raises
-    DataError. ids default to s0..s{K-1}.
+    of its length (cached per length, without the id) joined around the id.
+    The bytes are those csv.writer gives.
     """
     panel = np.asarray(panel, dtype=np.float64)
     if panel.ndim == 1:
         panel = panel[None, :]
-    if series_ids is None:
-        series_ids = [f"s{i}" for i in range(panel.shape[0])]
-    quoted = [sid for sid in series_ids if not _QUOTED_CHARS.isdisjoint(str(sid))]
-    if quoted:
-        raise DataError(f"series ids {quoted} hold a comma, quote or line break")
     pieces = _row_pieces(panel.shape[1])
     lines = ["series_id,t,value\r\n"]
-    for sid, row in zip(series_ids, panel.tolist(), strict=True):
-        lines.append(str(sid).replace("%", "%%").join(pieces) % tuple(row))
+    for k, row in enumerate(panel.tolist()):
+        lines.append(f"s{k}".join(pieces) % tuple(row))
     with atomic_open(path) as fh:
         fh.write("".join(lines))
 

@@ -7,7 +7,6 @@ replays exactly the batches a fresh run would produce.
 
 import time
 from dataclasses import dataclass, field
-from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +17,7 @@ from . import tensor as T
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import DictConfig
 from .errors import ConfigError, ContractError, DegenerateInputError, TrainingAbort
+from .panels import resume_log
 from .preprocess import scale_rows
 from .rng import PortableRng, uniform_to_category, uniform_to_int
 
@@ -363,43 +363,26 @@ def evaluate_pinball(
 LOG_HEADER = "step,stage,loss,lr,wallclock_ms\n"
 
 
-def _truncate_log(log_path: Path, step: int) -> None:
-    """Cut the log back to its header and the complete rows of steps <= step.
-
-    Rows are logged in step order, so those rows are a prefix of the file,
-    and one truncate cuts the rest: a crash cannot leave the log half rewritten.
-    A log whose first line is not the whole header is cut to nothing.
-    """
-    if not log_path.exists():
-        return
-    with open(log_path, "r+b") as fh:
-        lines = fh.read().splitlines(keepends=True)
-        if lines[:1] != [LOG_HEADER.encode()]:
-            lines = []
-        rows = takewhile(
-            lambda ln: ln.endswith(b"\n") and int(ln.split(b",", 1)[0]) <= step, lines[1:]
-        )
-        fh.truncate(sum(map(len, lines[:1] + list(rows))))
-
-
 def run_curriculum(
     model_config: M.ModelConfig,
     train_config: TrainConfig,
     corpus: Corpus,
     out_dir,
     resume_from=None,
-    log_name: str = "train_log.csv",
     stats: dict | None = None,
 ) -> Path:
     """Two-stage training over increasing context limits.
 
     Stage 2 continues from stage-1 weights. Writes checkpoints at the
-    configured cadence plus stage boundaries, a CSV log (step, stage,
-    loss, lr, wallclock_ms), and returns the final checkpoint path
-    (<out_dir>/model.ckpt). Resuming cuts the log back to the checkpoint's
-    step, so a run resumed in place logs every step once. A stats dict,
-    when given, receives "steps": the number of steps this call ran.
-    A max_horizon_patches above the model's horizon_patches raises
+    configured cadence plus stage boundaries, a CSV log train_log.csv
+    (step, stage, loss, lr, wallclock_ms), and returns the final checkpoint
+    path (<out_dir>/model.ckpt). Each step's row is flushed before any
+    checkpoint can be saved, and resuming cuts the log back to the
+    checkpoint's step (panels.resume_log), so a run resumed in place after
+    a hard crash logs every step once; a log that does not start with the
+    header raises DataError. A fresh run replaces the log. A stats dict,
+    when given, receives "steps": the number of steps this call ran. A
+    max_horizon_patches above the model's horizon_patches raises
     ConfigError before out_dir is created.
     """
     if resume_from is not None:
@@ -412,7 +395,7 @@ def run_curriculum(
         )
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    log_path = out_dir / log_name
+    log_path = out_dir / "train_log.csv"
     final_path = out_dir / "model.ckpt"
 
     if resume_from is not None:
@@ -423,7 +406,6 @@ def run_curriculum(
                 state.m[name][...] = moments[f"m.{name}"]
             if f"v.{name}" in moments:
                 state.v[name][...] = moments[f"v.{name}"]
-        _truncate_log(log_path, state.step)
     else:
         weights = M.init_weights(model_config, seed=train_config.seed)
         state = TrainState.fresh(weights)
@@ -445,10 +427,10 @@ def run_curriculum(
             moments=moments,
         )
 
-    # a log that a crash left without its whole header restarts with one
-    if not log_path.exists() or log_path.stat().st_size == 0:
-        log_path.write_text(LOG_HEADER)
-
+    # rows are logged in step order, so those of steps <= state.step are a prefix
+    resume_log(
+        log_path, LOG_HEADER, lambda rows: sum(int(r.split(",", 1)[0]) <= state.step for r in rows)
+    )
     first_step = state.step
     with open(log_path, "a") as log:
         for step in range(first_step, total_steps):
@@ -473,6 +455,7 @@ def run_curriculum(
             loss = train_step(state, sample, model_config, train_config, lr=lr)
             ms = (time.monotonic() - t0) * 1000.0
             log.write(f"{state.step},{stage + 1},{loss:.17g},{lr:.17g},{ms:.3f}\n")
+            log.flush()
             if state.step % train_config.checkpoint_every == 0 or state.step in boundaries[1:]:
                 save(out_dir / f"ckpt_step{state.step:06d}.ckpt")
     save(final_path)

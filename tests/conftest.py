@@ -1,6 +1,9 @@
 """Shared fixtures: toy market panels and the trained desk-scale model."""
 
+import multiprocessing
+import os
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +23,37 @@ def weekday_calendar(start: date, n_days: int) -> list[date]:
             out.append(d)
         d += timedelta(days=1)
     return out
+
+
+CRASH_EXIT = 9
+
+
+def crash_in_child(job, k: int) -> None:
+    """Run job(seam) in a forked child that ends with os._exit at seam's
+    k-th call, as a kill would: no buffer is flushed and no handler runs.
+    The job calls seam after each call of the seam it sweeps. Fails unless
+    the child crashed there."""
+    calls = 0
+
+    def seam():
+        nonlocal calls
+        calls += 1
+        if calls == k:
+            os._exit(CRASH_EXIT)
+
+    child = multiprocessing.get_context("fork").Process(target=job, args=(seam,))
+    child.start()
+    child.join(timeout=60)
+    if child.is_alive():
+        child.kill()
+        child.join()
+    assert child.exitcode == CRASH_EXIT, f"no crash at call {k}: exit code {child.exitcode}"
+
+
+def tree_bytes(root) -> dict[str, bytes]:
+    """Every file under root by relative path, a leftover <name>.tmp included."""
+    root = Path(root)
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 def make_price_panel(ids, start: date, n_days: int, seed: int, base=100.0) -> SeriesPanel:

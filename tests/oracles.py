@@ -171,20 +171,18 @@ def var_recursion_numpy_scalars(coeffs: np.ndarray, innovations: np.ndarray) -> 
     return x
 
 
-def save_panel_dataset_csv_writer(path, panel: np.ndarray, series_ids=None) -> None:
+def save_panel_dataset_csv_writer(path, panel: np.ndarray) -> None:
     """One csv.writer row per value, formatting each numpy scalar."""
     panel = np.asarray(panel, dtype=np.float64)
     if panel.ndim == 1:
         panel = panel[None, :]
     K, T = panel.shape
-    if series_ids is None:
-        series_ids = [f"s{i}" for i in range(K)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["series_id", "t", "value"])
-        for i, sid in enumerate(series_ids):
+        for i in range(K):
             for t in range(T):
-                writer.writerow([sid, t, "%.17g" % panel[i, t]])
+                writer.writerow([f"s{i}", t, "%.17g" % panel[i, t]])
 
 
 def spectral_radius_two_products(M: np.ndarray, tol: float = 1e-8, max_iter: int = 5000) -> float:

@@ -323,6 +323,18 @@ def test_train_resume_continues(tmp_path):
     assert extra["step"] == 7  # already complete; counter preserved
 
 
+def test_train_resume_into_a_foreign_log_exits_5(tmp_path, capsys):
+    data = _synth_small(tmp_path)
+    out = tmp_path / "run"
+    assert cli.main(["train", "--data", str(data), "--out", str(out)] + TRAIN_OVERRIDES) == 0
+    (out / "train_log.csv").write_text("date,AAPL\n2020-01-02,1.5\n")
+    code = cli.main(["train", "--data", str(data), "--out", str(out),
+                     "--resume", str(out / "ckpt_step000004.ckpt")] + TRAIN_OVERRIDES)
+    assert code == 5
+    assert "train_log.csv: does not start with the header" in capsys.readouterr().err
+    assert (out / "train_log.csv").read_text() == "date,AAPL\n2020-01-02,1.5\n"
+
+
 def test_train_resume_from_corrupt_checkpoint_exits_4(tmp_path):
     data = _synth_small(tmp_path)
     bad = tmp_path / "bad.ckpt"

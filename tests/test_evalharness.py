@@ -13,7 +13,7 @@ from groupcast import model as M
 from groupcast.errors import DataError, DegenerateInputError
 from groupcast.panels import RATE_IDS, STOCK_IDS, SeriesPanel, build_combined
 
-from conftest import make_price_panel, make_rate_panel, weekday_calendar
+from conftest import crash_in_child, make_price_panel, make_rate_panel, tree_bytes, weekday_calendar
 from oracles import (
     brute_force_metrics,
     emit_artifacts_scan,
@@ -221,6 +221,10 @@ def test_run_grid_streams_and_resumes(tmp_path, toy_panel):
     for r in reloaded:
         orig = by_key[(r.mode, r.series, r.origin)]
         assert r.rmse == orig.rmse and r.mape == orig.mape
+    # the file ends with a UV cell, which a grid of MV alone cannot compute again
+    before = path.read_bytes()
+    again, _, cells = E.run_grid([spec_b], {"toy": toy_panel}, E.LastValueStub(), records_path=path)
+    assert cells == 0 and len(again) == len(both) and path.read_bytes() == before
 
 
 def _toy_grid(toy_panel):
@@ -256,20 +260,59 @@ def test_run_grid_crash_then_resume_is_byte_identical(tmp_path, toy_panel, monke
     assert path.read_bytes() == whole.read_bytes()
 
 
-def test_torn_final_row_is_dropped_and_resume_completes(tmp_path, toy_panel, caplog):
+@pytest.mark.parametrize("torn", [20, 0], ids=["torn-row", "whole-row"])
+def test_torn_final_row_is_dropped_and_resume_completes(tmp_path, toy_panel, caplog, torn):
     specs, panels = _toy_grid(toy_panel)
     whole = tmp_path / "whole.csv"
     E.run_grid(specs, panels, E.LastValueStub(), records_path=whole)
     lines = whole.read_bytes().splitlines(keepends=True)
     path = tmp_path / "records.csv"
-    # header, cell 1 (3 series), one row of cell 2, then half a row of cell 2
-    path.write_bytes(b"".join(lines[:5]) + lines[5][:20])
+    # header, cell 1 (3 series), one row of cell 2, then the first bytes of
+    # its next row: a cut on a row boundary inside a cell tears no row
+    path.write_bytes(b"".join(lines[:5]) + lines[5][:torn])
     with caplog.at_level("WARNING"):
         records = E.read_records(path)
     assert len(records) == 4
-    assert "dropped unterminated final row" in caplog.text
+    assert ("dropped unterminated final row" in caplog.text) == (torn > 0)
     E.run_grid(specs, panels, E.LastValueStub(), records_path=path)
     assert path.read_bytes() == whole.read_bytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_hard_crash_after_each_cell_flush_resumes_to_the_same_tree(tmp_path, toy_panel, workers):
+    specs, panels = _toy_grid(toy_panel)
+
+    def evaluate(out):  # what `groupcast evaluate` writes: records, then artifacts
+        out.mkdir(exist_ok=True)
+        records, _, _ = E.run_grid(
+            specs, panels, E.LastValueStub(), records_path=out / "records.csv", workers=workers
+        )
+        E.emit_artifacts(records, out)
+
+    evaluate(tmp_path / "whole")
+    want = tree_bytes(tmp_path / "whole")
+
+    def job(seam, out):  # in the child: crash right after a cell's rows are flushed
+        def opening(*args, **kwargs):
+            fh = open(*args, **kwargs)
+            flush = fh.flush
+
+            def flushing():
+                flush()
+                seam()
+
+            fh.flush = flushing
+            return fh
+
+        E.open = opening
+        evaluate(out)
+
+    cells = sum(len(E.rolling_origins(toy_panel, spec)) for spec in specs)
+    for k in range(1, cells + 1):
+        out = tmp_path / f"crash{k}"
+        crash_in_child(lambda seam: job(seam, out), k)
+        evaluate(out)
+        assert tree_bytes(out) == want, k
 
 
 def test_complete_malformed_row_still_raises(tmp_path, toy_panel):

@@ -178,3 +178,26 @@ def test_weekday_calendar_has_no_weekends():
     cal = weekday_calendar(date(2024, 1, 1), 50)
     assert all(d.weekday() < 5 for d in cal)
     assert len(cal) == 50
+
+
+@pytest.mark.parametrize("before, keep, kept", [
+    (None, len, []),
+    (b"", len, []),
+    (b"a,", len, []),
+    (b"x,y\r\n1,2\r\n", len, DataError),
+    (b"a,b\r\nx,2\r\n", lambda rows: int(rows[0].split(",")[0]), DataError),
+    (b"a,b\r\n1,2\r\n3,", len, ["1,2\r\n"]),
+    (b"a,b\r\n1,2\r\n3,4\r\n5,6\r\n", lambda rows: rows.index("3,4\r\n") + 1, ["1,2\r\n", "3,4\r\n"]),
+], ids=["no-file", "empty", "header-torn", "foreign-first-line", "unparseable-row", "torn-last-row",
+        "keep-prefix"])
+def test_resume_log_keeps_the_header_and_the_rows_keep_counts(tmp_path, before, keep, kept):
+    path = tmp_path / "log.csv"
+    if before is not None:
+        path.write_bytes(before)
+    if kept is DataError:
+        with pytest.raises(DataError, match="log.csv"):
+            PN.resume_log(path, "a,b\r\n", keep)
+        assert path.read_bytes() == before
+        return
+    assert PN.resume_log(path, "a,b\r\n", keep) == kept
+    assert path.read_bytes() == ("a,b\r\n" + "".join(kept)).encode()

@@ -14,7 +14,7 @@ from groupcast.checkpoint import load_checkpoint
 from groupcast.errors import ConfigError, ContractError, DegenerateInputError, TrainingAbort
 from groupcast.rng import PortableRng
 
-from conftest import DESK_TRAIN_CONFIG, build_training_corpus
+from conftest import DESK_TRAIN_CONFIG, build_training_corpus, crash_in_child, tree_bytes
 from oracles import (
     adam_per_parameter,
     backward_two_phase,
@@ -408,6 +408,35 @@ def test_resume_in_place_matches_uninterrupted_run(tmp_path, corpus, monkeypatch
 def _log_without_wallclock(run_dir):
     lines = (run_dir / "train_log.csv").read_text().splitlines()
     return [line.rsplit(",", 1)[0] for line in lines]
+
+
+def test_hard_crash_after_each_checkpoint_resumes_to_the_same_tree(tmp_path, corpus):
+    tc = TR.TrainConfig(
+        stage_contexts=(16, 32), stage_steps=(20, 20), batch_groups=2,
+        learning_rate=1e-3, seed=9, checkpoint_every=20,
+    )
+    TR.run_curriculum(CFG, tc, corpus, tmp_path / "full")
+    want = _tree_without_wallclock(tmp_path / "full")
+    save_checkpoint = TR.save_checkpoint
+
+    def job(seam, run):  # in the child: crash right after a checkpoint is in place
+        def saving(*args, **kwargs):
+            save_checkpoint(*args, **kwargs)
+            seam()
+
+        TR.save_checkpoint = saving
+        TR.run_curriculum(CFG, tc, corpus, run)
+
+    for k in (1, 2, 3):  # ckpt_step000020, ckpt_step000040, model.ckpt
+        run = tmp_path / f"crash{k}"
+        crash_in_child(lambda seam: job(seam, run), k)
+        newest = max(run.glob("ckpt_step*.ckpt"), default=None)
+        TR.run_curriculum(CFG, tc, corpus, run, resume_from=newest)
+        assert _tree_without_wallclock(run) == want, k
+
+
+def _tree_without_wallclock(run_dir):
+    return {**tree_bytes(run_dir), "train_log.csv": _log_without_wallclock(run_dir)}
 
 
 @pytest.mark.parametrize("log", [b"", b"step,stage,lo"], ids=["empty", "torn-header"])
