@@ -40,7 +40,6 @@ from .errors import (
     ConfigError,
     DataError,
     GroupcastError,
-    StabilityError,
     TrainingAbort,
 )
 from .panels import PANEL_IDS, build_combined, load_csv_panel, panel_summary
@@ -143,13 +142,10 @@ SYNTH_KEYS = {
     "tsi": {"count": 0, "length": 1024},
     "tcm": {
         "count": 0, "length": 1024, "n_series_range": [2, 5],
-        "lag_range": [1, 2], "edge_prob": 0.4, "radius_range": [0.5, 0.95],
+        "lag_range": [1, 2], "edge_prob": 0.4,
     },
-    "derived": {
-        "count": 0, "length": 1024, "n_followers": 2,
-        "lag_choices": [8, 16], "noise_scale": 0.05,
-    },
-    "independent": {"count": 0, "length": 1024, "n_series": 3},
+    "derived": {"count": 0, "length": 1024, "lag_choices": [8, 16]},
+    "independent": {"count": 0, "length": 1024},
     "explicit_tsi": [],  # TsiSpec dicts
     "explicit_tcm": [],  # TcmSpec dicts
 }
@@ -177,26 +173,11 @@ EVAL_KEYS = {
     "stub": None,
 }
 
-REPORT_KEYS = {"records": None, "out_dir": None, "cutoff": E.DEFAULT_CUTOFF.isoformat()}
+REPORT_KEYS = {"records": None, "out_dir": None}
 
 
 # ---------------------------------------------------------------------------
 # synth
-
-
-def _explicit_specs(spec_cls, entries: list) -> list:
-    """Explicit generator specs from config entries, each validated (a tcm
-    spec also checked for stationarity), so a bad one exits before any
-    dataset is written."""
-    specs = [spec_cls.from_dict(d) for d in entries]
-    for spec in specs:
-        spec.validate()
-        if isinstance(spec, S.TcmSpec):
-            try:
-                S.check_stationary(spec.adjacency_array())
-            except StabilityError as exc:
-                raise ConfigError(f"explicit_tcm: {exc}") from exc
-    return specs
 
 
 def _synth_summary(wall_s: float, datasets: int, points: int) -> str:
@@ -211,6 +192,15 @@ def cmd_synth(args) -> int:
     start = time.perf_counter()
     out_dir = Path(cfg["out_dir"] or _default_out())
     seed = cfg["seed"]
+    # every input is checked before the first file is written: the family
+    # sections here, each spec (sampled or explicit) when it is built
+    for family in ("tsi", "tcm", "derived", "independent"):
+        count, length = cfg[family]["count"], cfg[family]["length"]
+        if count < 0 or length < 1:
+            raise ConfigError(f"{family} needs count >= 0 and length >= 1, got {count} and {length}")
+    der = cfg["derived"]
+    if not der["lag_choices"] or min(der["lag_choices"]) < 0:
+        raise ConfigError(f"derived.lag_choices needs one or more lags >= 0, got {der['lag_choices']}")
     root = PortableRng(seed)
     # (kind, make) in output order; make() returns (panel, provenance)
     jobs: list[tuple[str, Callable[[], tuple]]] = []
@@ -220,7 +210,7 @@ def cmd_synth(args) -> int:
         S.sample_tsi_spec(root.spawn(10_000 + i), tsi["length"], seed=seed * 1_000_003 + i)
         for i in range(tsi["count"])
     ]
-    tsi_specs += _explicit_specs(S.TsiSpec, cfg["explicit_tsi"])
+    tsi_specs += [S.TsiSpec.from_dict(d) for d in cfg["explicit_tsi"]]
     jobs += [("tsi", lambda spec=spec: (S.tsi_generate(spec), spec.to_dict())) for spec in tsi_specs]
 
     tcm = cfg["tcm"]
@@ -232,27 +222,22 @@ def cmd_synth(args) -> int:
             n_series_range=tuple(tcm["n_series_range"]),
             lag_range=tuple(tcm["lag_range"]),
             edge_prob=float(tcm["edge_prob"]),
-            radius_range=tuple(tcm["radius_range"]),
         )
         for i in range(tcm["count"])
     ]
-    tcm_specs += _explicit_specs(S.TcmSpec, cfg["explicit_tcm"])
+    tcm_specs += [S.TcmSpec.from_dict(d) for d in cfg["explicit_tcm"]]
     jobs += [("tcm", lambda spec=spec: (S.tcm_generate(spec), spec.to_dict())) for spec in tcm_specs]
 
-    der = cfg["derived"]
     jobs += [
         ("derived", partial(
             S.make_cross_link_panel, root.spawn(30_000 + i), der["length"],
-            n_followers=der["n_followers"], lag_choices=tuple(der["lag_choices"]),
-            noise_scale=float(der["noise_scale"]),
+            lag_choices=tuple(der["lag_choices"]),
         ))
         for i in range(der["count"])
     ]
     ind = cfg["independent"]
     jobs += [
-        ("independent", partial(
-            S.make_independent_panel, root.spawn(40_000 + i), ind["length"], n_series=ind["n_series"]
-        ))
+        ("independent", partial(S.make_independent_panel, root.spawn(40_000 + i), ind["length"]))
         for i in range(ind["count"])
     ]
 
@@ -336,13 +321,6 @@ def _grid_summary(wall_s: float, cells: int, skips: list[dict]) -> str:
     )
 
 
-def _cutoff(cfg: dict) -> date:
-    try:
-        return date.fromisoformat(cfg["cutoff"])
-    except ValueError as exc:
-        raise ConfigError(f"cutoff must be an ISO date: {exc}") from exc
-
-
 def cmd_evaluate(args) -> int:
     cfg = _load_config(args, EVAL_KEYS)
     workers = cfg["workers"]
@@ -379,7 +357,10 @@ def cmd_evaluate(args) -> int:
         weights, model_cfg, _extra, _m = load_checkpoint(ckpt)
         forecaster = E.ModelForecaster(weights, model_cfg)
 
-    cutoff = _cutoff(cfg)
+    try:
+        cutoff = date.fromisoformat(cfg["cutoff"])
+    except ValueError as exc:
+        raise ConfigError(f"cutoff must be an ISO date: {exc}") from exc
     specs = [
         E.ExperimentSpec(
             panel=p, mode=mo.upper(), n=n, m=m,
@@ -413,7 +394,7 @@ def cmd_evaluate(args) -> int:
         specs, panels, forecaster, records_path=records_path, workers=workers
     )
     print(_grid_summary(time.perf_counter() - start, cells, skips), file=sys.stderr)
-    paths, table1, table2 = E.emit_artifacts(records, out_dir, cutoff=cutoff)
+    paths, table1, table2 = E.emit_artifacts(records, out_dir)
     print(f"records: {records_path} ({len(records)} rows, {len(skips)} skips)")
     for name, p in sorted(paths.items()):
         print(f"{name}: {p}")
@@ -439,9 +420,8 @@ def cmd_report(args) -> int:
     except DataError as exc:
         print(f"malformed records: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
-    cutoff = _cutoff(cfg)
     out_dir = Path(cfg["out_dir"] or _default_out())
-    paths, _, _ = E.emit_artifacts(records, out_dir, cutoff=cutoff)
+    paths, _, _ = E.emit_artifacts(records, out_dir)
     for name, p in sorted(paths.items()):
         print(f"{name}: {p}")
     return EXIT_OK

@@ -34,8 +34,9 @@ class DegenerateInputError(GroupcastError):
     (all-missing series, zero included metric cells)."""
 
 
-class StabilityError(GroupcastError):
-    """A generator spec violates its stability requirement."""
+class StabilityError(ConfigError):
+    """A generator spec violates its stability requirement. A spec is
+    config, so this is a config error wherever the spec came from."""
 
 
 class CheckpointError(GroupcastError):

@@ -20,9 +20,10 @@ mode-independent trunk between them. With workers > 1 they run on a fork
 pool in the same order, each task a whole run of one context's cells. Rows
 are written in canonical order as soon as every earlier cell is done, so
 worker count never changes the output bytes. A rerun over records.csv cuts
-it back to every cell but the last one in the file (panels.resume_log) and
-computes the rest, so a crash loses only that cell and the computed cells
-still waiting to be written.
+it back to the cells at its head that run in this grid's canonical order,
+all but the last of them (panels.resume_log), and computes the rest, so the
+file ends as one run of this grid and a crash loses only that cell and the
+computed cells still waiting to be written.
 """
 
 import csv
@@ -379,33 +380,36 @@ def run_grid(
     written in canonical order (panel, mode, n, m, origin), whatever the
     worker count: a cell's rows are written and flushed as soon as every
     cell before it in that order is done, and computed cells wait in memory
-    until then. A rerun keeps the rows of every cell in records_path but
-    the last one in the file, which it computes again whether or not a
-    crash cut its rows short (see panels.resume_log); a last cell outside
-    this grid is kept as it is. So a rerun after a crash writes the same
-    bytes as an uninterrupted run, and a crash loses only that cell and the
-    cells still waiting. A records_path that does not start with the
-    records header, or that holds a malformed whole row, raises DataError.
+    until then. A rerun keeps the cells at the head of records_path while
+    they are this grid's cells in canonical order, one after another, drops
+    the rows after them (see panels.resume_log), and computes the last one
+    kept, whose rows a crash may have cut short, and every cell after it.
+    A cell with no rows ends the kept run. So a rerun writes the bytes of
+    one uninterrupted run of this grid, whatever the file held, and a crash
+    loses only that cell and the cells still waiting. A records_path that
+    does not start with the records header, or that holds a malformed
+    whole row, raises DataError.
     """
     specs = sorted(dict.fromkeys(specs), key=_canonical_spec_key)
     cells = [(spec, origin) for spec in specs for origin in rolling_origins(panels[spec.panel], spec)]
-    grid = {(s.panel, s.mode, s.n, s.m, o) for s, o in cells}
     existing: list[EvalRecord] = []
+    start = 0  # the first cell this run computes
     path = None if records_path is None else Path(records_path)
     if path is not None:
 
         def keep(rows):
-            # every cell but the last in the file, whose rows may be
-            # incomplete, unless this grid cannot compute that cell again
-            existing.extend(_parse_records(rows, path))
-            last = _cell_key(existing[-1]) if existing else None
-            while existing and last in grid and _cell_key(existing[-1]) == last:
-                existing.pop()
+            nonlocal start
+            runs = [list(run) for _, run in groupby(_parse_records(rows, path), key=_cell_key)]
+            for run, (s, o) in zip(runs, cells):
+                if _cell_key(run[0]) != (s.panel, s.mode, s.n, s.m, o):
+                    break
+                start += 1
+            start = max(start - 1, 0)
+            existing.extend(chain.from_iterable(runs[:start]))
             return len(existing)
 
         resume_log(path, RECORDS_HEADER, keep)
-    done = {_cell_key(r) for r in existing}
-    cells = [(s, o) for s, o in cells if (s.panel, s.mode, s.n, s.m, o) not in done]
+    cells = cells[start:]
     order = sorted(range(len(cells)), key=lambda i: _pairing_key(cells[i]))
     paired = [cells[i] for i in order]
 
@@ -579,16 +583,15 @@ def _mean_mape(groups: dict, key) -> str:
     return FLOAT_FMT % float(np.mean([r.mape for r in rs])) if rs else ""
 
 
-def emit_artifacts(
-    records: list[EvalRecord], out_dir, cutoff: date = DEFAULT_CUTOFF
-) -> tuple[dict[str, Path], list[dict], list[dict]]:
+def emit_artifacts(records: list[EvalRecord], out_dir) -> tuple[dict[str, Path], list[dict], list[dict]]:
     """Write the table/figure-feed CSVs; deterministic bytes per input.
 
     Files: table1.csv (per panel x mode aggregates), table2.csv (per-series
     MV/UV with improvements; the combined panel's rows are its own dataset
     label), heatmap.csv (n rows x mode-by-horizon mean MAPE, pooled over
     panels), timeseries.csv (monthly mean MAPE per panel x mode),
-    regime.csv (pre/post cutoff aggregates). Returns the paths and the rows
+    regime.csv (per panel x mode aggregates by each record's regime, which
+    evaluate_cell set from the evaluate cutoff). Returns the paths and the rows
     of table1 and table2, all taken over the records in canonical order,
     each from one group_by pass.
     """
@@ -616,7 +619,7 @@ def emit_artifacts(
         for (y, mth) in months
     ]
 
-    sides = group_by(records, lambda r: "pre" if r.origin < cutoff else "post")
+    sides = group_by(records, lambda r: r.regime)
     reg_rows = [
         [side] + cells
         for side in ("pre", "post")

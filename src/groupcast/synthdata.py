@@ -1,12 +1,17 @@
 """Synthetic pretraining data.
 
-Three generator families:
+Four generator families:
 
 * trend/seasonality/noise blends (TsiSpec) for univariate series;
-* temporal-causal autoregressive panels (TcmSpec) whose lagged adjacency
-  is checked for stationarity before simulation;
+* temporal-causal autoregressive panels (TcmSpec) over a stationary
+  lagged adjacency;
 * multivariate panels derived from univariate bases through lag-shifted
-  linear mixing, giving panels with known cross-series dependence.
+  linear mixing, giving panels with known cross-series dependence;
+* panels of mutually independent noise series.
+
+A spec checks itself when it is built, so a spec that exists is valid and
+the generators check nothing: a malformed spec raises ConfigError, a
+non-stationary TcmSpec StabilityError (a ConfigError too).
 
 All randomness flows through PortableRng, so identical specs and seeds
 reproduce identical datasets byte-for-byte. Parameter ranges used by the
@@ -18,7 +23,8 @@ import csv
 import functools
 import json
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -27,6 +33,16 @@ from .config import DictConfig
 from .errors import ConfigError, DataError, StabilityError
 from .panels import FLOAT_FMT, atomic_open
 from .rng import PortableRng
+
+
+def _check_kinds(spec) -> None:
+    """Raise ConfigError unless each int field of spec holds an integer and
+    each float field a number (a bool is neither)."""
+    for f in fields(spec):
+        kind = {int: numbers.Integral, float: numbers.Real}.get(f.type)
+        value = getattr(spec, f.name)
+        if kind is not None and (isinstance(value, bool) or not isinstance(value, kind)):
+            raise ConfigError(f"{f.name} must be {f.type.__name__}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -44,12 +60,15 @@ class TsiSpec(DictConfig):
     noise_df: int = 4
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
+        _check_kinds(self)
         if self.length < 1:
             raise ConfigError(f"length must be >= 1, got {self.length}")
-        for period, _amp, _phase in self.seasonal:
-            if period < 2:
-                raise ConfigError(f"seasonal period must be >= 2, got {period}")
+        for term in self.seasonal:
+            if len(term) != 3 or not all(isinstance(v, numbers.Real) for v in term) or term[0] < 2:
+                raise ConfigError(f"a seasonal term is (period >= 2, amplitude, phase), got {term}")
+        if self.noise_df < 1:
+            raise ConfigError(f"noise_df must be >= 1, got {self.noise_df}")
         if self.noise_scale < 0:
             raise ConfigError(f"noise scale must be >= 0, got {self.noise_scale}")
         if self.noise_family not in ("gaussian", "student_t"):
@@ -62,8 +81,9 @@ class TcmSpec(DictConfig):
 
     adjacency has shape (K, K, L); entry [i, j, l] is the effect of series
     j at lag l+1 on series i. The companion-matrix spectral radius must be
-    below 1 (checked at generation time). to_dict writes adjacency as
-    float64 values.
+    below 1: building a spec whose radius is not raises StabilityError with
+    the measured radius, so a TcmSpec that exists is stationary. to_dict
+    writes adjacency as float64 values.
     """
 
     KIND = "tcm"
@@ -84,14 +104,17 @@ class TcmSpec(DictConfig):
             )
         return arr
 
-    def validate(self):
+    def __post_init__(self):
+        _check_kinds(self)
         if self.lag_order < 1:
             raise ConfigError(f"lag order must be >= 1, got {self.lag_order}")
         if self.n_series < 1 or self.length < 1:
             raise ConfigError("n_series and length must be >= 1")
         if self.innovation_scale < 0:
             raise ConfigError("innovation scale must be >= 0")
-        self.adjacency_array()
+        radius = spectral_radius(companion_matrix(self.adjacency_array()))
+        if radius >= 1.0:
+            raise StabilityError(f"companion spectral radius {radius:.6f} >= 1; spec is non-stationary")
 
     def to_dict(self) -> dict:
         return {**super().to_dict(), "adjacency": np.asarray(self.adjacency, dtype=np.float64).tolist()}
@@ -163,7 +186,6 @@ def tsi_generate(spec: TsiSpec) -> np.ndarray:
     Seasonal terms use (t mod period) inside the angle so integer periods
     repeat exactly.
     """
-    spec.validate()
     t = np.arange(spec.length, dtype=np.float64)
     x = spec.trend_slope * t + spec.trend_curvature * t * t
     for period, amplitude, phase in spec.seasonal:
@@ -179,25 +201,12 @@ def tsi_generate(spec: TsiSpec) -> np.ndarray:
     return x
 
 
-def check_stationary(adjacency: np.ndarray) -> None:
-    """Raise StabilityError with the measured radius when the (K, K, L)
-    adjacency's companion spectral radius is >= 1."""
-    radius = spectral_radius(companion_matrix(adjacency))
-    if radius >= 1.0:
-        raise StabilityError(
-            f"companion spectral radius {radius:.6f} >= 1; spec is non-stationary"
-        )
-
-
 def tcm_generate(spec: TcmSpec) -> np.ndarray:
     """Simulate the lagged autoregression; returns (K, length).
 
-    Burn-in of 10 * L * K steps is discarded. Raises StabilityError (see
-    check_stationary) for a non-stationary spec.
-    """
-    spec.validate()
+    Burn-in of 10 * L * K steps is discarded. The spec is stationary:
+    every TcmSpec checks that when it is built."""
     adj = spec.adjacency_array()
-    check_stationary(adj)
     K, L = spec.n_series, spec.lag_order
     burn = 10 * L * K
     total = spec.length + burn
@@ -286,8 +295,12 @@ def sample_tcm_spec(
 
     A random variate order makes the cross-series graph acyclic; self-lags
     are always candidates. Scaling lag-l matrices by c**l scales the
-    companion spectrum by c, which pins the radius exactly.
+    companion spectrum by c, which pins the radius exactly. A range that
+    is not [lo, hi] with 1 <= lo <= hi raises ConfigError.
     """
+    for name, r in (("n_series_range", n_series_range), ("lag_range", lag_range)):
+        if len(r) != 2 or not 1 <= r[0] <= r[1]:
+            raise ConfigError(f"{name} needs [lo, hi] with 1 <= lo <= hi, got {list(r)}")
     K = int(rng.integers(1, n_series_range[1] - n_series_range[0] + 1)[0]) + n_series_range[0]
     L = int(rng.integers(1, lag_range[1] - lag_range[0] + 1)[0]) + lag_range[0]
     order = np.argsort(rng.uniform(K))

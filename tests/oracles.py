@@ -32,7 +32,6 @@ byte reference for ``tensor.backward``.
 import csv
 import logging
 import math
-from datetime import date
 from pathlib import Path
 
 import numpy as np
@@ -711,7 +710,7 @@ def compare_series_scan(records):
     return rows
 
 
-def emit_artifacts_scan(records, out_dir, cutoff: date = E.DEFAULT_CUTOFF):
+def emit_artifacts_scan(records, out_dir):
     """The artifact CSVs with one scan of the records per heatmap cell, per
     (month, panel, mode) and per regime side. Returns what
     evalharness.emit_artifacts returns."""
@@ -771,9 +770,7 @@ def emit_artifacts_scan(records, out_dir, cutoff: date = E.DEFAULT_CUTOFF):
 
     reg_rows = []
     for side in ("pre", "post"):
-        side_records = [
-            r for r in records if (r.origin < cutoff) == (side == "pre")
-        ]
+        side_records = [r for r in records if r.regime == side]
         for row in aggregate_mode_scan(side_records):
             reg_rows.append(
                 [side, row["panel"], row["mode"], E._fmt(row["mape_mean"]), E._fmt(row["mape_std"]),

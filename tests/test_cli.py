@@ -12,9 +12,10 @@ from groupcast import cli
 from groupcast import evalharness as E
 from groupcast.checkpoint import load_checkpoint, save_checkpoint
 from groupcast import model as M
+from groupcast import synthdata as S
 from groupcast.panels import RATE_IDS, STOCK_IDS, save_csv_panel
 
-from conftest import make_price_panel, make_rate_panel
+from conftest import crash_in_child, make_price_panel, make_rate_panel, tree_bytes
 
 
 def _dir_bytes(path: Path) -> dict[str, bytes]:
@@ -94,6 +95,35 @@ def test_synth_explicit_tcm_specs(tmp_path):
     assert len(list(out.glob("tcm_*.json"))) == 2
 
 
+def test_synth_hard_crash_after_each_file_reruns_to_the_same_tree(tmp_path):
+    cfg_path = tmp_path / "synth.json"
+    cfg_path.write_text(json.dumps({"tsi": {"count": 2, "length": 32}, "tcm": {"count": 2, "length": 32},
+                                    "derived": {"count": 1, "length": 32},
+                                    "independent": {"count": 1, "length": 32}}))
+
+    def synth(out):
+        assert cli.main(["synth", "--config", str(cfg_path), "--out", str(out), "--seed", "3"]) == 0
+
+    synth(tmp_path / "whole")
+    want = tree_bytes(tmp_path / "whole")
+    assert len(want) == 12
+
+    def job(seam, out):  # in the child: crash right after a dataset or provenance file is written
+        for name in ("save_panel_dataset", "save_provenance"):
+            def saving(*args, save=getattr(S, name), **kwargs):
+                save(*args, **kwargs)
+                seam()
+
+            setattr(S, name, saving)
+        synth(out)
+
+    for k in range(1, len(want) + 1):
+        out = tmp_path / f"crash{k}"
+        crash_in_child(lambda seam: job(seam, out), k)
+        synth(out)
+        assert tree_bytes(out) == want, k
+
+
 @pytest.mark.parametrize("command,key", [
     ("synth", "out_dir"), ("train", "out_dir"), ("evaluate", "out_dir"), ("report", "out_dir"),
     ("train", "data_dir"), ("train", "resume"), ("evaluate", "checkpoint"),
@@ -155,12 +185,29 @@ def test_unknown_config_key_exits_2(tmp_path):
     ["synth", "--set", 'tcm.lag_range=["1", 2]'],
     ["synth", "--set", "derived.lag_choices=[8, false]"],
     ["synth", "--set", "derived.lag_choices=[[8]]"],
+    # synth inputs that were written, in part, before they failed, or not checked at all
+    ["synth", "--set", 'independent={"count": 1, "length": 0}'],
+    ["synth", "--set", 'tsi={"count": 2, "length": 10}', "--set", 'tcm={"count": 1, "length": 0}'],
+    ["synth", "--set", 'tcm={"count": 1, "length": 10, "n_series_range": [5, 2]}'],
+    ["synth", "--set", 'derived={"count": 1, "length": 10, "lag_choices": []}'],
+    ["synth", "--set", 'tsi={"count": 2, "length": 10}', "--set",
+     'tcm={"count": 1, "length": 10, "radius_range": [0.5, 1.5]}'],
+    ["synth", "--set", "tsi.count=-1"],
+    ["synth", "--set", "derived.length=0"],
+    ["synth", "--set", 'tsi={"count": 1, "length": 10}', "--set",
+     'explicit_tsi=[{"length": 5, "noise_family": "student_t", "noise_scale": 1.0, "noise_df": 0}]'],
+    ["synth", "--set", 'tsi={"count": 1, "length": 10}', "--set", 'explicit_tsi=[{"length": 5, "trend_slope": "a"}]'],
+    ["synth", "--set", 'tsi={"count": 1, "length": 10}', "--set",
+     'explicit_tcm=[{"n_series": 1.0, "lag_order": 1, "adjacency": [[[0.5]]], "length": 5}]'],
 ], ids=["tsi-int", "count-str", "tsi-key", "tcm-missing", "tsi-length0", "tcm-adjacency",
         "tcm-unstable", "model-int", "d_model-str", "top-seed", "workers-0", "workers-negative",
         "one-context-two-stages", "three-contexts-two-stages", "batch_groups-0", "checkpoint_every-0",
         "max_horizon_patches-negative", "max_horizon_patches-0", "max_horizon_patches-past-model",
         "contexts-str", "contexts-float", "horizons-bool", "horizons-mixed", "modes-int", "modes-null",
-        "lag_range-float", "lag_range-str", "lag_choices-bool", "lag_choices-list"])
+        "lag_range-float", "lag_range-str", "lag_choices-bool", "lag_choices-list",
+        "independent-length0", "tcm-length0-after-tsi", "n_series_range-reversed", "lag_choices-empty",
+        "tcm-radius_range-unstable", "tsi-count-negative", "derived-length0-count0",
+        "explicit-tsi-noise_df0", "explicit-tsi-slope-str", "explicit-tcm-n_series-float"])
 def test_malformed_config_exits_2_and_writes_nothing(tmp_path, capsys, argv):
     inputs = {
         "train": lambda: ["--data", str(_synth_small(tmp_path))] + TRAIN_OVERRIDES,

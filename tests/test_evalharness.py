@@ -221,10 +221,40 @@ def test_run_grid_streams_and_resumes(tmp_path, toy_panel):
     for r in reloaded:
         orig = by_key[(r.mode, r.series, r.origin)]
         assert r.rmse == orig.rmse and r.mape == orig.mape
-    # the file ends with a UV cell, which a grid of MV alone cannot compute again
-    before = path.read_bytes()
+    # a grid of MV alone keeps the file's MV cells but the last, and drops the UV rows
+    mv_only = tmp_path / "mv.csv"
+    want, _, _ = E.run_grid([spec_b], {"toy": toy_panel}, E.LastValueStub(), records_path=mv_only)
     again, _, cells = E.run_grid([spec_b], {"toy": toy_panel}, E.LastValueStub(), records_path=path)
-    assert cells == 0 and len(again) == len(both) and path.read_bytes() == before
+    assert cells == 1 and again == want and path.read_bytes() == mv_only.read_bytes()
+
+
+def test_rerun_with_a_larger_grid_ends_as_one_run_of_it(tmp_path, toy_panel):
+    specs, panels = _toy_grid(toy_panel)
+    whole = tmp_path / "whole.csv"
+    E.run_grid(specs, panels, E.LastValueStub(), records_path=whole)
+    path = tmp_path / "records.csv"
+    E.run_grid([specs[1]], panels, E.LastValueStub(), records_path=path)  # UV alone
+    records, _, _ = E.run_grid(specs, panels, E.LastValueStub(), records_path=path)
+    assert path.read_bytes() == whole.read_bytes()
+    assert records == E.read_records(whole)
+
+
+def test_rerun_computes_again_from_the_cell_before_a_cell_without_rows(tmp_path, toy_panel, monkeypatch):
+    specs, panels = _toy_grid(toy_panel)
+    hole = E.rolling_origins(toy_panel, specs[0])[3]
+    evaluate_cell = E.evaluate_cell
+
+    def holed(panel, spec, origin, forecaster):  # the MV cell at the hole writes no rows
+        records, skips = evaluate_cell(panel, spec, origin, forecaster)
+        return ([], skips) if (spec.mode, origin) == ("MV", hole) else (records, skips)
+
+    monkeypatch.setattr(E, "evaluate_cell", holed)
+    path = tmp_path / "records.csv"
+    E.run_grid(specs, panels, E.LastValueStub(), records_path=path)
+    before = path.read_bytes()
+    _, _, cells = E.run_grid(specs, panels, E.LastValueStub(), records_path=path)
+    total = sum(len(E.rolling_origins(toy_panel, spec)) for spec in specs)
+    assert cells == total - 2 and path.read_bytes() == before
 
 
 def _toy_grid(toy_panel):
@@ -776,8 +806,8 @@ def test_compare_series_combined_label():
     }
 
 
-def _regime_rows(records, out_dir, cutoff=E.DEFAULT_CUTOFF):
-    paths, _, _ = E.emit_artifacts(records, out_dir, cutoff=cutoff)
+def _regime_rows(records, out_dir):
+    paths, _, _ = E.emit_artifacts(records, out_dir)
     rows = [ln.split(",") for ln in paths["regime"].read_text().splitlines()[1:]]
     return rows, paths
 
@@ -793,8 +823,9 @@ def test_regime_partition_and_boundaries(tmp_path):
     assert [r[0] for r in rows] == ["pre", "post"]
     only_pre, _ = _regime_rows([records[0]], tmp_path / "only_pre")
     assert [r[0] for r in only_pre] == ["pre"]
-    # pushing the cutoff beyond the last origin reproduces the unsplit aggregate
-    far, paths = _regime_rows(records, tmp_path / "far", cutoff=date(2030, 1, 1))
+    # records that an evaluate cutoff beyond the last origin labels all
+    # "pre" reproduce the unsplit aggregate
+    far, paths = _regime_rows([replace(r, regime="pre") for r in records], tmp_path / "far")
     assert {r[0] for r in far} == {"pre"}
     assert [",".join(r[1:]) for r in far] == paths["table1"].read_text().splitlines()[1:]
 
@@ -875,10 +906,11 @@ def _gapped_records():
                         for month in range(1, 13):
                             if (year, month) == (2022, 5) or rng.uniform() < 0.2:
                                 continue
+                            origin = date(year, month, 1 + month % 3)
                             records.append(_rec(
-                                panel=panel, mode=mode, series=series, n=n, m=m,
-                                origin=date(year, month, 1 + month % 3),
+                                panel=panel, mode=mode, series=series, n=n, m=m, origin=origin,
                                 rmse_=float(rng.uniform(0, 9)), mape_=float(rng.uniform(0, 1)),
+                                regime="pre" if origin < E.DEFAULT_CUTOFF else "post",
                             ))
     return [records[i] for i in rng.permutation(len(records))]
 

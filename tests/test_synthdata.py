@@ -92,9 +92,8 @@ def test_tcm_one_way_link_intervention():
 
 
 def test_tcm_unstable_spec_reports_radius():
-    spec = S.TcmSpec(n_series=1, lag_order=1, adjacency=(((1.05,),),), length=10)
     with pytest.raises(StabilityError) as exc:
-        S.tcm_generate(spec)
+        S.TcmSpec(n_series=1, lag_order=1, adjacency=(((1.05,),),), length=10)
     assert "1.05" in str(exc.value)
 
 
