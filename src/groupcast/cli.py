@@ -333,7 +333,7 @@ def cmd_evaluate(args) -> int:
         for name, ids in PANEL_IDS.items():
             if panel_paths[name]:
                 panels[name] = load_csv_panel(panel_paths[name], expected_ids=ids)
-    except (DataError, OSError) as exc:
+    except OSError as exc:
         print(f"panel load failure: {exc}", file=sys.stderr)
         return EXIT_LOAD
     if not panels:

@@ -116,7 +116,9 @@ def load_csv_panel(path, expected_ids=None) -> SeriesPanel:
     """Load and validate a panel snapshot.
 
     expected_ids, when given, must match the header columns exactly (same
-    set and order is not required in the file; columns are reordered).
+    set and order is not required in the file; columns are reordered). A
+    non-finite value raises DataError naming the file, the row's date and
+    the column.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -171,6 +173,9 @@ def load_csv_panel(path, expected_ids=None) -> SeriesPanel:
     if not dates:
         raise DataError(f"{path}: no data rows")
     values = np.asarray(rows, dtype=np.float64).T
+    if not np.isfinite(values).all():
+        r, c = np.argwhere(~np.isfinite(values.T))[0]  # the first in file order
+        raise DataError(f"{path}: row dated {dates[r]}, column {ids[c]}: non-finite value {rows[r][c]!r}")
     mask = np.asarray(mrows, dtype=np.float64).T
     if expected_ids is not None and list(ids) != list(expected_ids):
         order = [ids.index(i) for i in expected_ids]

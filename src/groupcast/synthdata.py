@@ -431,8 +431,8 @@ def save_panel_dataset(path, panel: np.ndarray) -> None:
 def load_panel_dataset(path) -> tuple[list[str], np.ndarray]:
     """Read a dataset CSV that save_panel_dataset wrote: (ids in order of
     first appearance, (K, T) values). Each series' t must run 0, 1, 2, ...
-    in file order; a malformed row, an unparseable value or a t out of
-    order raises DataError naming the file and line."""
+    in file order; a malformed row, an unparseable or non-finite value or
+    a t out of order raises DataError naming the file and line."""
     by_series: dict[str, list[float]] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -449,9 +449,12 @@ def load_panel_dataset(path) -> tuple[list[str], np.ndarray]:
                     f"expected {len(values)}"
                 )
             try:
-                values.append(float(row[2]))
+                value = float(row[2])
             except ValueError:
                 raise DataError(f"{path}, line {reader.line_num}: unparseable value {row[2]!r}") from None
+            if not math.isfinite(value):
+                raise DataError(f"{path}, line {reader.line_num}, column value: non-finite value {row[2]!r}")
+            values.append(value)
     ids = list(by_series)
     if not ids:
         raise DataError(f"{path}: empty dataset")

@@ -20,8 +20,8 @@ byte references for the helpers of ``groupcast.tensor`` that
 share (the masked group attention and the attention chain use them, so
 no LayerNorm, softmax or linear code is shared with what they check). The ``csv.writer`` dataset
 writer and the numpy-scalar VAR loop are the byte references for the
-%-template ``synthdata.save_panel_dataset`` and the Python-float
-``kernels.var_recursion``; the power iteration with two products by M per
+%-template ``synthdata.save_panel_dataset`` and ``kernels.var_recursion``,
+whose step over Python floats is generated once per (K, L) shape; the power iteration with two products by M per
 step is the byte reference for ``synthdata.spectral_radius``. The per-series scoring loop, which calls the
 package's ``rmse`` and ``mape`` once per series, is the byte reference for
 the whole-array metrics of ``evalharness.evaluate_cell``. The two-phase

@@ -1,6 +1,7 @@
 """CLI subcommands, config handling, exit codes."""
 
 import json
+import os
 import re
 from datetime import date
 from pathlib import Path
@@ -121,6 +122,35 @@ def test_synth_hard_crash_after_each_file_reruns_to_the_same_tree(tmp_path):
         out = tmp_path / f"crash{k}"
         crash_in_child(lambda seam: job(seam, out), k)
         synth(out)
+        assert tree_bytes(out) == want, k
+
+
+def test_report_hard_crash_around_each_artifact_rename_reruns_to_the_same_tree(tmp_path):
+    assert cli.main(["evaluate", "--out", str(tmp_path / "eval")] + _eval_inputs(tmp_path)) == 0
+    records = tmp_path / "eval" / "records.csv"
+
+    def report(out):
+        assert cli.main(["report", "--records", str(records), "--out", str(out)]) == 0
+
+    report(tmp_path / "whole")
+    want = tree_bytes(tmp_path / "whole")
+    assert len(want) == 5
+
+    def job(seam, out):  # in the child: crash just before or just after an artifact is renamed
+        replace = os.replace
+
+        def replacing(*args, **kwargs):
+            seam()
+            replace(*args, **kwargs)
+            seam()
+
+        os.replace = replacing
+        report(out)
+
+    for k in range(1, 2 * len(want) + 1):
+        out = tmp_path / f"crash{k}"
+        crash_in_child(lambda seam: job(seam, out), k)
+        report(out)
         assert tree_bytes(out) == want, k
 
 
@@ -494,6 +524,21 @@ def test_evaluate_missing_panel_exits_4(tmp_path, tiny_ckpt):
     assert code == 4
 
 
+def test_evaluate_non_finite_panel_value_exits_5_before_any_record(tmp_path, capsys):
+    stocks = make_price_panel(STOCK_IDS, date(2019, 1, 1), 400, seed=31)
+    stocks.values[1, 50] = np.nan
+    stocks.values[3, 70] = np.inf
+    sp = tmp_path / "stocks.csv"
+    save_csv_panel(sp, stocks)
+    out = tmp_path / "eval"
+    code = cli.main(["evaluate", "--stocks", str(sp), "--out", str(out), "--stub", "last-value",
+                     "--n", "30", "--m", "5", "--set", "start_years_after=1"])
+    assert code == 5
+    err = capsys.readouterr().err
+    assert f"malformed data: {sp}: row dated {stocks.dates[50]}, column AMZN: non-finite value nan" in err
+    assert not out.exists()
+
+
 def test_evaluate_bad_checkpoint_exits_4(tmp_path, market_csvs):
     sp, rp = market_csvs
     bad = tmp_path / "bad.ckpt"
@@ -639,7 +684,10 @@ def test_report_drops_torn_final_row(tmp_path, market_csvs):
 @pytest.mark.parametrize("rows,message", [
     (["s0,0,1.5", "s0,1,abc"], "line 3: unparseable value 'abc'"),
     (["s0,5,1.5", "s0,5,2.5", "s0,0,3.0"], "line 2: series 's0' has t='5', expected 0"),
-], ids=["value-abc", "t-out-of-order"])
+    (["s0,0,1.5", "s0,1,inf"], "line 3, column value: non-finite value 'inf'"),
+    (["s0,0,-inf", "s0,1,1.5"], "line 2, column value: non-finite value '-inf'"),
+    (["s0,0,1.5", "s0,1,2.5", "s0,2,nan"], "line 4, column value: non-finite value 'nan'"),
+], ids=["value-abc", "t-out-of-order", "value-inf", "value-minus-inf", "value-nan"])
 def test_train_malformed_dataset_exits_5(tmp_path, capsys, rows, message):
     data = _synth_small(tmp_path)
     bad = data / "zz_bad.csv"

@@ -1,9 +1,10 @@
-"""Kernels, the Python-float VAR loop against its numpy-scalar oracle, and
-the portable RNG stream contract."""
+"""Kernels, the generated Python-float VAR step against its numpy-scalar
+oracle, and the portable RNG stream contract."""
 
 import numpy as np
 
 from groupcast import kernels
+from groupcast import synthdata as S
 from groupcast.backend import backend_name
 from groupcast.rng import PortableRng
 
@@ -30,14 +31,29 @@ def test_mix64_counter_offset():
 def test_var_recursion_bytes_match_numpy_scalar_loop():
     rng = np.random.default_rng(11)
     shapes = [(1, 1, 0), (2, 3, 0), (1, 1, 1), (3, 1, 2), (3, 4, 1), (2, 5, 2), (1, 1, 300)]
+    shapes += [(2, 3, 1084), (1, 1, 1050)]  # the tcm and AR(1) shapes of `groupcast synth`
+    shapes += [(2, 3, 2), (3, 2, 3), (2, 3, 3), (3, 2, 4)]  # T <= L and T = L + 1
+    shapes += [(3, 100, 5)]  # 300 terms a row: the generated sum spans two statements
     shapes += [tuple(int(v) for v in rng.integers((1, 1, 0), (4, 6, 200))) for _ in range(60)]
     for L, K, T in shapes:
-        coeffs = rng.normal(size=(L, K, K)) * rng.choice([0.05, 0.3, 1.5])
+        # the long shapes take small coefficients, so that their rows stay finite
+        coeffs = rng.normal(size=(L, K, K)) * (rng.choice([0.05, 0.3, 1.5]) if T <= 300 else 0.1)
         innov = rng.normal(size=(T, K)) * 10.0 ** rng.integers(-3, 4)
-        got = kernels.var_recursion(coeffs, innov)
-        want = var_recursion_numpy_scalars(coeffs, innov)
-        assert got.dtype == want.dtype and got.shape == want.shape == (T, K)
-        assert got.tobytes() == want.tobytes(), (L, K, T)
+        signed_zeros = np.where(rng.random((T, K)) < 0.5, -0.0, 0.0)  # innovation_scale 0
+        for e in (innov, signed_zeros):
+            got = kernels.var_recursion(coeffs, e)
+            want = var_recursion_numpy_scalars(coeffs, e)
+            assert got.dtype == want.dtype and got.shape == want.shape == (T, K)
+            assert got.tobytes() == want.tobytes(), (L, K, T)
+
+
+def test_tcm_generate_matches_numpy_scalar_loop():
+    spec = S.sample_tcm_spec(PortableRng(3), 200, seed=8, n_series_range=(3, 3), lag_range=(2, 2))
+    burn = 10 * 2 * 3
+    innov = PortableRng(spec.seed).spawn(11).normal((200 + burn) * 3) * spec.innovation_scale
+    coeffs = np.transpose(spec.adjacency_array(), (2, 0, 1))
+    want = var_recursion_numpy_scalars(coeffs, innov.reshape(-1, 3))[burn:].T
+    assert S.tcm_generate(spec).tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 def test_var_recursion_matches_hand_sum():

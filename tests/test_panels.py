@@ -43,6 +43,13 @@ def test_unparseable_number_names_row(tmp_path):
         PN.load_csv_panel(p)
 
 
+@pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "NaN"])
+def test_non_finite_value_names_the_first_in_file_order(tmp_path, cell):
+    p = _write(tmp_path, f"date,A,B\n2024-01-02,1,2\n\n2024-01-03,3,{cell}\n2024-01-04,inf,4\n")
+    with pytest.raises(DataError, match=f"p.csv: row dated 2024-01-03, column B: non-finite value -?(inf|nan)$"):
+        PN.load_csv_panel(p)
+
+
 def test_unknown_column_is_schema_error(tmp_path):
     p = _write(tmp_path, "date,A,B\n2024-01-02,1,2\n")
     with pytest.raises(SchemaError):

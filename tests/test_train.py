@@ -435,6 +435,32 @@ def test_hard_crash_after_each_checkpoint_resumes_to_the_same_tree(tmp_path, cor
         assert _tree_without_wallclock(run) == want, k
 
 
+def test_hard_crash_after_a_step_between_checkpoints_resumes_to_the_same_tree(tmp_path, corpus):
+    tc = TR.TrainConfig(
+        stage_contexts=(16, 32), stage_steps=(20, 20), batch_groups=2,
+        learning_rate=1e-3, seed=9, checkpoint_every=20,
+    )
+    TR.run_curriculum(CFG, tc, corpus, tmp_path / "full")
+    want = _tree_without_wallclock(tmp_path / "full")
+    train_step = TR.train_step
+
+    def job(seam, run):  # in the child: crash right after a step, before its row is written
+        def stepping(*args, **kwargs):
+            loss = train_step(*args, **kwargs)
+            seam()
+            return loss
+
+        TR.train_step = stepping
+        TR.run_curriculum(CFG, tc, corpus, run)
+
+    for k in (3, 27, 40):  # before the first checkpoint, between two, before the last
+        run = tmp_path / f"crash{k}"
+        crash_in_child(lambda seam: job(seam, run), k)
+        newest = max(run.glob("ckpt_step*.ckpt"), default=None)
+        TR.run_curriculum(CFG, tc, corpus, run, resume_from=newest)
+        assert _tree_without_wallclock(run) == want, k
+
+
 def _tree_without_wallclock(run_dir):
     return {**tree_bytes(run_dir), "train_log.csv": _log_without_wallclock(run_dir)}
 
