@@ -29,6 +29,7 @@ from datetime import date
 from functools import partial
 from pathlib import Path
 
+import numpy as np
 
 from . import evalharness as E
 from . import model as M
@@ -163,7 +164,7 @@ EVAL_KEYS = {
     "checkpoint": None,
     "panels": {"stocks": None, "rates": None},
     "include_combined": True,
-    "modes": ["MV", "UV"],
+    "modes": list(M.MODES),
     "contexts": list(E.DEFAULT_CONTEXTS),
     "horizons": list(E.DEFAULT_HORIZONS),
     "cutoff": E.DEFAULT_CUTOFF.isoformat(),
@@ -176,15 +177,18 @@ EVAL_KEYS = {
 REPORT_KEYS = {"records": None, "out_dir": None}
 
 
+def _summary(command: str, start: float, count: int, unit: str, before: str = "", after: str = "") -> None:
+    """Print one stderr line: the wall time since start (a perf_counter
+    reading), the units done and their rate, with the command's own detail
+    before and after them."""
+    wall = time.perf_counter() - start
+    rate = count / wall if wall > 0 else 0.0
+    line = f"{command}: {wall:.2f} s wall, {before}{count} {unit} ({rate:.1f} {unit}/s){after}"
+    print(line, file=sys.stderr)
+
+
 # ---------------------------------------------------------------------------
 # synth
-
-
-def _synth_summary(wall_s: float, datasets: int, points: int) -> str:
-    """One stderr line: synth wall time, the datasets and series points
-    written, and the point rate."""
-    rate = points / wall_s if wall_s > 0 else 0.0
-    return f"synth: {wall_s:.2f} s wall, {datasets} datasets, {points} points ({rate:.1f} points/s)"
 
 
 def cmd_synth(args) -> int:
@@ -249,24 +253,20 @@ def cmd_synth(args) -> int:
         idx = counters.get(kind, 0)
         counters[kind] = idx + 1
         stem = out_dir / f"{kind}_{idx:04d}"
-        panel, prov = make()
+        with np.errstate(all="ignore"):  # an overflow is caught below; files written so far stay
+            panel, prov = make()
+        if not np.isfinite(panel).all():
+            raise ConfigError(f"{stem.name}: the generated series are not all finite")
         S.save_panel_dataset(f"{stem}.csv", panel)
         S.save_provenance(f"{stem}.json", prov)
         points += panel.size
-    print(_synth_summary(time.perf_counter() - start, len(jobs), points), file=sys.stderr)
+    _summary("synth", start, points, "points", before=f"{len(jobs)} datasets, ")
     print(f"wrote {len(jobs)} datasets to {out_dir}" if jobs else "no generator specs; nothing to do")
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # train
-
-
-def _train_summary(wall_s: float, steps: int) -> str:
-    """One stderr line: curriculum wall time, the steps run in this
-    invocation and their rate."""
-    rate = steps / wall_s if wall_s > 0 else 0.0
-    return f"train: {wall_s:.2f} s wall, {steps} steps ({rate:.1f} steps/s)"
 
 
 def cmd_train(args) -> int:
@@ -282,7 +282,7 @@ def cmd_train(args) -> int:
     path = TR.run_curriculum(
         model_cfg, train_cfg, corpus, out_dir, resume_from=cfg["resume"], stats=stats
     )
-    print(_train_summary(time.perf_counter() - start, stats["steps"]), file=sys.stderr)
+    _summary("train", start, stats["steps"], "steps")
     print(f"checkpoint: {path}")
     print(f"training log: {Path(out_dir) / 'train_log.csv'}")
     return EXIT_OK
@@ -307,18 +307,6 @@ def _cell(v) -> str:
     if isinstance(v, float):
         return f"{v:.4f}"
     return str(v)
-
-
-def _grid_summary(wall_s: float, cells: int, skips: list[dict]) -> str:
-    """One stderr line: grid wall time, the cells computed in this run and
-    their rate, and skip counts by reason, largest first."""
-    by_reason = sorted(Counter(s["reason"] for s in skips).items(), key=lambda kv: (-kv[1], kv[0]))
-    detail = "; ".join(f"{n} {reason}" for reason, n in by_reason)
-    rate = cells / wall_s if wall_s > 0 else 0.0
-    return (
-        f"grid: {wall_s:.2f} s wall, {cells} cells ({rate:.1f} cells/s), {len(skips)} skips"
-        + (f" ({detail})" if detail else "")
-    )
 
 
 def cmd_evaluate(args) -> int:
@@ -393,7 +381,9 @@ def cmd_evaluate(args) -> int:
     records, skips, cells = E.run_grid(
         specs, panels, forecaster, records_path=records_path, workers=workers
     )
-    print(_grid_summary(time.perf_counter() - start, cells, skips), file=sys.stderr)
+    by_reason = sorted(Counter(s["reason"] for s in skips).items(), key=lambda kv: (-kv[1], kv[0]))
+    detail = "; ".join(f"{n} {reason}" for reason, n in by_reason)  # largest first
+    _summary("grid", start, cells, "cells", after=f", {len(skips)} skips" + (detail and f" ({detail})"))
     paths, table1, table2 = E.emit_artifacts(records, out_dir)
     print(f"records: {records_path} ({len(records)} rows, {len(skips)} skips)")
     for name, p in sorted(paths.items()):
@@ -482,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--checkpoint", help="model checkpoint")
     pe.add_argument("--stocks", dest="panels.stocks", metavar="CSV", help="stocks panel CSV")
     pe.add_argument("--rates", dest="panels.rates", metavar="CSV", help="rates panel CSV")
-    pe.add_argument("--mode", dest="modes", action="append", type=str.upper, choices=["UV", "MV"],
+    pe.add_argument("--mode", dest="modes", action="append", type=str.upper, choices=M.MODES,
                     help="repeatable")
     pe.add_argument("--n", dest="contexts", action="append", type=int, help="context length; repeatable")
     pe.add_argument("--m", dest="horizons", action="append", type=int, help="horizon; repeatable")

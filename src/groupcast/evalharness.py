@@ -49,7 +49,6 @@ DEFAULT_CUTOFF = date(2023, 1, 1)
 DEFAULT_CONTEXTS = (126, 252, 504, 756)
 DEFAULT_HORIZONS = (21, 63)
 PANEL_ORDER = ("stocks", "rates", "combined")
-MODE_ORDER = ("MV", "UV")
 
 RECORD_FIELDS = ("panel", "mode", "series", "n", "m", "origin", "rmse", "mape", "skipped", "regime")
 RECORDS_HEADER = ",".join(RECORD_FIELDS) + "\r\n"  # as csv.writer writes it
@@ -74,8 +73,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
             raise ConfigError(f"n and m must be positive, got n={self.n}, m={self.m}")
-        if self.mode not in MODE_ORDER:
-            raise ConfigError(f"mode must be one of {MODE_ORDER}, got {self.mode!r}")
+        if self.mode not in M.MODES:
+            raise ConfigError(f"mode must be one of {M.MODES}, got {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -145,28 +144,20 @@ def _add_years(d: date, years: int) -> date:
 def rolling_origins(panel: SeriesPanel, spec: ExperimentSpec) -> list[date]:
     """First trading day of each month admitting the full (n, m) window.
 
+    A date opens its month when the date before it lies in another month.
     Eligibility starts with the month that lies start_years_after years
     after the panel's first date (month granularity).
     """
     earliest = _add_years(panel.dates[0], spec.start_years_after)
-    earliest_month = (earliest.year, earliest.month)
-    firsts: list[tuple[int, date]] = []
-    seen: set[tuple[int, int]] = set()
-    for i, d in enumerate(panel.dates):
-        key = (d.year, d.month)
-        if key not in seen:
-            seen.add(key)
-            firsts.append((i, d))
+    start_month = (earliest.year, earliest.month)
+    last = panel.n_dates - spec.m
     out = []
-    T = panel.n_dates
-    for idx, d in firsts:
-        if (d.year, d.month) < earliest_month:
-            continue
-        if idx < spec.n:
-            continue
-        if idx + spec.m > T:
-            continue
-        out.append(d)
+    prev = None
+    for i, d in enumerate(panel.dates):
+        month = (d.year, d.month)
+        if month != prev and month >= start_month and spec.n <= i <= last:
+            out.append(d)
+        prev = month
     return out
 
 
@@ -246,8 +237,10 @@ STUB_FORECASTERS = {
 # the grid
 
 
-def _canonical_spec_key(spec: ExperimentSpec):
-    return panel_sort_key(spec.panel) + (MODE_ORDER.index(spec.mode), spec.n, spec.m)
+def _canonical_key(x) -> tuple:
+    """The canonical order of specs, cells and records (anything with a
+    panel, mode, n and m): panel as panel_sort_key, mode as in M.MODES, n, m."""
+    return panel_sort_key(x.panel) + (M.MODES.index(x.mode), x.n, x.m)
 
 
 _POOL_STATE: dict = {}
@@ -356,7 +349,7 @@ def _whole_array_scores(realized: np.ndarray, realized_mask: np.ndarray, point) 
 
 def _pairing_key(cell):
     spec, origin = cell
-    p, panel, mo, n, m = _canonical_spec_key(spec)
+    p, panel, mo, n, m = _canonical_key(spec)
     return (p, panel, n, m, origin, mo)
 
 
@@ -390,7 +383,7 @@ def run_grid(
     does not start with the records header, or that holds a malformed
     whole row, raises DataError.
     """
-    specs = sorted(dict.fromkeys(specs), key=_canonical_spec_key)
+    specs = sorted(dict.fromkeys(specs), key=_canonical_key)
     cells = [(spec, origin) for spec in specs for origin in rolling_origins(panels[spec.panel], spec)]
     existing: list[EvalRecord] = []
     start = 0  # the first cell this run computes
@@ -470,10 +463,11 @@ def read_records(path) -> list[EvalRecord]:
 
 def _parse_records(lines: list[str], path) -> list[EvalRecord]:
     """The records of the whole rows that follow the header of records.csv;
-    a malformed row raises DataError naming its line."""
+    a malformed row, one with a mode not in M.MODES included, raises
+    DataError naming its line."""
     out = []
     for li, row in enumerate(csv.reader(lines), start=2):
-        if len(row) != len(RECORD_FIELDS):
+        if len(row) != len(RECORD_FIELDS) or row[1] not in M.MODES:
             raise DataError(f"{path}: row {li} malformed")
         try:
             out.append(
@@ -517,7 +511,7 @@ def aggregate_mode(records: list[EvalRecord]) -> list[dict]:
     """Per (panel, mode) mean/std of MAPE and RMSE (sample std, N-1)."""
     groups = group_by(records, lambda r: (r.panel, r.mode))
     rows = []
-    for (panel, mode) in sorted(groups, key=lambda k: (panel_sort_key(k[0]), k[1])):
+    for (panel, mode) in sorted(groups, key=lambda k: panel_sort_key(k[0]) + (M.MODES.index(k[1]),)):
         rs = groups[(panel, mode)]
         mp_mean, mp_std = _mean_std([r.mape for r in rs])
         rm_mean, rm_std = _mean_std([r.rmse for r in rs])
@@ -556,10 +550,7 @@ def compare_series(records: list[EvalRecord]) -> list[dict]:
 
 
 def _canonical_records(records: list[EvalRecord]) -> list[EvalRecord]:
-    return sorted(
-        records,
-        key=lambda r: (panel_sort_key(r.panel), r.mode, r.n, r.m, r.origin, r.series),
-    )
+    return sorted(records, key=lambda r: _canonical_key(r) + (r.origin, r.series))
 
 
 def _write_csv(path: Path, header: list[str] | tuple[str, ...], rows: list[list]) -> None:
@@ -604,7 +595,7 @@ def emit_artifacts(records: list[EvalRecord], out_dir) -> tuple[dict[str, Path],
     heat = group_by(records, lambda r: (r.n, r.mode, r.m))
     ns = sorted({n for n, _, _ in heat})
     ms = sorted({m for _, _, m in heat})
-    modes = [mo for mo in MODE_ORDER if any(mode == mo for _, mode, _ in heat)]
+    modes = [mo for mo in M.MODES if any(mode == mo for _, mode, _ in heat)]
     heat_rows = [
         [str(n)] + [_mean_mape(heat, (n, mo, m)) for mo in modes for m in ms]
         for n in ns

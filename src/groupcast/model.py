@@ -71,6 +71,10 @@ GROUP_MASK_PENALTY = -1e9
 
 N_CHANNELS = 3  # value, rel_time, mask
 
+# The forecast modes, in canonical order: "MV" one group for the whole
+# panel, "UV" every series its own group.
+MODES = ("MV", "UV")
+
 
 @dataclass(frozen=True)
 class ModelConfig(DictConfig):
@@ -105,7 +109,8 @@ class GroupBatch:
 
     tokens: (S, T, d_model) Tensor with the separator at reg_position.
     block0_time, when set, is block 0's time attention of tokens, which
-    forward then does not compute again; group_ids is None only in a trunk,
+    forward then does not compute again, and marks the batch as a trunk,
+    whose last block forward prunes; group_ids is None only in a trunk,
     before finish sets it.
     """
 
@@ -437,20 +442,19 @@ def group_attention(
     return T.concat([out_before, reg_tok, out_after], axis=1)
 
 
-def forward(
-    batch: GroupBatch, weights: dict, config: ModelConfig, future_only: bool = False
-) -> T.Tensor:
+def forward(batch: GroupBatch, weights: dict, config: ModelConfig) -> T.Tensor:
     """Run the attention blocks and head; returns (S, F*P, 21) scaled grid.
 
-    With future_only, the last block computes only the rows the head reads,
-    the future patches, with at least two: with one future patch the
-    separator row stays too, since a single query row would take BLAS's
-    matrix-vector path, which sums in another order. The grid has the same
-    bits as without it. Inference sets it; training does not.
+    A trunk (block0_time set) is an inference batch, so its last block
+    computes only the rows the head reads, the future patches, with at least
+    two: with one future patch the separator row stays too, since a single
+    query row would take BLAS's matrix-vector path, which sums in another
+    order. The grid has the same bits as the full last block. Training
+    batches have no block0_time and keep every row.
     """
     x = batch.tokens
     L = x.shape[1]
-    start = min(batch.reg_position + 1, L - 2) if future_only and config.n_blocks else 0
+    start = 0 if batch.block0_time is None else min(batch.reg_position + 1, L - 2)
     for i in range(config.n_blocks):
         rows_from = start if i == config.n_blocks - 1 else 0
         if i == 0 and batch.block0_time is not None:
@@ -578,23 +582,12 @@ def assemble_batch(
     )
 
 
-def uv_group_ids(n_series: int) -> np.ndarray:
-    return np.arange(n_series, dtype=np.int64)
-
-
-def mv_group_ids(n_series: int) -> np.ndarray:
-    return np.zeros(n_series, dtype=np.int64)
-
-
 def mode_group_ids(mode: str, n_series: int) -> np.ndarray:
-    """Group IDs of a forecast mode: "UV" isolates each series in its own
-    group, "MV" shares one group across the panel."""
-    mode = mode.upper()
-    if mode == "UV":
-        return uv_group_ids(n_series)
-    if mode == "MV":
-        return mv_group_ids(n_series)
-    raise ConfigError(f"mode must be UV or MV, got {mode!r}")
+    """Group IDs of a forecast mode: "MV" shares one group across the
+    panel, "UV" isolates each series in its own group."""
+    if mode not in MODES:
+        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
+    return (np.zeros if mode == "MV" else np.arange)(n_series, dtype=np.int64)
 
 
 def trunk(
@@ -621,12 +614,12 @@ def finish(
 ) -> QuantileForecast:
     """Complete a trunk under group_ids: block 0's group attention, the
     remaining blocks and the head, the last block computing only the future
-    rows, at least two (forward's future_only). Then the quantiles are
+    rows, at least two (see forward). Then the quantiles are
     sorted per position (monotone rearrangement) and mapped back to
     original units, all series in one expression. The trunk itself is left
     as it was."""
     batch = replace(batch, group_ids=group_ids)
-    grid = forward(batch, weights, config, future_only=True).data.astype(np.float64)
+    grid = forward(batch, weights, config).data.astype(np.float64)
     grid = np.sort(grid[:, : batch.horizon_len, :], axis=-1)
     loc = np.array([st.loc for st in batch.scaling])
     scale = np.array([st.scale for st in batch.scaling])

@@ -6,7 +6,7 @@ replays exactly the batches a fresh run would produce.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -50,8 +50,9 @@ class TrainConfig(DictConfig):
         for name in ("batch_groups", "checkpoint_every"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.max_horizon_patches is not None and self.max_horizon_patches < 1:
-            raise ConfigError(f"max_horizon_patches must be null or >= 1, got {self.max_horizon_patches}")
+        mhp = self.max_horizon_patches
+        if mhp is not None and (type(mhp) is not int or mhp < 1):
+            raise ConfigError(f"max_horizon_patches must be null or an integer >= 1, got {mhp!r}")
 
 
 @dataclass
@@ -70,7 +71,6 @@ class TrainState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     flat: dict[str, np.ndarray]
-    loss_history: list[float] = field(default_factory=list)
 
     @classmethod
     def fresh(cls, weights: dict[str, T.Tensor]) -> "TrainState":
@@ -331,7 +331,6 @@ def train_step(
     T.backward(loss, tape)
     state.step += 1
     adam_update(state, train_config, train_config.learning_rate if lr is None else lr)
-    state.loss_history.append(loss_val)
     return loss_val
 
 

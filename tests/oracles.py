@@ -32,6 +32,7 @@ byte reference for ``tensor.backward``.
 import csv
 import logging
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -541,8 +542,9 @@ def softmax_three_temporaries(x):
 def finish_unpruned(batch, weights, config):
     """model.finish without pruning: the full forward of a batch whose
     group IDs are set, then the per-position sort and the per-series
-    inverse scaling. Returns the (S, horizon_len, 21) grid."""
-    grid = M.forward(batch, weights, config).data.astype(np.float64)
+    inverse scaling. Returns the (S, horizon_len, 21) grid. A trunk's
+    block0_time is dropped, since forward prunes the last block of a trunk."""
+    grid = M.forward(replace(batch, block0_time=None), weights, config).data.astype(np.float64)
     grid = np.sort(grid[:, : batch.horizon_len, :], axis=-1)
     return np.stack([P.inverse_scale(grid[s], st) for s, st in enumerate(batch.scaling)])
 
@@ -737,7 +739,7 @@ def emit_artifacts_scan(records, out_dir):
 
     ns = sorted({r.n for r in records})
     ms = sorted({r.m for r in records})
-    modes = [mo for mo in E.MODE_ORDER if any(r.mode == mo for r in records)]
+    modes = [mo for mo in M.MODES if any(r.mode == mo for r in records)]
     header = ["n"] + [f"{mo}_m{m}" for mo in modes for m in ms]
     heat_rows = []
     for n in ns:

@@ -1,6 +1,7 @@
 """CLI subcommands, config handling, exit codes."""
 
 import json
+import multiprocessing.pool
 import os
 import re
 from datetime import date
@@ -83,6 +84,16 @@ def test_synth_prints_wall_datasets_and_points_to_stderr(tmp_path, capsys):
     assert (int(hit[1]), int(hit[2])) == (6, rows)
 
 
+def test_synth_non_finite_dataset_exits_2_and_writes_no_file_of_it(tmp_path, capsys):
+    out = tmp_path / "data"
+    capsys.readouterr()
+    assert cli.main(["synth", "--out", str(out), "--set", 'tsi={"count": 2, "length": 32}',
+                     "--set", 'explicit_tsi=[{"length": 300, "trend_slope": 1e306}]']) == 2
+    assert "config error: tsi_0002" in capsys.readouterr().err
+    # the datasets written before it stay, as after a crash
+    assert sorted(p.name for p in out.iterdir()) == [f"tsi_000{i}.{ext}" for i in (0, 1) for ext in ("csv", "json")]
+
+
 def test_synth_explicit_tcm_specs(tmp_path):
     cfg = {"explicit_tcm": [
         {"n_series": 1, "lag_order": 1, "adjacency": [[[0.5]]], "length": 32, "seed": 3},
@@ -154,6 +165,60 @@ def test_report_hard_crash_around_each_artifact_rename_reruns_to_the_same_tree(t
         assert tree_bytes(out) == want, k
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_evaluate_hard_crash_after_each_cell_and_around_each_artifact_rename_reruns_to_the_same_tree(
+    tmp_path, workers
+):
+    # two origins, each an MV and a UV cell
+    inputs = _eval_inputs(tmp_path, n_days=300) + ["--mode", "MV", "--workers", str(workers)]
+
+    def evaluate(out):
+        assert cli.main(["evaluate", "--out", str(out)] + inputs) == 0
+
+    evaluate(tmp_path / "whole")
+    want = tree_bytes(tmp_path / "whole")
+    assert len(want) == 6
+    cells = len({E._cell_key(r) for r in E.read_records(tmp_path / "whole" / "records.csv")})
+    assert cells == 4
+
+    def job(seam, out):  # in the child: crash once a cell reaches the writer, or around a rename
+        if workers == 1:
+            evaluate_cell = E.evaluate_cell
+
+            def computing(*args, **kwargs):
+                result = evaluate_cell(*args, **kwargs)
+                seam()
+                return result
+
+            E.evaluate_cell = computing
+        else:  # the pool hands the writer each context's cells together
+            imap = multiprocessing.pool.Pool.imap
+
+            def receiving(*args, **kwargs):
+                for run in imap(*args, **kwargs):
+                    for _ in run:
+                        seam()
+                    yield run
+
+            multiprocessing.pool.Pool.imap = receiving
+        replace = os.replace
+
+        def replacing(*args, **kwargs):
+            seam()
+            replace(*args, **kwargs)
+            seam()
+
+        os.replace = replacing
+        evaluate(out)
+
+    renames = len(want) - 1  # every artifact; records.csv is appended to
+    for k in range(1, cells + 2 * renames + 1):
+        out = tmp_path / f"crash{k}"
+        crash_in_child(lambda seam: job(seam, out), k)
+        evaluate(out)
+        assert tree_bytes(out) == want, k
+
+
 @pytest.mark.parametrize("command,key", [
     ("synth", "out_dir"), ("train", "out_dir"), ("evaluate", "out_dir"), ("report", "out_dir"),
     ("train", "data_dir"), ("train", "resume"), ("evaluate", "checkpoint"),
@@ -204,6 +269,8 @@ def test_unknown_config_key_exits_2(tmp_path):
     ["train", "--set", "train.max_horizon_patches=-1"],
     ["train", "--set", "train.max_horizon_patches=0"],
     ["train", "--set", "train.max_horizon_patches=3"],  # past the model's horizon_patches=2
+    ["train", "--set", "train.max_horizon_patches=1.5"],
+    ["train", "--set", "train.max_horizon_patches=true"],
     # list keys: each element takes the JSON kind of the default's elements
     ["evaluate", "--set", 'contexts=["a"]'],
     ["evaluate", "--set", "contexts=[1.5]"],
@@ -233,6 +300,7 @@ def test_unknown_config_key_exits_2(tmp_path):
         "tcm-unstable", "model-int", "d_model-str", "top-seed", "workers-0", "workers-negative",
         "one-context-two-stages", "three-contexts-two-stages", "batch_groups-0", "checkpoint_every-0",
         "max_horizon_patches-negative", "max_horizon_patches-0", "max_horizon_patches-past-model",
+        "max_horizon_patches-float", "max_horizon_patches-bool",
         "contexts-str", "contexts-float", "horizons-bool", "horizons-mixed", "modes-int", "modes-null",
         "lag_range-float", "lag_range-str", "lag_choices-bool", "lag_choices-list",
         "independent-length0", "tcm-length0-after-tsi", "n_series_range-reversed", "lag_choices-empty",
@@ -290,10 +358,10 @@ def _synth_small(tmp_path, seed=5) -> Path:
     return data
 
 
-def _eval_inputs(tmp_path) -> list[str]:
+def _eval_inputs(tmp_path, n_days=400) -> list[str]:
     """Flags for a small stub grid that evaluates cleanly."""
     sp = tmp_path / "stocks.csv"
-    save_csv_panel(sp, make_price_panel(STOCK_IDS, date(2019, 1, 1), 400, seed=31))
+    save_csv_panel(sp, make_price_panel(STOCK_IDS, date(2019, 1, 1), n_days, seed=31))
     return ["--stocks", str(sp), "--stub", "last-value", "--mode", "UV", "--n", "30", "--m", "5",
             "--set", "start_years_after=1"]
 
@@ -657,13 +725,20 @@ def test_evaluate_single_mode_warns_once_per_series(tmp_path, market_csvs, caplo
     assert "(no rows)" in capsys.readouterr().out  # the comparison table printed from the same rows
 
 
-def test_report_malformed_records_exits_5(tmp_path):
+def test_report_malformed_records_exits_5(tmp_path, capsys):
     records = tmp_path / "records.csv"
     records.write_text("wrong,header\n1,2\n")
     assert cli.main(["report", "--records", str(records), "--out", str(tmp_path / "x")]) == 5
     # a complete row with missing fields is malformed, not torn
     records.write_text(",".join(E.RECORD_FIELDS) + "\nstocks,MV,AAPL,30\n")
     assert cli.main(["report", "--records", str(records), "--out", str(tmp_path / "y")]) == 5
+    # so is a row whose mode is not one of model.MODES
+    row = "stocks,{},AAPL,30,5,2020-01-02,1.5,0.01,0,pre\n"
+    records.write_text(",".join(E.RECORD_FIELDS) + "\n" + row.format("MV") + row.format("XX"))
+    capsys.readouterr()
+    assert cli.main(["report", "--records", str(records), "--out", str(tmp_path / "z")]) == 5
+    assert "row 3 malformed" in capsys.readouterr().err
+    assert not (tmp_path / "z").exists()
 
 
 def test_report_drops_torn_final_row(tmp_path, market_csvs):

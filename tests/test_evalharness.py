@@ -382,7 +382,7 @@ def _two_panel_grid():
 
 def _canonical_row_key(line: str, panels):
     panel, mode, series, n, m, origin = line.split(",")[:6]
-    return (E.PANEL_ORDER.index(panel), E.MODE_ORDER.index(mode), int(n), int(m), origin,
+    return (E.PANEL_ORDER.index(panel), M.MODES.index(mode), int(n), int(m), origin,
             panels[panel].series_ids.index(series))
 
 
@@ -681,8 +681,8 @@ def test_cached_trunk_is_not_mutated(tiny_model):
     ctx = np.random.default_rng(8).normal(10, 1, size=(3, 40))
     batch = M.trunk(ctx, np.ones_like(ctx), 8, weights, cfg)
     before = (batch.tokens.data.copy(), batch.block0_time.data.copy())
-    mv = M.finish(batch, M.mv_group_ids(3), weights, cfg)
-    uv = M.finish(batch, M.uv_group_ids(3), weights, cfg)
+    mv = M.finish(batch, M.mode_group_ids("MV", 3), weights, cfg)
+    uv = M.finish(batch, M.mode_group_ids("UV", 3), weights, cfg)
     assert batch.group_ids is None
     assert np.array_equal(batch.tokens.data, before[0])
     assert np.array_equal(batch.block0_time.data, before[1])

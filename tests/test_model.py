@@ -37,7 +37,7 @@ def _random_batch(rng, weights, cfg=CFG, S=3, Lc=16, m=4, group_ids=None, ctx=No
     if ctx is None:
         ctx = rng.normal(10, 3, size=(S, Lc))
     if group_ids is None:
-        group_ids = M.mv_group_ids(S)
+        group_ids = M.mode_group_ids("MV", S)
     mask = np.ones_like(ctx)
     return M.assemble_batch(ctx, mask, group_ids, m, weights, cfg)
 
@@ -324,7 +324,7 @@ def test_forward_zero_blocks_is_embed_then_head():
     w = M.init_weights(cfg0, seed=5, dtype=np.float64)
     rng = np.random.default_rng(12)
     ctx = rng.normal(size=(2, 8))
-    batch = M.assemble_batch(ctx, np.ones_like(ctx), M.uv_group_ids(2), 4, w, cfg0)
+    batch = M.assemble_batch(ctx, np.ones_like(ctx), M.mode_group_ids("UV", 2), 4, w, cfg0)
     out = M.forward(batch, w, cfg0).data
     # hand-composed pipeline: take the future token embeddings through the head
     fut_tokens = batch.tokens.data[:, batch.reg_position + 1 :, :]
@@ -459,10 +459,10 @@ def test_scaling_never_uses_horizon_values():
     rng = np.random.default_rng(16)
     full = rng.normal(10, 2, size=(2, 30))
     ctx = full[:, :20]
-    b1 = M.assemble_batch(ctx, np.ones_like(ctx), M.mv_group_ids(2), 8, w, CFG)
+    b1 = M.assemble_batch(ctx, np.ones_like(ctx), M.mode_group_ids("MV", 2), 8, w, CFG)
     full2 = full.copy()
     full2[:, 20:] += 1e6  # future perturbation must be invisible
-    b2 = M.assemble_batch(full2[:, :20], np.ones((2, 20)), M.mv_group_ids(2), 8, w, CFG)
+    b2 = M.assemble_batch(full2[:, :20], np.ones((2, 20)), M.mode_group_ids("MV", 2), 8, w, CFG)
     for s1, s2 in zip(b1.scaling, b2.scaling):
         assert s1.loc == s2.loc and s1.scale == s2.scale
 
@@ -483,7 +483,7 @@ def test_group_batch_w_zeros_where_unknown(monkeypatch):
 
     monkeypatch.setattr(M, "embed_patches", capture)
     batch = M.assemble_batch(
-        ctx, np.ones_like(ctx), M.mv_group_ids(2), 4, w, CFG,
+        ctx, np.ones_like(ctx), M.mode_group_ids("MV", 2), 4, w, CFG,
         future_values=fut, future_known_mask=known,
     )
     _ctx_patches, fut_patches = embedded
@@ -535,7 +535,7 @@ def test_finish_inverse_scaling_matches_per_row_inverse_scale(monkeypatch):
         ]
         monkeypatch.setattr(M, "forward", lambda *args, **kwargs: T.constant(raw))
         batch = M.GroupBatch(tokens=None, group_ids=None, reg_position=0, scaling=states, horizon_len=m)
-        got = M.finish(batch, M.uv_group_ids(S), {}, CFG).values
+        got = M.finish(batch, M.mode_group_ids("UV", S), {}, CFG).values
         grid = np.sort(raw[:, :m], axis=-1)
         expect = np.stack([P.inverse_scale(grid[s], st) for s, st in enumerate(states)])
         assert got.tobytes() == expect.tobytes()
@@ -587,7 +587,7 @@ def test_assemble_batch_matches_per_row_oracle(monkeypatch, dtype):
     for trial in range(120):
         cfg, ctx, mask, m, future = _oracle_case(rng, trial)
         w = M.init_weights(cfg, seed=trial, dtype=dtype)
-        gids = M.uv_group_ids(ctx.shape[0])
+        gids = M.mode_group_ids("UV", ctx.shape[0])
         got = M.assemble_batch(ctx, mask, gids, m, w, cfg, **future)
         got_patches, embedded[:] = embedded[:], []
         expect = assemble_batch_per_row(ctx, mask, gids, m, w, cfg, **future)
@@ -609,4 +609,4 @@ def test_assemble_batch_all_missing_row_still_raises():
     mask = np.ones_like(ctx)
     mask[1] = 0.0
     with pytest.raises(DegenerateInputError):
-        M.assemble_batch(ctx * mask, mask, M.uv_group_ids(3), 4, w, CFG)
+        M.assemble_batch(ctx * mask, mask, M.mode_group_ids("UV", 3), 4, w, CFG)

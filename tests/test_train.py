@@ -314,11 +314,12 @@ def test_loss_decreases_over_windows(corpus):
     )
     w = M.init_weights(CFG, seed=11)
     state = TR.TrainState.fresh(w)
+    losses = []
     for step in range(200):
         rng = PortableRng(tc.seed).spawn(2_000_000 + step)
         sample = TR.sample_task(corpus, tc.task_mix, rng, tc.batch_groups, 32, 4)
-        TR.train_step(state, sample, CFG, tc)
-    windows = [np.mean(state.loss_history[i : i + 50]) for i in range(0, 200, 50)]
+        losses.append(TR.train_step(state, sample, CFG, tc))
+    windows = [np.mean(losses[i : i + 50]) for i in range(0, 200, 50)]
     assert all(windows[i + 1] < windows[i] for i in range(3)), windows
 
 
