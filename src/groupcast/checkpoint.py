@@ -69,11 +69,9 @@ def save_checkpoint(
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (weights, config, extra, moments)."""
-    try:
-        buf = Path(path).read_bytes()
-    except OSError as exc:
-        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
+    """Read a checkpoint; returns (weights, config, extra, moments). A file
+    that cannot be read raises its OSError, a corrupt one CheckpointError."""
+    buf = Path(path).read_bytes()
     off = 0
 
     def take(n):

@@ -13,8 +13,9 @@ Each command's config keys and their defaults are one table below
 the defaults, a JSON ``--config`` file, each ``--set dotted.key=value``
 (value parsed as JSON, falling back to string), then the flags. An unknown
 key or a malformed value is a config error. GROUPCAST_OUT provides the
-default output directory. Exit codes: 0 ok, 2 config, 3 training abort,
-4 load failure, 5 malformed data.
+default output directory. Exit codes, which ``main`` alone maps: 0 ok,
+2 config error, 3 training abort, 4 load failure (a file that cannot be
+opened, read or written, or a corrupt checkpoint), 5 malformed data.
 """
 
 import argparse
@@ -65,12 +66,9 @@ def _load_config(args, table: dict) -> dict:
     cfg = copy.deepcopy(table)
     layers: list[tuple[str, object]] = []
     if args.config:
-        p = Path(args.config)
-        if not p.exists():
-            raise ConfigError(f"config file not found: {args.config}")
-        try:
-            from_file = json.loads(p.read_text())
-        except json.JSONDecodeError as exc:
+        try:  # an OSError is a load failure; see main
+            from_file = json.loads(Path(args.config).read_text())
+        except ValueError as exc:  # not UTF-8, or not JSON
             raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from exc
         if not isinstance(from_file, dict):
             raise ConfigError(f"config {args.config} must hold a JSON object")
@@ -90,17 +88,17 @@ def _load_config(args, table: dict) -> dict:
     return cfg
 
 
-# Keys naming a file or directory: a string, or null for not set.
-PATH_KEYS = frozenset(
-    ("out_dir", "data_dir", "resume", "checkpoint", "panels.stocks", "panels.rates", "records")
-)
+# Keys that take a string, or null for not set, and what the string names.
+STRING_KEYS = dict.fromkeys(
+    ("out_dir", "data_dir", "resume", "checkpoint", "panels.stocks", "panels.rates", "records"), "path"
+) | {"stub": "stub name"}
 
 
 def _assign(cfg: dict, table: dict, key: str, value) -> None:
     """Set the dotted key of cfg, checked against the key table: the key must
     exist, a section takes an object and a leaf a value of its default's JSON
     kind (a bool only for a bool, any number for a float, a string or null
-    for a path key, anything for another None). A list whose default has
+    for a STRING_KEYS key, anything for another None). A list whose default has
     elements takes elements of their kind."""
     node, known = cfg, table
     *path, leaf = key.split(".")
@@ -125,8 +123,8 @@ def _assign(cfg: dict, table: dict, key: str, value) -> None:
     if isinstance(default, list) and default and not all(_same_kind(v, default[0]) for v in value):
         kind = type(default[0]).__name__
         raise ConfigError(f"config key {key!r} takes a list of {kind}, got {value!r}")
-    if key in PATH_KEYS and value is not None and not isinstance(value, str):
-        raise ConfigError(f"config key {key!r} takes a path string or null, got {value!r}")
+    if key in STRING_KEYS and value is not None and not isinstance(value, str):
+        raise ConfigError(f"config key {key!r} takes a {STRING_KEYS[key]} string or null, got {value!r}")
     node[leaf] = value
 
 
@@ -315,23 +313,11 @@ def cmd_evaluate(args) -> int:
     if workers is not None and (type(workers) is not int or workers < 1):
         raise ConfigError(f"workers must be an integer >= 1 (null for all cores), got {workers!r}")
     out_dir = Path(cfg["out_dir"] or _default_out())
-    panel_paths = cfg["panels"]
-    panels = {}
-    try:
-        for name, ids in PANEL_IDS.items():
-            if panel_paths[name]:
-                panels[name] = load_csv_panel(panel_paths[name], expected_ids=ids)
-    except OSError as exc:
-        print(f"panel load failure: {exc}", file=sys.stderr)
-        return EXIT_LOAD
+    panels = {k: load_csv_panel(p, expected_ids=PANEL_IDS[k]) for k, p in cfg["panels"].items() if p}
     if not panels:
         raise ConfigError("evaluate needs at least one of panels.stocks / panels.rates")
     if cfg["include_combined"] and "stocks" in panels and "rates" in panels:
-        try:
-            panels["combined"] = build_combined(panels["stocks"], panels["rates"])
-        except DataError as exc:
-            print(f"combined panel failure: {exc}", file=sys.stderr)
-            return EXIT_LOAD
+        panels["combined"] = build_combined(panels["stocks"], panels["rates"])
 
     stub = cfg["stub"]
     if stub:
@@ -343,6 +329,9 @@ def cmd_evaluate(args) -> int:
         if not ckpt:
             raise ConfigError("evaluate needs a checkpoint (or --stub for harness self-test)")
         weights, model_cfg, _extra, _m = load_checkpoint(ckpt)
+        horizon = max(cfg["horizons"], default=0)
+        if horizon > model_cfg.horizon_capacity:
+            raise ConfigError(f"horizon {horizon} exceeds the checkpoint's capacity {model_cfg.horizon_capacity}")
         forecaster = E.ModelForecaster(weights, model_cfg)
 
     try:
@@ -402,14 +391,7 @@ def cmd_report(args) -> int:
     records_path = cfg["records"]
     if not records_path:
         raise ConfigError("report needs a records path")
-    if not Path(records_path).exists():
-        print(f"records file not found: {records_path}", file=sys.stderr)
-        return EXIT_MALFORMED
-    try:
-        records = E.read_records(records_path)
-    except DataError as exc:
-        print(f"malformed records: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
+    records = E.read_records(records_path)
     out_dir = Path(cfg["out_dir"] or _default_out())
     paths, _, _ = E.emit_artifacts(records, out_dir)
     for name, p in sorted(paths.items()):
@@ -422,11 +404,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_panel_validate(args) -> int:
-    try:
-        panel = load_csv_panel(args.path, expected_ids=PANEL_IDS.get(args.ids))
-    except (DataError, OSError) as exc:
-        print(f"invalid panel: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
+    panel = load_csv_panel(args.path, expected_ids=PANEL_IDS.get(args.ids))
     info = panel_summary(panel)
     print(f"series (K):      {info['n_series']}")
     print(f"dates (T):       {info['n_dates']}")
@@ -507,7 +485,7 @@ def main(argv=None) -> int:
     except TrainingAbort as exc:
         print(f"training aborted: {exc}", file=sys.stderr)
         return EXIT_TRAIN_ABORT
-    except CheckpointError as exc:
+    except (CheckpointError, OSError) as exc:  # an OSError names its path
         print(f"load failure: {exc}", file=sys.stderr)
         return EXIT_LOAD
     except DataError as exc:

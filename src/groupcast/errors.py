@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes (see cli.py), so raise the most
-specific class that applies.
+The CLI maps these, and an OSError, onto exit codes (see cli.main), so
+raise the most specific class that applies.
 """
 
 
@@ -40,7 +40,7 @@ class StabilityError(ConfigError):
 
 
 class CheckpointError(GroupcastError):
-    """Checkpoint file missing, corrupt, or version-incompatible."""
+    """Checkpoint file corrupt or version-incompatible."""
 
 
 class TrainingAbort(GroupcastError):

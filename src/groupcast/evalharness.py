@@ -40,7 +40,7 @@ import numpy as np
 
 from . import model as M
 from .errors import ConfigError, DataError, DegenerateInputError, ShapeError
-from .panels import FLOAT_FMT, SeriesPanel, atomic_open, resume_log, slice_context
+from .panels import FLOAT_FMT, SeriesPanel, atomic_open, open_text, resume_log, slice_context
 
 logger = logging.getLogger(__name__)
 
@@ -243,12 +243,7 @@ def _canonical_key(x) -> tuple:
     return panel_sort_key(x.panel) + (M.MODES.index(x.mode), x.n, x.m)
 
 
-_POOL_STATE: dict = {}
-
-
-def _init_pool(panels, forecaster):
-    _POOL_STATE["panels"] = panels
-    _POOL_STATE["forecaster"] = forecaster
+_POOL_STATE: dict = {}  # run_grid's panels and forecaster while it runs
 
 
 def _eval_run(run):
@@ -366,22 +361,22 @@ def run_grid(
     first), the skips of the cells computed in this run, and their number.
     A spec given more than once is evaluated once.
 
-    Cells are computed in pairing order (panel, n, m, origin, mode), so the
-    modes of one context run back to back and ModelForecaster builds its
-    trunk once. A pool is handed whole runs of the cells of one context, so
-    the modes of a context never land on different workers. Rows are
-    written in canonical order (panel, mode, n, m, origin), whatever the
-    worker count: a cell's rows are written and flushed as soon as every
-    cell before it in that order is done, and computed cells wait in memory
-    until then. A rerun keeps the cells at the head of records_path while
-    they are this grid's cells in canonical order, one after another, drops
-    the rows after them (see panels.resume_log), and computes the last one
-    kept, whose rows a crash may have cut short, and every cell after it.
-    A cell with no rows ends the kept run. So a rerun writes the bytes of
-    one uninterrupted run of this grid, whatever the file held, and a crash
-    loses only that cell and the cells still waiting. A records_path that
-    does not start with the records header, or that holds a malformed
-    whole row, raises DataError.
+    Cells are computed in pairing order (panel, n, m, origin, mode), one run
+    of cells per context, so the modes of one context run back to back and
+    ModelForecaster builds its trunk once. With workers above 1 a pool is
+    handed whole runs, so the modes of a context never land on different
+    workers. Rows are written in canonical order (panel, mode, n, m,
+    origin), whatever the worker count: a cell's rows are written and
+    flushed as soon as every cell before it in that order is done, and
+    computed cells wait in memory until then. A rerun keeps the cells at the
+    head of records_path while they are this grid's cells in canonical
+    order, one after another, drops the rows after them (see
+    panels.resume_log), and computes the last one kept, whose rows a crash
+    may have cut short, and every cell after it. A cell with no rows ends
+    the kept run. So a rerun writes the bytes of one uninterrupted run of
+    this grid, whatever the file held, and a crash loses only that cell and
+    the cells still waiting. A records_path that does not start with the
+    records header, or that holds a malformed whole row, raises DataError.
     """
     specs = sorted(dict.fromkeys(specs), key=_canonical_key)
     cells = [(spec, origin) for spec in specs for origin in rolling_origins(panels[spec.panel], spec)]
@@ -404,7 +399,7 @@ def run_grid(
         resume_log(path, RECORDS_HEADER, keep)
     cells = cells[start:]
     order = sorted(range(len(cells)), key=lambda i: _pairing_key(cells[i]))
-    paired = [cells[i] for i in order]
+    runs = [list(run) for _, run in groupby((cells[i] for i in order), key=lambda c: _pairing_key(c)[:-1])]
 
     records: list[EvalRecord] = list(existing)
     skips: list[dict] = []
@@ -413,16 +408,14 @@ def run_grid(
         if path is not None:
             fh = stack.enter_context(open(path, "a", newline=""))
             writer = csv.writer(fh)
-        if workers > 1 and len(cells) > 1:
-            ctx = multiprocessing.get_context("fork")
-            pool = stack.enter_context(
-                ctx.Pool(workers, initializer=_init_pool, initargs=(panels, forecaster))
-            )
-            runs = [list(run) for _, run in groupby(paired, key=lambda c: _pairing_key(c)[:-1])]
+        _POOL_STATE.update(panels=panels, forecaster=forecaster)  # forked workers inherit it
+        stack.callback(_POOL_STATE.clear)
+        if workers > 1 and len(runs) > 1:
+            pool = stack.enter_context(multiprocessing.get_context("fork").Pool(workers))
             chunks = pool.imap(_eval_run, runs, chunksize=max(1, len(runs) // (workers * 4)))
-            results = chain.from_iterable(chunks)
         else:
-            results = (evaluate_cell(panels[s.panel], s, o, forecaster) for s, o in paired)
+            chunks = map(_eval_run, runs)
+        results = chain.from_iterable(chunks)
         waiting: dict[int, tuple] = {}
         next_out = 0
         for index, result in zip(order, results):
@@ -451,7 +444,7 @@ def _cell_key(r: EvalRecord) -> tuple:
 
 def read_records(path) -> list[EvalRecord]:
     """Parse records.csv; an unterminated final row is dropped and logged."""
-    with open(path, newline="") as fh:
+    with open_text(path) as fh:
         lines = fh.readlines()
     if lines and not lines[-1].endswith("\n"):
         logger.warning("%s: dropped unterminated final row %r", path, lines.pop())

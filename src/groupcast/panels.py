@@ -5,9 +5,10 @@ cells for missing observations. Values stay in their published units
 (prices in currency, rates in percent); any transformation is the model's
 own scaling at forecast time.
 
-The module also holds what every file writer in the package shares: the
-CSV float format, ``atomic_open`` and ``resume_log``, the one rule by which
-a rerun cuts an append-only log back after a crash.
+The module also holds what every file reader and writer in the package
+shares: the CSV float format, ``open_text``, ``atomic_open`` and
+``resume_log``, the one rule by which a rerun cuts an append-only log back
+after a crash.
 """
 
 import csv
@@ -42,6 +43,17 @@ COMBINED_WINDOW = (date(2010, 7, 1), date(2025, 12, 31))
 
 # Every float the package writes to a CSV: round-trips float64 exactly.
 FLOAT_FMT = "%.17g"
+
+
+@contextmanager
+def open_text(path):
+    """Open a CSV file for reading as text. A byte that does not decode,
+    wherever the block reads it, raises DataError naming the file."""
+    with open(path, newline="") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not valid text: {exc}") from exc
 
 
 @contextmanager
@@ -120,7 +132,7 @@ def load_csv_panel(path, expected_ids=None) -> SeriesPanel:
     non-finite value raises DataError naming the file, the row's date and
     the column.
     """
-    with open(path, newline="") as fh:
+    with open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if not header or header[0] != "date" or len(header) < 2:

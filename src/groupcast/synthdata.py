@@ -31,7 +31,7 @@ import numpy as np
 from . import kernels
 from .config import DictConfig
 from .errors import ConfigError, DataError, StabilityError
-from .panels import FLOAT_FMT, atomic_open
+from .panels import FLOAT_FMT, atomic_open, open_text
 from .rng import PortableRng
 
 
@@ -434,7 +434,7 @@ def load_panel_dataset(path) -> tuple[list[str], np.ndarray]:
     in file order; a malformed row, an unparseable or non-finite value or
     a t out of order raises DataError naming the file and line."""
     by_series: dict[str, list[float]] = {}
-    with open(path, newline="") as fh:
+    with open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["series_id", "t", "value"]:

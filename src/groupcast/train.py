@@ -128,7 +128,8 @@ class Corpus:
         from .synthdata import load_panel_dataset
 
         uni, panels = [], []
-        files = sorted(Path(path).glob("*.csv"))
+        # iterdir, unlike glob, raises on a missing directory
+        files = sorted(f for f in Path(path).iterdir() if f.name.endswith(".csv"))
         if not files:
             raise ConfigError(f"no dataset CSVs under {path}")
         for f in files:

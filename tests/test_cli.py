@@ -4,6 +4,8 @@ import json
 import multiprocessing.pool
 import os
 import re
+import subprocess
+import sys
 from datetime import date
 from pathlib import Path
 
@@ -261,6 +263,8 @@ def test_unknown_config_key_exits_2(tmp_path):
     ["train", "--set", "seed=4"],
     ["evaluate", "--workers", "0"],
     ["evaluate", "--workers", "-3"],
+    ["evaluate", "--set", "stub=[1]"],
+    ["evaluate", "--set", "stub=0"],
     # train configs that failed mid-curriculum, after files were written
     ["train", "--set", "train.stage_contexts=[64]", "--set", "train.stage_steps=[2,2]"],
     ["train", "--set", "train.stage_contexts=[16,32,32]"],
@@ -298,6 +302,7 @@ def test_unknown_config_key_exits_2(tmp_path):
      'explicit_tcm=[{"n_series": 1.0, "lag_order": 1, "adjacency": [[[0.5]]], "length": 5}]'],
 ], ids=["tsi-int", "count-str", "tsi-key", "tcm-missing", "tsi-length0", "tcm-adjacency",
         "tcm-unstable", "model-int", "d_model-str", "top-seed", "workers-0", "workers-negative",
+        "stub-list", "stub-int",
         "one-context-two-stages", "three-contexts-two-stages", "batch_groups-0", "checkpoint_every-0",
         "max_horizon_patches-negative", "max_horizon_patches-0", "max_horizon_patches-past-model",
         "max_horizon_patches-float", "max_horizon_patches-bool",
@@ -358,12 +363,13 @@ def _synth_small(tmp_path, seed=5) -> Path:
     return data
 
 
-def _eval_inputs(tmp_path, n_days=400) -> list[str]:
-    """Flags for a small stub grid that evaluates cleanly."""
+def _eval_inputs(tmp_path, n_days=400, stub=True) -> list[str]:
+    """Flags for a small stub grid that evaluates cleanly (without the stub,
+    it needs a checkpoint)."""
     sp = tmp_path / "stocks.csv"
     save_csv_panel(sp, make_price_panel(STOCK_IDS, date(2019, 1, 1), n_days, seed=31))
-    return ["--stocks", str(sp), "--stub", "last-value", "--mode", "UV", "--n", "30", "--m", "5",
-            "--set", "start_years_after=1"]
+    return ["--stocks", str(sp), "--mode", "UV", "--n", "30", "--m", "5", "--set", "start_years_after=1"] + (
+        ["--stub", "last-value"] if stub else [])
 
 
 TRAIN_OVERRIDES = [
@@ -555,12 +561,16 @@ def test_evaluate_with_model_checkpoint(tmp_path, market_csvs, tiny_ckpt):
 
 
 def test_evaluate_prints_grid_time_and_skips_by_reason_to_stderr(tmp_path, market_csvs, tiny_ckpt, capsys):
-    sp, rp = market_csvs
+    _, rp = market_csvs
+    stocks = make_price_panel(STOCK_IDS, date(2019, 1, 1), 400, seed=31)
+    stocks.mask[0] = 0.0  # AAPL is never observed, so no stocks context can be scaled
+    sp = tmp_path / "stocks_no_aapl.csv"
+    save_csv_panel(sp, stocks)
 
     def run(out, *extra):
         code = cli.main([
             "evaluate", "--stocks", str(sp), "--rates", str(rp), "--out", str(out),
-            "--checkpoint", str(tiny_ckpt), "--mode", "mv", "--n", "64", "--m", "8", "--m", "70",
+            "--checkpoint", str(tiny_ckpt), "--mode", "mv", "--n", "64", "--m", "8", "--m", "16",
             "--set", "start_years_after=1", "--set", "include_combined=false", *extra,
         ])
         assert code == 0
@@ -571,10 +581,10 @@ def test_evaluate_prints_grid_time_and_skips_by_reason_to_stderr(tmp_path, marke
     first = run(tmp_path / "a")
     lines = [ln for ln in first.err.splitlines() if ln.startswith("grid: ")]
     assert len(lines) == 1 and "grid: " not in first.out
-    # m=70 exceeds the checkpoint's 64-step capacity, so every m=70 series is skipped
+    # every series of every stocks cell is skipped, the rates cells are not
     hit = re.fullmatch(
         r"grid: \d+\.\d\d s wall, (\d+) cells \(\d+\.\d cells/s\), "
-        r"(\d+) skips \((\d+) forecast error: horizon 70 [^;]*\)",
+        r"(\d+) skips \((\d+) forecast error: cannot scale an all-missing series\)",
         lines[0],
     )
     assert hit and hit[2] == hit[3] != "0"
@@ -786,6 +796,127 @@ def test_panel_validate_malformed_exits_5(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("date,A\n2024-01-02,1\n2024-01-02,2\n")
     assert cli.main(["panel", "validate", "--path", str(p)]) == 5
+
+
+def _evaluate(t: Path, *flags: str) -> list[str]:
+    return ["evaluate", "--out", str(t / "out"), *_eval_inputs(t, stub=False), *flags]
+
+
+def _train(t: Path, *flags: str) -> list[str]:
+    return ["train", "--out", str(t / "out"), *flags] + TRAIN_OVERRIDES
+
+
+def _synth(t: Path, *flags: str) -> list[str]:
+    return ["synth", "--out", str(t / "out"), *flags]
+
+
+def _report(t: Path, *flags: str) -> list[str]:
+    return ["report", "--out", str(t / "out"), *flags]
+
+
+def _validate(path) -> list[str]:
+    return ["panel", "validate", "--path", str(path)]
+
+
+def _not_utf8(path: Path, header: str) -> str:
+    """A file whose second line holds a byte that is not UTF-8."""
+    path.write_bytes(header.encode() + b"\n\xe9\n")
+    return str(path)
+
+
+def _data(t: Path, subdir: str = "", bad: bytes = b"") -> str:
+    """t/data holding one small dataset, a directory named subdir (if given)
+    and a b.csv holding bad (if given)."""
+    data = t / "data"
+    data.mkdir()
+    S.save_panel_dataset(data / "a.csv", np.arange(40.0).reshape(1, 40))
+    if subdir:
+        (data / subdir).mkdir()
+    if bad:
+        (data / "b.csv").write_bytes(bad)
+    return str(data)
+
+
+def _file(path: Path) -> str:
+    path.write_text("x\n")
+    return str(path)
+
+
+def _records(t: Path) -> str:
+    path = t / "records.csv"
+    path.write_text(",".join(E.RECORD_FIELDS) + "\n")
+    return str(path)
+
+
+def _no_common_day(t: Path) -> list[str]:
+    rp = t / "rates.csv"
+    save_csv_panel(rp, make_rate_panel(RATE_IDS, date(2022, 1, 3), 400, seed=32))
+    return _evaluate(t, "--rates", str(rp), "--stub", "last-value")
+
+
+EXIT_PREFIX = {2: "config error:", 4: "load failure:", 5: "malformed data:"}
+
+# (code, argv built in a fresh directory t that holds tiny.ckpt, a d16
+# checkpoint of capacity 64); t/out is where a command that writes would write
+EXIT_CASES = {
+    # a file that cannot be opened, read or written
+    "evaluate-panel-missing": (4, lambda t: _evaluate(t, "--rates", str(t / "no.csv"))),
+    "evaluate-panel-directory": (4, lambda t: _evaluate(t, "--rates", str(t))),
+    "evaluate-checkpoint-missing": (4, lambda t: _evaluate(t, "--checkpoint", str(t / "no"))),
+    "evaluate-checkpoint-directory": (4, lambda t: _evaluate(t, "--checkpoint", str(t))),
+    "train-dataset-directory": (4, lambda t: _train(t, "--data", _data(t, subdir="x.csv"))),
+    "train-data-missing": (4, lambda t: _train(t, "--data", str(t / "no"))),
+    "train-data-file": (4, lambda t: _train(t, "--data", _file(t / "data"))),
+    "train-resume-missing": (4, lambda t: _train(t, "--data", _data(t), "--resume", str(t / "no"))),
+    "report-records-missing": (4, lambda t: _report(t, "--records", str(t / "no.csv"))),
+    "report-records-directory": (4, lambda t: _report(t, "--records", str(t))),
+    "config-missing": (4, lambda t: _synth(t, "--config", str(t / "no.json"))),
+    "config-directory": (4, lambda t: _synth(t, "--config", str(t))),
+    "validate-missing": (4, lambda t: _validate(t / "no.csv")),
+    "validate-directory": (4, lambda t: _validate(t)),
+    "synth-out-file": (4, lambda t: _synth(t, "--set", 'tsi={"count": 1, "length": 16}', "--out", _file(t / "out"))),
+    "evaluate-out-file": (4, lambda t: _evaluate(t, "--stub", "last-value", "--out", _file(t / "out"))),
+    "report-out-file": (4, lambda t: _report(t, "--records", _records(t), "--out", _file(t / "out"))),
+    "train-out-file": (4, lambda t: _train(t, "--data", _data(t), "--out", _file(t / "out"))),
+    # malformed content
+    "evaluate-panel-not-utf8": (5, lambda t: _evaluate(
+        t, "--stub", "last-value", "--stocks", _not_utf8(t / "bad.csv", "date," + ",".join(STOCK_IDS)))),
+    "validate-not-utf8": (5, lambda t: _validate(_not_utf8(t / "bad.csv", "date,A"))),
+    "train-dataset-not-utf8": (5, lambda t: _train(t, "--data", _data(t, bad=b"series_id,t,value\r\ns0,0,\xe9\r\n"))),
+    "report-records-not-utf8": (5, lambda t: _report(
+        t, "--records", _not_utf8(t / "records.csv", ",".join(E.RECORD_FIELDS)))),
+    "evaluate-combined-no-common-day": (5, _no_common_day),
+    "report-records-malformed": (5, lambda t: _report(t, "--records", _file(t / "records.csv"))),
+    "validate-malformed": (5, lambda t: _validate(_file(t / "p.csv"))),
+    # config errors
+    "config-not-utf8": (2, lambda t: _synth(t, "--config", _not_utf8(t / "c.json", "{"))),
+    "evaluate-stub-list": (2, lambda t: _evaluate(t, "--set", "stub=[1]")),
+    "evaluate-horizon-past-capacity": (2, lambda t: _evaluate(t, "--checkpoint", str(t / "tiny.ckpt"), "--m", "100")),
+}
+
+
+@pytest.mark.parametrize("case", EXIT_CASES)
+def test_bad_input_exits_with_its_code_in_one_line(tmp_path, tiny_ckpt, capsys, case):
+    code, argv = EXIT_CASES[case]
+    argv = argv(tmp_path)
+    capsys.readouterr()
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(EXIT_PREFIX[code]) and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").is_dir()
+
+
+def test_entry_point_maps_a_missing_file_to_4(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "groupcast.cli", "report", "--records", str(tmp_path / "no.csv"),
+         "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 4
+    assert proc.stderr.startswith("load failure:") and proc.stderr.count("\n") == 1, proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_set_override_parsing(tmp_path):
