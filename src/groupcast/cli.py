@@ -320,6 +320,7 @@ def cmd_evaluate(args) -> int:
         panels["combined"] = build_combined(panels["stocks"], panels["rates"])
 
     stub = cfg["stub"]
+    max_context = float("inf")  # a stub never cuts a context
     if stub:
         if stub not in E.STUB_FORECASTERS:
             raise ConfigError(f"unknown stub {stub!r}; choose from {sorted(E.STUB_FORECASTERS)}")
@@ -332,6 +333,7 @@ def cmd_evaluate(args) -> int:
         horizon = max(cfg["horizons"], default=0)
         if horizon > model_cfg.horizon_capacity:
             raise ConfigError(f"horizon {horizon} exceeds the checkpoint's capacity {model_cfg.horizon_capacity}")
+        max_context = model_cfg.max_context
         forecaster = E.ModelForecaster(weights, model_cfg)
 
     try:
@@ -350,17 +352,15 @@ def cmd_evaluate(args) -> int:
         for m in cfg["horizons"]
     ]
 
+    plan = E.grid_plan(specs, panels)
+    if not any(plan.values()):
+        raise ConfigError(f"the grid has no cell: none of its {len(plan)} specs has an origin on its panel")
     if args.dry_run:
-        total = 0
         print("dry run: grid summary")
-        for spec in dict.fromkeys(specs):
-            origins = E.rolling_origins(panels[spec.panel], spec)
-            total += len(origins)
-            print(
-                f"  {spec.panel:9s} {spec.mode} n={spec.n:4d} m={spec.m:3d} "
-                f"origins={len(origins)}"
-            )
-        print(f"total cells: {total}")
+        for spec, origins in plan.items():
+            used = f" ({max_context} used)" if spec.n > max_context else ""
+            print(f"  {spec.panel:9s} {spec.mode} n={spec.n:4d}{used} m={spec.m:3d} origins={len(origins)}")
+        print(f"total cells: {sum(map(len, plan.values()))}")
         return EXIT_OK
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -368,11 +368,14 @@ def cmd_evaluate(args) -> int:
     workers = workers or os.cpu_count() or 1
     start = time.perf_counter()
     records, skips, cells = E.run_grid(
-        specs, panels, forecaster, records_path=records_path, workers=workers
+        plan, panels, forecaster, records_path=records_path, workers=workers
     )
     by_reason = sorted(Counter(s["reason"] for s in skips).items(), key=lambda kv: (-kv[1], kv[0]))
     detail = "; ".join(f"{n} {reason}" for reason, n in by_reason)  # largest first
-    _summary("grid", start, cells, "cells", after=f", {len(skips)} skips" + (detail and f" ({detail})"))
+    # the planned cells that run on the last max_context days of their context
+    cut = sum(len(origins) for spec, origins in plan.items() if spec.n > max_context)
+    cut_note = f", {cut} planned cells truncated to max_context {max_context}" if cut else ""
+    _summary("grid", start, cells, "cells", after=f", {len(skips)} skips" + (detail and f" ({detail})") + cut_note)
     paths, table1, table2 = E.emit_artifacts(records, out_dir)
     print(f"records: {records_path} ({len(records)} rows, {len(skips)} skips)")
     for name, p in sorted(paths.items()):

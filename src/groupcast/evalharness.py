@@ -263,7 +263,8 @@ def evaluate_cell(
     with no actual below MAPE_SKIP_THRESHOLD are scored together in
     whole-array ops (see _whole_array_scores); the other rows fall back to
     rmse and mape one at a time. The records and skip reasons are those of
-    calling rmse and mape on every row.
+    calling rmse and mape on every row. An origin that is not a panel date
+    with spec.n dates before it (grid_plan plans none) raises KeyError.
     """
     records: list[EvalRecord] = []
     skips: list[dict] = []
@@ -274,18 +275,11 @@ def evaluate_cell(
              "m": spec.m, "origin": origin.isoformat(), "reason": reason}
         )
 
-    def skip_all(reason):
-        for sid in panel.series_ids:
-            skip(sid, reason)
-
     ctx = slice_context(panel, origin, spec.n)
-    if ctx is None:
-        skip_all("insufficient history")
-        return records, skips
-    ctx_values, ctx_mask = ctx
     oi = bisect_left(panel.dates, origin)
-    if oi == panel.n_dates or panel.dates[oi] != origin:
-        raise KeyError(f"origin {origin} is not a date of panel {spec.panel}")
+    if ctx is None or oi == panel.n_dates or panel.dates[oi] != origin:
+        raise KeyError(f"origin {origin} is not a date of panel {spec.panel} with {spec.n} dates before it")
+    ctx_values, ctx_mask = ctx
     realized = panel.values[:, oi : oi + spec.m]
     realized_mask = panel.mask[:, oi : oi + spec.m]
     regime = "pre" if origin < spec.cutoff else "post"
@@ -302,7 +296,8 @@ def evaluate_cell(
     except Exception as exc:  # per-origin failures never kill the grid
         logger.warning("forecast failed at %s %s n=%d m=%d %s: %s",
                        spec.panel, spec.mode, spec.n, spec.m, origin, exc)
-        skip_all(f"forecast error: {exc}")
+        for sid in panel.series_ids:
+            skip(sid, f"forecast error: {exc}")
         return records, skips
     whole = _whole_array_scores(realized, realized_mask, point)
     for k, sid in enumerate(panel.series_ids):
@@ -348,18 +343,26 @@ def _pairing_key(cell):
     return (p, panel, n, m, origin, mo)
 
 
+def grid_plan(specs: list[ExperimentSpec], panels: dict[str, SeriesPanel]) -> dict[ExperimentSpec, list[date]]:
+    """The grid: each distinct spec in canonical order, mapped to its rolling
+    origins on its panel. A spec given more than once is evaluated once; a
+    spec with no origin maps to an empty list. Its (spec, origin) pairs, in
+    order, are the grid's cells in canonical order."""
+    specs = sorted(dict.fromkeys(specs), key=_canonical_key)
+    return {spec: rolling_origins(panels[spec.panel], spec) for spec in specs}
+
+
 def run_grid(
-    specs: list[ExperimentSpec],
+    plan: dict[ExperimentSpec, list[date]],
     panels: dict[str, SeriesPanel],
     forecaster,
     records_path=None,
     workers: int = 1,
 ) -> tuple[list[EvalRecord], list[dict], int]:
-    """Evaluate every (spec, origin) cell; stream records incrementally.
+    """Evaluate every (spec, origin) cell of a grid_plan; stream records incrementally.
 
     Returns every record in canonical order (those already in records_path
     first), the skips of the cells computed in this run, and their number.
-    A spec given more than once is evaluated once.
 
     Cells are computed in pairing order (panel, n, m, origin, mode), one run
     of cells per context, so the modes of one context run back to back and
@@ -378,8 +381,7 @@ def run_grid(
     the cells still waiting. A records_path that does not start with the
     records header, or that holds a malformed whole row, raises DataError.
     """
-    specs = sorted(dict.fromkeys(specs), key=_canonical_key)
-    cells = [(spec, origin) for spec in specs for origin in rolling_origins(panels[spec.panel], spec)]
+    cells = [(spec, origin) for spec, origins in plan.items() for origin in origins]
     existing: list[EvalRecord] = []
     start = 0  # the first cell this run computes
     path = None if records_path is None else Path(records_path)

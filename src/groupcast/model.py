@@ -45,7 +45,6 @@ over fewer rows and change bits, so pruned rows have no backward:
 """
 
 import functools
-import logging
 import math
 from dataclasses import dataclass, field, replace
 
@@ -57,8 +56,6 @@ from .config import DictConfig
 from .errors import ConfigError, ContractError, ShapeError
 from .preprocess import ScalingState
 from .rng import PortableRng
-
-logger = logging.getLogger(__name__)
 
 # 0.01, 0.05, 0.10, ..., 0.90, 0.95, 0.99
 QUANTILE_LEVELS = tuple(
@@ -479,9 +476,6 @@ def forward(batch: GroupBatch, weights: dict, config: ModelConfig) -> T.Tensor:
 # batch assembly and prediction
 
 
-_trunc_warned: set = set()
-
-
 def assemble_batch(
     context_values: np.ndarray,
     context_mask: np.ndarray,
@@ -498,7 +492,8 @@ def assemble_batch(
     when given, are known-future covariate inputs (S, m) in original units;
     cells with future_known_mask 0 are ignored and enter the grid as 0.
     Every row is scaled and patched in whole-array operations that give
-    the bits of preprocess.robust_scale and patchify row by row.
+    the bits of preprocess.robust_scale and patchify row by row. A context
+    past config.max_context keeps its last max_context positions.
     """
     ctx = np.asarray(context_values, dtype=np.float64)
     msk = np.asarray(context_mask, dtype=np.float64)
@@ -513,14 +508,6 @@ def assemble_batch(
             f"{config.horizon_capacity} (= horizon_patches * patch_len)"
         )
     if Lc > config.max_context:
-        key = (Lc, config.max_context)
-        if key not in _trunc_warned:
-            _trunc_warned.add(key)
-            logger.warning(
-                "context of %d positions truncated from the left to max_context=%d",
-                Lc,
-                config.max_context,
-            )
         ctx = ctx[:, -config.max_context :]
         msk = msk[:, -config.max_context :]
         Lc = config.max_context

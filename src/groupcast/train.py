@@ -5,6 +5,7 @@ from a stream derived only from (seed, k), so resuming from a checkpoint
 replays exactly the batches a fresh run would produce.
 """
 
+import logging
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,6 +21,8 @@ from .errors import ConfigError, ContractError, DegenerateInputError, TrainingAb
 from .panels import resume_log
 from .preprocess import scale_rows
 from .rng import PortableRng, uniform_to_category, uniform_to_int
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -383,7 +386,8 @@ def run_curriculum(
     header raises DataError. A fresh run replaces the log. A stats dict,
     when given, receives "steps": the number of steps this call ran. A
     max_horizon_patches above the model's horizon_patches raises
-    ConfigError before out_dir is created.
+    ConfigError before out_dir is created. A stage context past the model's
+    max_context logs one warning before the first step.
     """
     if resume_from is not None:
         weights, model_config, extra, moments = load_checkpoint(resume_from)
@@ -432,15 +436,17 @@ def run_curriculum(
         log_path, LOG_HEADER, lambda rows: sum(int(r.split(",", 1)[0]) <= state.step for r in rows)
     )
     first_step = state.step
+    P = model_config.patch_len
+    stage_patches = [max(c // P, train_config.min_context_patches) for c in train_config.stage_contexts]
+    longest = max(stage_patches, default=0) * P  # the longest context a step samples
+    if longest > model_config.max_context:
+        logger.warning("contexts of up to %d positions are cut to max_context=%d", longest, model_config.max_context)
     with open(log_path, "a") as log:
         for step in range(first_step, total_steps):
             stage = int(np.searchsorted(boundaries[1:], step, side="right"))
-            ctx_limit = train_config.stage_contexts[stage]
             t0 = time.monotonic()
             task_rng = PortableRng(train_config.seed).spawn(2_000_000 + step)
-            P = model_config.patch_len
-            max_ctx_patches = max(ctx_limit // P, train_config.min_context_patches)
-            span = max_ctx_patches - train_config.min_context_patches + 1
+            span = stage_patches[stage] - train_config.min_context_patches + 1
             ctx_patches = train_config.min_context_patches + int(task_rng.integers(1, span)[0])
             fut_patches = 1 + int(task_rng.integers(1, max_fut)[0])
             sample = sample_task(

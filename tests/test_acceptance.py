@@ -292,11 +292,13 @@ def test_criterion_7_harness_oracle_equivalence():
     n, m = 30, 10
     spec = E.ExperimentSpec(panel="toy", mode="UV", n=n, m=m, start_years_after=0)
 
-    records_pf, skips_pf, _ = E.run_grid([spec], {"toy": panel}, E.PerfectForesightStub())
+    records_pf, skips_pf, _ = E.run_grid(
+        E.grid_plan([spec], {"toy": panel}), {"toy": panel}, E.PerfectForesightStub()
+    )
     assert records_pf and not skips_pf
     assert all(r.rmse == 0.0 and r.mape == 0.0 for r in records_pf)
 
-    records_lv, _, _ = E.run_grid([spec], {"toy": panel}, E.LastValueStub())
+    records_lv, _, _ = E.run_grid(E.grid_plan([spec], {"toy": panel}), {"toy": panel}, E.LastValueStub())
     idx = panel.date_index()
 
     def stub_fn(ctx, cmask, m_):

@@ -641,7 +641,8 @@ def test_evaluate_without_checkpoint_or_stub_exits_2(tmp_path, market_csvs):
     ["evaluate", "--set", "cutoff=2023-13-01"],
     ["report", "--set", "cutoff=2023-13-01"],
     ["evaluate", "--set", "point_quantile=0.5"],
-], ids=["n0", "m0", "mode-XV", "evaluate-cutoff", "report-cutoff", "point-quantile"])
+    ["evaluate", "--set", "start_years_after=99"],
+], ids=["n0", "m0", "mode-XV", "evaluate-cutoff", "report-cutoff", "point-quantile", "no-origin"])
 def test_bad_grid_config_exits_2(tmp_path, market_csvs, capsys, argv):
     sp, rp = market_csvs
     records = tmp_path / "records.csv"
@@ -677,6 +678,75 @@ def test_evaluate_repeated_grid_values_computed_once(tmp_path, market_csvs, caps
              for name, g in (("once", once), ("repeated", repeated))]
     assert cells == [dry[0]] * 2
     assert _dir_bytes(tmp_path / "once") == _dir_bytes(tmp_path / "repeated")
+
+
+def test_empty_grid_rerun_exits_2_and_keeps_the_output_directory(tmp_path, market_csvs, capsys):
+    sp, rp = market_csvs
+    out = tmp_path / "eval"
+    base = ["evaluate", "--stocks", str(sp), "--rates", str(rp), "--out", str(out),
+            "--stub", "last-value", "--set", "start_years_after=1"]
+    assert cli.main(base + ["--n", "30", "--m", "5"]) == 0
+    before = _dir_bytes(out)
+    assert len(before["records.csv"].splitlines()) > 1
+    capsys.readouterr()
+    empty_grids = (["--n", "30", "--m", "5000"], ["--set", "contexts=[]"], ["--set", "modes=[]"])
+    for empty in empty_grids:
+        assert cli.main(base + empty) == 2, empty
+        err = capsys.readouterr().err
+        assert err.startswith("config error: the grid has no cell") and err.count("\n") == 1, err
+        assert _dir_bytes(out) == before
+
+
+def _dry_run_lines(out: str) -> list[tuple]:
+    return re.findall(r"^  (\w+) +(MV|UV) n= *(\d+)( \(\d+ used\))? m= *(\d+) origins=(\d+)$", out, re.M)
+
+
+def test_dry_run_lists_the_plan_in_canonical_order(tmp_path, market_csvs, capsys):
+    sp, rp = market_csvs
+    assert cli.main([
+        "evaluate", "--stocks", str(sp), "--rates", str(rp), "--out", str(tmp_path / "dry"),
+        "--stub", "last-value", "--set", "start_years_after=1", "--dry-run",
+        "--mode", "uv", "--mode", "mv", "--mode", "uv", "--n", "60", "--n", "30", "--n", "60",
+        "--m", "9", "--m", "5", "--m", "9",
+    ]) == 0
+    out = capsys.readouterr().out
+    lines = _dry_run_lines(out)
+    assert [ln[:5] for ln in lines] == [
+        (p, mo, str(n), "", str(m))
+        for p in ("stocks", "rates", "combined") for mo in M.MODES for n in (30, 60) for m in (5, 9)
+    ]
+    assert int(re.search(r"total cells: (\d+)", out)[1]) == sum(int(ln[5]) for ln in lines) > 0
+    assert not (tmp_path / "dry").exists()
+
+
+def _truncating_grid(tmp_path, sp, ckpt, *extra) -> list[str]:
+    return ["evaluate", "--stocks", str(sp), "--checkpoint", str(ckpt), "--out", str(tmp_path),
+            "--n", "64", "--n", "150", "--m", "8", "--set", "start_years_after=1", *extra]
+
+
+def test_dry_run_and_grid_line_report_the_truncated_cells_alike_at_any_worker_count(
+    tmp_path, market_csvs, tiny_ckpt, capsys
+):
+    sp, _ = market_csvs
+    assert cli.main(_truncating_grid(tmp_path / "dry", sp, tiny_ckpt, "--dry-run")) == 0
+    lines = _dry_run_lines(capsys.readouterr().out)
+    assert [(mo, n, used) for _, mo, n, used, _, _ in lines] == [
+        ("MV", "64", ""), ("MV", "150", " (128 used)"), ("UV", "64", ""), ("UV", "150", " (128 used)"),
+    ]  # tiny_ckpt's max_context is 128
+    truncated = sum(int(ln[5]) for ln in lines if ln[3])
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    for workers in (1, 2):
+        argv = _truncating_grid(tmp_path / f"w{workers}", sp, tiny_ckpt, "--workers", str(workers))
+        proc = subprocess.run([sys.executable, "-m", "groupcast.cli", *argv],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        # the grid line is all of stderr: no process logs a truncation of its own
+        assert re.fullmatch(
+            rf"grid: \S+ s wall, \d+ cells \(\S+ cells/s\), 0 skips, "
+            rf"{truncated} planned cells truncated to max_context 128\n",
+            proc.stderr,
+        ), proc.stderr
+    assert _dir_bytes(tmp_path / "w1") == _dir_bytes(tmp_path / "w2")
 
 
 def test_report_empty_records(tmp_path, capsys):

@@ -138,7 +138,9 @@ def toy_panel():
 
 def test_perfect_foresight_yields_zero(toy_panel):
     specs = [_spec(panel="toy", mode="UV", n=30, m=10, start_years_after=0)]
-    records, skips, _ = E.run_grid(specs, {"toy": toy_panel}, E.PerfectForesightStub())
+    records, skips, _ = E.run_grid(
+        E.grid_plan(specs, {"toy": toy_panel}), {"toy": toy_panel}, E.PerfectForesightStub()
+    )
     assert records and not skips
     assert all(r.rmse == 0.0 and r.mape == 0.0 for r in records)
 
@@ -146,7 +148,7 @@ def test_perfect_foresight_yields_zero(toy_panel):
 def test_last_value_matches_brute_force(toy_panel):
     n, m = 30, 10
     specs = [_spec(panel="toy", mode="UV", n=n, m=m, start_years_after=0)]
-    records, _, _ = E.run_grid(specs, {"toy": toy_panel}, E.LastValueStub())
+    records, _, _ = E.run_grid(E.grid_plan(specs, {"toy": toy_panel}), {"toy": toy_panel}, E.LastValueStub())
     assert records
     idx = toy_panel.date_index()
 
@@ -172,7 +174,9 @@ def test_record_count_contract(toy_panel):
         for mo in ("MV", "UV")
         for n in (30, 60)
     ]
-    records, skips, _ = E.run_grid(specs, {"toy": toy_panel}, E.LastValueStub())
+    records, skips, _ = E.run_grid(
+        E.grid_plan(specs, {"toy": toy_panel}), {"toy": toy_panel}, E.LastValueStub()
+    )
     total = 0
     for spec in specs:
         total += len(E.rolling_origins(toy_panel, spec)) * toy_panel.n_series
@@ -190,7 +194,7 @@ def test_grid_contexts_never_peek(toy_panel):
 
     spec = _spec(panel="toy", mode="UV", n=30, m=10, start_years_after=0)
     stub = RecordingStub()
-    E.run_grid([spec], {"toy": toy_panel}, stub)
+    E.run_grid(E.grid_plan([spec], {"toy": toy_panel}), {"toy": toy_panel}, stub)
     contexts_before = dict(seen)
     seen.clear()
     # perturb everything from the earliest origin onward
@@ -203,7 +207,7 @@ def test_grid_contexts_never_peek(toy_panel):
         mask=toy_panel.mask.copy(),
     )
     bumped.values[:, oi] += 1e6
-    E.run_grid([spec], {"toy": bumped}, stub)
+    E.run_grid(E.grid_plan([spec], {"toy": bumped}), {"toy": bumped}, stub)
     assert np.array_equal(contexts_before[0], seen[0])
 
 
@@ -211,8 +215,13 @@ def test_run_grid_streams_and_resumes(tmp_path, toy_panel):
     path = tmp_path / "records.csv"
     spec_a = _spec(panel="toy", mode="UV", n=30, m=5, start_years_after=0)
     spec_b = _spec(panel="toy", mode="MV", n=30, m=5, start_years_after=0)
-    first, _, _ = E.run_grid([spec_a], {"toy": toy_panel}, E.LastValueStub(), records_path=path)
-    both, _, _ = E.run_grid([spec_a, spec_b], {"toy": toy_panel}, E.LastValueStub(), records_path=path)
+    first, _, _ = E.run_grid(
+        E.grid_plan([spec_a], {"toy": toy_panel}), {"toy": toy_panel}, E.LastValueStub(), records_path=path
+    )
+    both, _, _ = E.run_grid(
+        E.grid_plan([spec_a, spec_b], {"toy": toy_panel}), {"toy": toy_panel},
+        E.LastValueStub(), records_path=path,
+    )
     assert len(both) == 2 * len(first)
     reloaded = E.read_records(path)
     assert len(reloaded) == len(both)
@@ -223,18 +232,22 @@ def test_run_grid_streams_and_resumes(tmp_path, toy_panel):
         assert r.rmse == orig.rmse and r.mape == orig.mape
     # a grid of MV alone keeps the file's MV cells but the last, and drops the UV rows
     mv_only = tmp_path / "mv.csv"
-    want, _, _ = E.run_grid([spec_b], {"toy": toy_panel}, E.LastValueStub(), records_path=mv_only)
-    again, _, cells = E.run_grid([spec_b], {"toy": toy_panel}, E.LastValueStub(), records_path=path)
+    want, _, _ = E.run_grid(
+        E.grid_plan([spec_b], {"toy": toy_panel}), {"toy": toy_panel}, E.LastValueStub(), records_path=mv_only
+    )
+    again, _, cells = E.run_grid(
+        E.grid_plan([spec_b], {"toy": toy_panel}), {"toy": toy_panel}, E.LastValueStub(), records_path=path
+    )
     assert cells == 1 and again == want and path.read_bytes() == mv_only.read_bytes()
 
 
 def test_rerun_with_a_larger_grid_ends_as_one_run_of_it(tmp_path, toy_panel):
     specs, panels = _toy_grid(toy_panel)
     whole = tmp_path / "whole.csv"
-    E.run_grid(specs, panels, E.LastValueStub(), records_path=whole)
+    E.run_grid(E.grid_plan(specs, panels), panels, E.LastValueStub(), records_path=whole)
     path = tmp_path / "records.csv"
-    E.run_grid([specs[1]], panels, E.LastValueStub(), records_path=path)  # UV alone
-    records, _, _ = E.run_grid(specs, panels, E.LastValueStub(), records_path=path)
+    E.run_grid(E.grid_plan([specs[1]], panels), panels, E.LastValueStub(), records_path=path)  # UV alone
+    records, _, _ = E.run_grid(E.grid_plan(specs, panels), panels, E.LastValueStub(), records_path=path)
     assert path.read_bytes() == whole.read_bytes()
     assert records == E.read_records(whole)
 
@@ -250,9 +263,9 @@ def test_rerun_computes_again_from_the_cell_before_a_cell_without_rows(tmp_path,
 
     monkeypatch.setattr(E, "evaluate_cell", holed)
     path = tmp_path / "records.csv"
-    E.run_grid(specs, panels, E.LastValueStub(), records_path=path)
+    E.run_grid(E.grid_plan(specs, panels), panels, E.LastValueStub(), records_path=path)
     before = path.read_bytes()
-    _, _, cells = E.run_grid(specs, panels, E.LastValueStub(), records_path=path)
+    _, _, cells = E.run_grid(E.grid_plan(specs, panels), panels, E.LastValueStub(), records_path=path)
     total = sum(len(E.rolling_origins(toy_panel, spec)) for spec in specs)
     assert cells == total - 2 and path.read_bytes() == before
 
@@ -266,7 +279,7 @@ def _toy_grid(toy_panel):
 def test_run_grid_crash_then_resume_is_byte_identical(tmp_path, toy_panel, monkeypatch, workers):
     specs, panels = _toy_grid(toy_panel)
     whole = tmp_path / "whole.csv"
-    E.run_grid(specs, panels, E.LastValueStub(), records_path=whole, workers=workers)
+    E.run_grid(E.grid_plan(specs, panels), panels, E.LastValueStub(), records_path=whole, workers=workers)
 
     crash_at = ("UV", E.rolling_origins(toy_panel, specs[1])[3])
     evaluate_cell = E.evaluate_cell
@@ -279,14 +292,14 @@ def test_run_grid_crash_then_resume_is_byte_identical(tmp_path, toy_panel, monke
     monkeypatch.setattr(E, "evaluate_cell", crashing)
     path = tmp_path / "records.csv"
     with pytest.raises(RuntimeError, match="injected crash"):
-        E.run_grid(specs, panels, E.LastValueStub(), records_path=path, workers=workers)
+        E.run_grid(E.grid_plan(specs, panels), panels, E.LastValueStub(), records_path=path, workers=workers)
     written = E.read_records(path)
     # the cells finished before the crash were streamed to the file
     assert 0 < len(written) < len(E.read_records(whole))
     assert all(r.mode == "MV" or r.origin < crash_at[1] for r in written)
 
     monkeypatch.setattr(E, "evaluate_cell", evaluate_cell)
-    E.run_grid(specs, panels, E.LastValueStub(), records_path=path, workers=workers)
+    E.run_grid(E.grid_plan(specs, panels), panels, E.LastValueStub(), records_path=path, workers=workers)
     assert path.read_bytes() == whole.read_bytes()
 
 
@@ -294,7 +307,7 @@ def test_run_grid_crash_then_resume_is_byte_identical(tmp_path, toy_panel, monke
 def test_torn_final_row_is_dropped_and_resume_completes(tmp_path, toy_panel, caplog, torn):
     specs, panels = _toy_grid(toy_panel)
     whole = tmp_path / "whole.csv"
-    E.run_grid(specs, panels, E.LastValueStub(), records_path=whole)
+    E.run_grid(E.grid_plan(specs, panels), panels, E.LastValueStub(), records_path=whole)
     lines = whole.read_bytes().splitlines(keepends=True)
     path = tmp_path / "records.csv"
     # header, cell 1 (3 series), one row of cell 2, then the first bytes of
@@ -304,7 +317,7 @@ def test_torn_final_row_is_dropped_and_resume_completes(tmp_path, toy_panel, cap
         records = E.read_records(path)
     assert len(records) == 4
     assert ("dropped unterminated final row" in caplog.text) == (torn > 0)
-    E.run_grid(specs, panels, E.LastValueStub(), records_path=path)
+    E.run_grid(E.grid_plan(specs, panels), panels, E.LastValueStub(), records_path=path)
     assert path.read_bytes() == whole.read_bytes()
 
 
@@ -315,7 +328,8 @@ def test_hard_crash_after_each_cell_flush_resumes_to_the_same_tree(tmp_path, toy
     def evaluate(out):  # what `groupcast evaluate` writes: records, then artifacts
         out.mkdir(exist_ok=True)
         records, _, _ = E.run_grid(
-            specs, panels, E.LastValueStub(), records_path=out / "records.csv", workers=workers
+            E.grid_plan(specs, panels), panels, E.LastValueStub(),
+            records_path=out / "records.csv", workers=workers,
         )
         E.emit_artifacts(records, out)
 
@@ -348,13 +362,13 @@ def test_hard_crash_after_each_cell_flush_resumes_to_the_same_tree(tmp_path, toy
 def test_complete_malformed_row_still_raises(tmp_path, toy_panel):
     specs, panels = _toy_grid(toy_panel)
     path = tmp_path / "records.csv"
-    E.run_grid(specs, panels, E.LastValueStub(), records_path=path)
+    E.run_grid(E.grid_plan(specs, panels), panels, E.LastValueStub(), records_path=path)
     with open(path, "ab") as fh:
         fh.write(b"toy,MV,s0,30\r\n")
     with pytest.raises(DataError, match="malformed"):
         E.read_records(path)
     with pytest.raises(DataError, match="malformed"):
-        E.run_grid(specs, panels, E.LastValueStub(), records_path=path)
+        E.run_grid(E.grid_plan(specs, panels), panels, E.LastValueStub(), records_path=path)
 
 
 def test_workers_do_not_change_results(tmp_path, toy_panel):
@@ -363,8 +377,14 @@ def test_workers_do_not_change_results(tmp_path, toy_panel):
     ]
     p1 = tmp_path / "w1.csv"
     p2 = tmp_path / "w2.csv"
-    E.run_grid(specs, {"toy": toy_panel}, E.LastValueStub(), records_path=p1, workers=1)
-    E.run_grid(specs, {"toy": toy_panel}, E.LastValueStub(), records_path=p2, workers=3)
+    E.run_grid(
+        E.grid_plan(specs, {"toy": toy_panel}), {"toy": toy_panel},
+        E.LastValueStub(), records_path=p1, workers=1,
+    )
+    E.run_grid(
+        E.grid_plan(specs, {"toy": toy_panel}), {"toy": toy_panel},
+        E.LastValueStub(), records_path=p2, workers=3,
+    )
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -397,9 +417,9 @@ def test_modes_of_a_context_run_back_to_back_and_rows_stay_canonical(tmp_path, m
 
     monkeypatch.setattr(E, "evaluate_cell", recording)
     p1, p2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
-    E.run_grid(specs, panels, E.LastValueStub(), records_path=p1, workers=1)
+    E.run_grid(E.grid_plan(specs, panels), panels, E.LastValueStub(), records_path=p1, workers=1)
     monkeypatch.setattr(E, "evaluate_cell", evaluate_cell)
-    E.run_grid(specs, panels, E.LastValueStub(), records_path=p2, workers=2)
+    E.run_grid(E.grid_plan(specs, panels), panels, E.LastValueStub(), records_path=p2, workers=2)
 
     assert computed and len(computed) == len(set(computed))
     # MV then UV of one (panel, n, m, origin), pair after pair
@@ -424,7 +444,7 @@ def test_pool_gets_each_context_whole(tmp_path, monkeypatch):
         return evaluate_cell(panel, spec, origin, forecaster)
 
     monkeypatch.setattr(E, "evaluate_cell", recording)
-    _, _, cells = E.run_grid(specs, panels, E.LastValueStub(), workers=2)
+    _, _, cells = E.run_grid(E.grid_plan(specs, panels), panels, E.LastValueStub(), workers=2)
     lines = [line.split(",") for line in seen.read_text().splitlines()]
     assert len(lines) == cells == 60
     by_pid = {}
@@ -439,7 +459,7 @@ def test_pool_gets_each_context_whole(tmp_path, monkeypatch):
 def test_crash_at_uv_with_mv_pending_writes_no_uv_row_and_resumes(tmp_path, monkeypatch, workers):
     specs, panels = _two_panel_grid()
     whole = tmp_path / "whole.csv"
-    E.run_grid(specs, panels, E.LastValueStub(), records_path=whole, workers=workers)
+    E.run_grid(E.grid_plan(specs, panels), panels, E.LastValueStub(), records_path=whole, workers=workers)
 
     crash_spec = _spec(panel="stocks", mode="UV", n=30, m=9, start_years_after=0)
     crash_at = ("stocks", "UV", 30, 9, E.rolling_origins(panels["stocks"], crash_spec)[2])
@@ -453,14 +473,14 @@ def test_crash_at_uv_with_mv_pending_writes_no_uv_row_and_resumes(tmp_path, monk
     monkeypatch.setattr(E, "evaluate_cell", crashing)
     path = tmp_path / "records.csv"
     with pytest.raises(RuntimeError, match="injected crash"):
-        E.run_grid(specs, panels, E.LastValueStub(), records_path=path, workers=workers)
+        E.run_grid(E.grid_plan(specs, panels), panels, E.LastValueStub(), records_path=path, workers=workers)
     written = E.read_records(path)
     # UV cells of stocks were computed, but stocks MV cells are still pending
     assert written and {r.mode for r in written} == {"MV"}
     assert {r.panel for r in written} == {"stocks"}
 
     monkeypatch.setattr(E, "evaluate_cell", evaluate_cell)
-    E.run_grid(specs, panels, E.LastValueStub(), records_path=path, workers=workers)
+    E.run_grid(E.grid_plan(specs, panels), panels, E.LastValueStub(), records_path=path, workers=workers)
     assert path.read_bytes() == whole.read_bytes()
 
 
@@ -469,6 +489,24 @@ def test_evaluate_cell_rejects_origin_off_the_calendar(toy_panel):
     assert saturday not in toy_panel.dates and toy_panel.dates[0] < saturday < toy_panel.dates[-1]
     with pytest.raises(KeyError, match="2015-09-05"):
         E.evaluate_cell(toy_panel, _spec(panel="toy", n=5, m=3), saturday, E.LastValueStub())
+
+
+def test_evaluate_cell_rejects_origin_with_fewer_than_n_dates_before_it(toy_panel):
+    with pytest.raises(KeyError, match="with 5 dates before it"):
+        E.evaluate_cell(toy_panel, _spec(panel="toy", n=5, m=3), toy_panel.dates[4], E.LastValueStub())
+
+
+def test_grid_plan_orders_each_distinct_spec_once_and_keeps_specs_without_origins(toy_panel):
+    specs = [
+        _spec(panel="toy", mode=mo, n=n, m=m, start_years_after=0)
+        for mo in ("UV", "MV", "UV") for n in (60, 30, 60) for m in (5, 500)
+    ]
+    plan = E.grid_plan(specs, {"toy": toy_panel})
+    assert list(plan) == sorted(set(specs), key=lambda s: (M.MODES.index(s.mode), s.n, s.m))
+    assert all(plan[s] == E.rolling_origins(toy_panel, s) for s in plan)
+    assert [bool(origins) for origins in plan.values()] == [True, False] * 4  # m=500 has no window
+    _, _, cells = E.run_grid(plan, {"toy": toy_panel}, E.LastValueStub())
+    assert cells == sum(map(len, plan.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +610,9 @@ def test_forecast_with_too_few_rows_skips_its_cell_and_the_grid_finishes(toy_pan
         _spec(panel="toy", mode=mo, n=30, m=m, start_years_after=0)
         for mo in ("MV", "UV") for m in (5, 10)
     ]
-    records, skips, cells = E.run_grid(specs, {"toy": toy_panel}, DropsARowInMV())
+    records, skips, cells = E.run_grid(
+        E.grid_plan(specs, {"toy": toy_panel}), {"toy": toy_panel}, DropsARowInMV()
+    )
     n_origins = {spec: len(E.rolling_origins(toy_panel, spec)) for spec in specs}
     assert cells == sum(n_origins.values())
     assert {r.mode for r in records} == {"UV"}
@@ -620,10 +660,10 @@ def test_grid_records_equal_per_series_grid_bytes(tmp_path, monkeypatch):
     panels["stocks"].mask[1, 60:75] = 0.0
     panels["rates"].values[0, 90:93] = 0.0
     fast = tmp_path / "fast.csv"
-    E.run_grid(specs, panels, E.LastValueStub(), records_path=fast)
+    E.run_grid(E.grid_plan(specs, panels), panels, E.LastValueStub(), records_path=fast)
     monkeypatch.setattr(E, "evaluate_cell", evaluate_cell_per_series)
     oracle = tmp_path / "oracle.csv"
-    E.run_grid(specs, panels, E.LastValueStub(), records_path=oracle)
+    E.run_grid(E.grid_plan(specs, panels), panels, E.LastValueStub(), records_path=oracle)
     assert fast.read_bytes() == oracle.read_bytes()
     skipped = [line.split(",")[8] for line in fast.read_text().splitlines()[1:]]
     assert set(skipped) == {"0", "2"}  # the near-zero rates rows took the fallback
@@ -719,10 +759,16 @@ def test_model_grid_builds_one_trunk_per_context(tiny_model, counted_trunks, tmp
         weights = M.init_weights(cfg, seed=42)
         del counted_trunks[:]
         shared = tmp_path / f"shared{n_blocks}.csv"
-        _, skips, cells = E.run_grid(specs, {"toy": panel}, E.ModelForecaster(weights, cfg), records_path=shared)
+        _, skips, cells = E.run_grid(
+            E.grid_plan(specs, {"toy": panel}), {"toy": panel},
+            E.ModelForecaster(weights, cfg), records_path=shared,
+        )
         assert cells and len(counted_trunks) == cells // 2 and skips == []
         fresh = tmp_path / f"fresh{n_blocks}.csv"
-        E.run_grid(specs, {"toy": panel}, PredictEveryCell(weights, cfg), records_path=fresh)
+        E.run_grid(
+            E.grid_plan(specs, {"toy": panel}), {"toy": panel},
+            PredictEveryCell(weights, cfg), records_path=fresh,
+        )
         assert len(counted_trunks) == cells // 2 + cells
         assert shared.read_bytes() == fresh.read_bytes(), n_blocks
         assert predicted_unlike_unpruned == [], n_blocks
@@ -963,8 +1009,10 @@ def test_uv_records_identical_in_single_and_combined_runs(tiny_model):
     forecaster = E.ModelForecaster(weights, cfg)
     spec_s = _spec(panel="stocks", mode="UV", n=64, m=8, start_years_after=1)
     spec_c = _spec(panel="combined", mode="UV", n=64, m=8, start_years_after=1)
-    recs_s, _, _ = E.run_grid([spec_s], {"stocks": stocks}, forecaster)
-    recs_c, _, _ = E.run_grid([spec_c], {"combined": combined}, forecaster)
+    recs_s, _, _ = E.run_grid(E.grid_plan([spec_s], {"stocks": stocks}), {"stocks": stocks}, forecaster)
+    recs_c, _, _ = E.run_grid(
+        E.grid_plan([spec_c], {"combined": combined}), {"combined": combined}, forecaster
+    )
     by_key_c = {(r.series, r.origin): r for r in recs_c}
     assert recs_s
     for r in recs_s:

@@ -94,7 +94,7 @@ def test_timing_patch_sees_every_grid_cell_with_its_spec(monkeypatch, tmp_path, 
 
     with spans.Patcher() as patcher:
         patcher.set(E, "evaluate_cell", timed_cell)
-        _, _, cells = E.run_grid(specs, panels, E.LastValueStub(), workers=workers)
+        _, _, cells = E.run_grid(E.grid_plan(specs, panels), panels, E.LastValueStub(), workers=workers)
     assert cells == len(expected)
     assert sorted(seen.read_text().splitlines()) == expected
 
@@ -102,7 +102,7 @@ def test_timing_patch_sees_every_grid_cell_with_its_spec(monkeypatch, tmp_path, 
         tracer = spans.Tracer()
         with spans.Patcher() as patcher:
             layers.instrument(tracer, patcher)
-            E.run_grid(specs, panels, E.LastValueStub(), workers=workers)
+            E.run_grid(E.grid_plan(specs, panels), panels, E.LastValueStub(), workers=workers)
         per_mode = {mo: tracer.calls[f"evalharness.evaluate_cell.{mo}"] for mo in ("MV", "UV")}
         assert per_mode == {mo: sum(line.split(",")[1] == mo for line in expected) for mo in per_mode}
 

@@ -1,6 +1,7 @@
 """Loss, task sampling, optimizer steps, and the two-stage curriculum."""
 
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -337,6 +338,20 @@ def test_two_runs_same_seed_bitwise_identical(tmp_path, corpus):
         assert np.array_equal(w1[k].data, w2[k].data), k
     for k in m1:
         assert np.array_equal(m1[k], m2[k]), k
+
+
+def test_a_stage_context_past_max_context_warns_once_before_the_first_step(tmp_path, corpus, caplog):
+    long_stage = TR.TrainConfig(
+        stage_contexts=(16, 80), stage_steps=(2, 2), batch_groups=2, seed=5, checkpoint_every=100,
+    )
+    desk = replace(DESK_TRAIN_CONFIG, stage_steps=(1, 1), batch_groups=2)
+    warned = []
+    for name, model_cfg, train_cfg in (("long", CFG, long_stage), ("desk", M.ModelConfig(), desk)):
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="groupcast.train"):
+            TR.run_curriculum(model_cfg, train_cfg, corpus, tmp_path / name)
+        warned.append([r.getMessage() for r in caplog.records if r.name == "groupcast.train"])
+    assert warned == [["contexts of up to 80 positions are cut to max_context=64"], []]
 
 
 def test_curriculum_stages_and_boundary(tmp_path, corpus):
