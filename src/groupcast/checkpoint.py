@@ -5,7 +5,8 @@ Layout (all integers little-endian):
     magic   14 bytes  b"GROUPCAST-CKPT"
     version uint32    currently 1
     config  uint32 length + UTF-8 JSON
-            {"model": ModelConfig dict, "extra": free-form dict}
+            {"model": ModelConfig dict, "extra": free-form dict,
+             whose "step", when present, is an integer >= 0}
     count   uint32    number of parameter records
     record  uint16 name length, name UTF-8,
             uint8 rank, rank x uint32 extents,
@@ -23,8 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
+from .config import same_kind
 from .errors import CheckpointError, ConfigError
-from .model import ModelConfig
+from .model import ModelConfig, weight_layout
 from .panels import atomic_open
 
 MAGIC = b"GROUPCAST-CKPT"
@@ -69,8 +71,17 @@ def save_checkpoint(
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (weights, config, extra, moments). A file
-    that cannot be read raises its OSError, a corrupt one CheckpointError."""
+    """Read a checkpoint; returns (weights, config, extra, moments).
+
+    A file that cannot be read raises its OSError, a corrupt one
+    CheckpointError. A checkpoint that loads is one the model can run: its
+    header holds a ModelConfig that builds (every field of its kind, by
+    config.same_kind), an ``extra`` object whose ``step``, when present, is
+    an integer >= 0, and its weights are exactly the names and shapes of
+    model.weight_layout for that config; anything else is a corrupt header.
+    Each optimizer moment ("m." or "v." and a weight's name) has the shape
+    of its weight.
+    """
     buf = Path(path).read_bytes()
     off = 0
 
@@ -96,12 +107,17 @@ def load_checkpoint(path):
         # (KeyError), or a model config that ModelConfig rejects
         raise CheckpointError(f"corrupt header in checkpoint {path}: {exc!r}") from exc
     extra = header.get("extra", {})
+    if not isinstance(extra, dict):
+        raise CheckpointError(f"corrupt header in checkpoint {path}: extra must be an object, got {extra!r}")
+    step = extra.get("step", 0)
+    if not same_kind(step, int) or step < 0:
+        raise CheckpointError(f"corrupt header in checkpoint {path}: step must be an integer >= 0, got {step!r}")
     (count,) = struct.unpack("<I", take(4))
     weights: dict[str, T.Tensor] = {}
     moments: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2))
-        name = take(name_len).decode("utf-8")
+        name = take(name_len).decode("utf-8", "replace")  # a name that is not UTF-8 fits no weight
         (rank,) = struct.unpack("<B", take(1))
         shape = struct.unpack(f"<{rank}I", take(4 * rank))
         n = int(np.prod(shape)) if rank else 1
@@ -112,4 +128,16 @@ def load_checkpoint(path):
             weights[name] = T.parameter(arr, dtype=np.float32)
     if off != len(buf):
         raise CheckpointError(f"trailing bytes in checkpoint {path}")
+    need = {name: shape for name, (shape, _, _) in weight_layout(config).items()}
+    have = {name: t.shape for name, t in weights.items()}
+    if have != need:
+        name = min(n for n in need.keys() | have.keys() if have.get(n) != need.get(n))
+        raise CheckpointError(
+            f"corrupt header in checkpoint {path}: its model config does not fit the weights "
+            f"(weight {name} is {have.get(name, 'missing')}, the config needs {need.get(name, 'no such weight')})"
+        )
+    for name, arr in moments.items():
+        role, _, of = name.partition(".")
+        if role not in ("m", "v") or arr.shape != need.get(of):
+            raise CheckpointError(f"corrupt checkpoint {path}: optimizer moment {name} {arr.shape} fits no weight")
     return weights, config, extra, moments

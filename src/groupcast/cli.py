@@ -37,6 +37,7 @@ from . import model as M
 from . import synthdata as S
 from . import train as TR
 from .checkpoint import load_checkpoint
+from .config import same_kind
 from .errors import (
     CheckpointError,
     ConfigError,
@@ -96,10 +97,10 @@ STRING_KEYS = dict.fromkeys(
 
 def _assign(cfg: dict, table: dict, key: str, value) -> None:
     """Set the dotted key of cfg, checked against the key table: the key must
-    exist, a section takes an object and a leaf a value of its default's JSON
-    kind (a bool only for a bool, any number for a float, a string or null
-    for a STRING_KEYS key, anything for another None). A list whose default has
-    elements takes elements of their kind."""
+    exist, a section takes an object and a leaf a value of its default's kind
+    by config.same_kind (a bool only for a bool, any number for a float), a
+    string or null for a STRING_KEYS key, anything for another None. A list
+    whose default has elements takes elements of their kind."""
     node, known = cfg, table
     *path, leaf = key.split(".")
     for part in path:
@@ -117,21 +118,15 @@ def _assign(cfg: dict, table: dict, key: str, value) -> None:
         for sub, v in value.items():
             _assign(cfg, table, f"{key}.{sub}", v)
         return
-    if default is not None and not _same_kind(value, default):
+    if default is not None and not same_kind(value, type(default)):
         kind = type(default).__name__
         raise ConfigError(f"config key {key!r} must be of type {kind}, got {value!r}")
-    if isinstance(default, list) and default and not all(_same_kind(v, default[0]) for v in value):
+    if isinstance(default, list) and default and not all(same_kind(v, type(default[0])) for v in value):
         kind = type(default[0]).__name__
         raise ConfigError(f"config key {key!r} takes a list of {kind}, got {value!r}")
-    if key in STRING_KEYS and value is not None and not isinstance(value, str):
+    if key in STRING_KEYS and not same_kind(value, str | None):
         raise ConfigError(f"config key {key!r} takes a {STRING_KEYS[key]} string or null, got {value!r}")
     node[leaf] = value
-
-
-def _same_kind(value, default) -> bool:
-    if isinstance(value, bool) or isinstance(default, bool):
-        return type(value) is type(default)
-    return isinstance(value, (int, float) if isinstance(default, float) else type(default))
 
 
 # Each command's keys and their defaults; None means "not set".
@@ -310,7 +305,7 @@ def _cell(v) -> str:
 def cmd_evaluate(args) -> int:
     cfg = _load_config(args, EVAL_KEYS)
     workers = cfg["workers"]
-    if workers is not None and (type(workers) is not int or workers < 1):
+    if workers is not None and (not same_kind(workers, int) or workers < 1):
         raise ConfigError(f"workers must be an integer >= 1 (null for all cores), got {workers!r}")
     out_dir = Path(cfg["out_dir"] or _default_out())
     panels = {k: load_csv_panel(p, expected_ids=PANEL_IDS[k]) for k, p in cfg["panels"].items() if p}

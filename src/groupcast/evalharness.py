@@ -31,9 +31,10 @@ import logging
 import multiprocessing
 from bisect import bisect_left
 from contextlib import ExitStack
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import date
 from itertools import chain, groupby
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -50,8 +51,6 @@ DEFAULT_CONTEXTS = (126, 252, 504, 756)
 DEFAULT_HORIZONS = (21, 63)
 PANEL_ORDER = ("stocks", "rates", "combined")
 
-RECORD_FIELDS = ("panel", "mode", "series", "n", "m", "origin", "rmse", "mape", "skipped", "regime")
-RECORDS_HEADER = ",".join(RECORD_FIELDS) + "\r\n"  # as csv.writer writes it
 TABLE1_COLUMNS = ("panel", "mode", "mape_mean", "mape_std", "rmse_mean", "rmse_std", "n_records")
 TABLE2_COLUMNS = (
     "panel", "series", "mape_mv", "mape_uv", "rmse_mv", "rmse_uv",
@@ -79,6 +78,10 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class EvalRecord:
+    """One row of records.csv: its fields, in order, are the file's columns.
+    A float is written at FLOAT_FMT and a date in ISO form; each column is
+    read back with its field's type."""
+
     panel: str
     mode: str
     series: str
@@ -89,6 +92,15 @@ class EvalRecord:
     mape: float
     skipped: int
     regime: str
+
+
+RECORD_FIELDS = tuple(f.name for f in fields(EvalRecord))
+RECORDS_HEADER = ",".join(RECORD_FIELDS) + "\r\n"  # as csv.writer writes it
+_record_values = attrgetter(*RECORD_FIELDS)
+# per column: how a value is written (None: as it is) and how it is read
+_WRITE = tuple({float: FLOAT_FMT.__mod__, date: date.isoformat}.get(f.type) for f in fields(EvalRecord))
+_READ = tuple({date: date.fromisoformat}.get(f.type, f.type) for f in fields(EvalRecord))
+_MODE_COLUMN = RECORD_FIELDS.index("mode")
 
 
 # ---------------------------------------------------------------------------
@@ -434,10 +446,7 @@ def run_grid(
 
 
 def _record_row(r: EvalRecord) -> list:
-    return [
-        r.panel, r.mode, r.series, r.n, r.m, r.origin.isoformat(),
-        FLOAT_FMT % r.rmse, FLOAT_FMT % r.mape, r.skipped, r.regime,
-    ]
+    return [v if write is None else write(v) for write, v in zip(_WRITE, _record_values(r))]
 
 
 def _cell_key(r: EvalRecord) -> tuple:
@@ -462,17 +471,10 @@ def _parse_records(lines: list[str], path) -> list[EvalRecord]:
     DataError naming its line."""
     out = []
     for li, row in enumerate(csv.reader(lines), start=2):
-        if len(row) != len(RECORD_FIELDS) or row[1] not in M.MODES:
+        if len(row) != len(RECORD_FIELDS) or row[_MODE_COLUMN] not in M.MODES:
             raise DataError(f"{path}: row {li} malformed")
         try:
-            out.append(
-                EvalRecord(
-                    panel=row[0], mode=row[1], series=row[2], n=int(row[3]),
-                    m=int(row[4]), origin=date.fromisoformat(row[5]),
-                    rmse=float(row[6]), mape=float(row[7]), skipped=int(row[8]),
-                    regime=row[9],
-                )
-            )
+            out.append(EvalRecord(*(read(v) for read, v in zip(_READ, row))))
         except ValueError as exc:
             raise DataError(f"{path}: row {li}: {exc}") from exc
     return out

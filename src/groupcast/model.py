@@ -84,6 +84,7 @@ class ModelConfig(DictConfig):
     horizon_patches: int = 8
 
     def __post_init__(self):
+        super().__post_init__()
         q = self.quantile_levels
         if len(q) != 21 or any(not (0.0 < x < 1.0) for x in q) or list(q) != sorted(set(q)):
             raise ConfigError("quantile_levels must be 21 strictly increasing values in (0, 1)")
@@ -130,40 +131,48 @@ class QuantileForecast:
 # weights
 
 
-def init_weights(config: ModelConfig, seed: int, dtype=np.float32) -> dict[str, T.Tensor]:
-    """Gaussian-initialized parameter dict keyed by dotted names."""
-    rng = PortableRng(seed).spawn(101)
+def weight_layout(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], float, float]]:
+    """Every weight of the model, in init_weights' draw order, as
+    name -> (shape, fill, std): a weight with std 0 is filled with fill,
+    any other is std times N(0, 1) draws."""
     d = config.d_model
     in_w = config.patch_len * N_CHANNELS
     out_w = config.patch_len * len(config.quantile_levels)
 
     def gauss(shape, fan_in):
-        n = int(np.prod(shape))
-        return (rng.normal(n) * (1.0 / math.sqrt(fan_in))).reshape(shape)
+        return shape, 0.0, 1.0 / math.sqrt(fan_in)
 
-    w: dict[str, T.Tensor] = {}
+    def const(shape, fill):
+        return shape, fill, 0.0
 
-    def par(name, arr):
-        w[name] = T.parameter(arr, dtype=dtype)
-
-    par("embed.w1", gauss((in_w, d), in_w))
-    par("embed.b1", np.zeros(d))
-    par("embed.w2", gauss((d, d), d))
-    par("embed.b2", np.zeros(d))
-    par("embed.skip", gauss((in_w, d), in_w))
-    par("reg", rng.normal(d) * 0.1)
+    layout = {
+        "embed.w1": gauss((in_w, d), in_w),
+        "embed.b1": const((d,), 0.0),
+        "embed.w2": gauss((d, d), d),
+        "embed.b2": const((d,), 0.0),
+        "embed.skip": gauss((in_w, d), in_w),
+        "reg": ((d,), 0.0, 0.1),
+    }
     for i in range(config.n_blocks):
         for kind in ("time", "group"):
             p = f"block{i}.{kind}"
-            for m in ("wq", "wk", "wv", "wo"):
-                par(f"{p}.{m}", gauss((d, d), d))
-            for b in ("bq", "bk", "bv", "bo"):
-                par(f"{p}.{b}", np.zeros(d))
-            par(f"{p}.ln_gain", np.ones(d))
-            par(f"{p}.ln_bias", np.zeros(d))
-    par("head.w", gauss((d, out_w), d))
-    par("head.b", np.zeros(out_w))
-    return w
+            layout |= {f"{p}.{m}": gauss((d, d), d) for m in ("wq", "wk", "wv", "wo")}
+            layout |= {f"{p}.{b}": const((d,), 0.0) for b in ("bq", "bk", "bv", "bo")}
+            layout |= {f"{p}.ln_gain": const((d,), 1.0), f"{p}.ln_bias": const((d,), 0.0)}
+    layout |= {"head.w": gauss((d, out_w), d), "head.b": const((out_w,), 0.0)}
+    return layout
+
+
+def init_weights(config: ModelConfig, seed: int, dtype=np.float32) -> dict[str, T.Tensor]:
+    """Parameter dict keyed by dotted names, drawn as weight_layout says."""
+    rng = PortableRng(seed).spawn(101)
+    return {
+        name: T.parameter(
+            np.full(shape, fill) if std == 0 else (rng.normal(math.prod(shape)) * std).reshape(shape),
+            dtype=dtype,
+        )
+        for name, (shape, fill, std) in weight_layout(config).items()
+    }
 
 
 # ---------------------------------------------------------------------------

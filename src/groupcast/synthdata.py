@@ -10,7 +10,8 @@ Four generator families:
 * panels of mutually independent noise series.
 
 A spec checks itself when it is built, so a spec that exists is valid and
-the generators check nothing: a malformed spec raises ConfigError, a
+the generators check nothing: a field of the wrong kind (config.same_kind,
+the rule every config class applies) or a bad value raises ConfigError, a
 non-stationary TcmSpec StabilityError (a ConfigError too).
 
 All randomness flows through PortableRng, so identical specs and seeds
@@ -23,26 +24,15 @@ import csv
 import functools
 import json
 import math
-import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .config import DictConfig
+from .config import DictConfig, same_kind
 from .errors import ConfigError, DataError, StabilityError
 from .panels import FLOAT_FMT, atomic_open, open_text
 from .rng import PortableRng
-
-
-def _check_kinds(spec) -> None:
-    """Raise ConfigError unless each int field of spec holds an integer and
-    each float field a number (a bool is neither)."""
-    for f in fields(spec):
-        kind = {int: numbers.Integral, float: numbers.Real}.get(f.type)
-        value = getattr(spec, f.name)
-        if kind is not None and (isinstance(value, bool) or not isinstance(value, kind)):
-            raise ConfigError(f"{f.name} must be {f.type.__name__}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -61,11 +51,11 @@ class TsiSpec(DictConfig):
     seed: int = 0
 
     def __post_init__(self):
-        _check_kinds(self)
+        super().__post_init__()
         if self.length < 1:
             raise ConfigError(f"length must be >= 1, got {self.length}")
         for term in self.seasonal:
-            if len(term) != 3 or not all(isinstance(v, numbers.Real) for v in term) or term[0] < 2:
+            if len(term) != 3 or not all(same_kind(v, float) for v in term) or term[0] < 2:
                 raise ConfigError(f"a seasonal term is (period >= 2, amplitude, phase), got {term}")
         if self.noise_df < 1:
             raise ConfigError(f"noise_df must be >= 1, got {self.noise_df}")
@@ -105,7 +95,7 @@ class TcmSpec(DictConfig):
         return arr
 
     def __post_init__(self):
-        _check_kinds(self)
+        super().__post_init__()
         if self.lag_order < 1:
             raise ConfigError(f"lag order must be >= 1, got {self.lag_order}")
         if self.n_series < 1 or self.length < 1:

@@ -42,6 +42,7 @@ class TrainConfig(DictConfig):
     cosine_decay: bool = False
 
     def __post_init__(self):
+        super().__post_init__()
         mix = self.task_mix
         if len(mix) != 3 or any(r < 0 for r in mix) or abs(sum(mix) - 1.0) > 1e-9:
             raise ConfigError(f"task_mix must be 3 nonnegative ratios summing to 1, got {mix}")
@@ -54,7 +55,7 @@ class TrainConfig(DictConfig):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         mhp = self.max_horizon_patches
-        if mhp is not None and (type(mhp) is not int or mhp < 1):
+        if mhp is not None and mhp < 1:
             raise ConfigError(f"max_horizon_patches must be null or an integer >= 1, got {mhp!r}")
 
 
@@ -256,19 +257,17 @@ def _scaled_targets(target_values, target_mask, scaling, n_positions: int):
     return tv, tm
 
 
-def _loss(
-    weights: dict, model_config: M.ModelConfig, context_values, context_mask, group_ids,
-    horizon_len: int, target_values, target_mask, future_values=None, future_known_mask=None,
-) -> T.Tensor:
-    """Scaled-space pinball loss of one forward pass: assemble the batch,
-    run the model and score the (S, m) targets; recorded when a tape is
-    active. train_step and evaluate_pinball both call it."""
+def _loss(weights: dict, model_config: M.ModelConfig, sample: TaskSample) -> T.Tensor:
+    """Scaled-space pinball loss of one forward pass over sample: assemble
+    the batch, run the model and score the (S, m) targets; recorded when a
+    tape is active. train_step and evaluate_pinball both call it."""
     batch = M.assemble_batch(
-        context_values, context_mask, group_ids, horizon_len, weights, model_config,
-        future_values=future_values, future_known_mask=future_known_mask,
+        sample.context_values, sample.context_mask, sample.group_ids, sample.horizon_len,
+        weights, model_config,
+        future_values=sample.future_values, future_known_mask=sample.future_known_mask,
     )
     pred = M.forward(batch, weights, model_config)
-    tv, tm = _scaled_targets(target_values, target_mask, batch.scaling, pred.shape[1])
+    tv, tm = _scaled_targets(sample.target_values, sample.target_mask, batch.scaling, pred.shape[1])
     return pinball_loss(pred, tv, tm, model_config.quantile_levels)
 
 
@@ -319,11 +318,7 @@ def train_step(
 ) -> float:
     """One forward/backward/update pass; returns the (float) loss."""
     with T.record() as tape:
-        loss = _loss(
-            state.weights, model_config, sample.context_values, sample.context_mask,
-            sample.group_ids, sample.horizon_len, sample.target_values, sample.target_mask,
-            sample.future_values, sample.future_known_mask,
-        )
+        loss = _loss(state.weights, model_config, sample)
     loss_val = float(loss.data)
     if not np.isfinite(loss_val):
         raise TrainingAbort(
@@ -348,15 +343,19 @@ def evaluate_pinball(
 ) -> float:
     """Scaled-space pinball loss of a forward pass on one panel window.
 
-    Context is the first ctx_len columns; targets the next horizon_len.
-    Comparable across modes because scaling depends only on the context.
+    Context is the first ctx_len columns; targets the next horizon_len,
+    with no known-future input. Comparable across modes because scaling
+    depends only on the context.
     """
     panel = np.asarray(panel, dtype=np.float64)
     ctx = panel[:, :ctx_len]
     fut = panel[:, ctx_len : ctx_len + horizon_len]
-    gids = M.mode_group_ids(mode, panel.shape[0])
-    loss = _loss(weights, model_config, ctx, np.ones_like(ctx), gids, horizon_len, fut, np.ones_like(fut))
-    return float(loss.data)
+    sample = TaskSample(
+        ctx, np.ones_like(ctx), M.mode_group_ids(mode, panel.shape[0]), horizon_len,
+        future_values=np.zeros_like(fut), future_known_mask=np.zeros_like(fut),
+        target_values=fut, target_mask=np.ones_like(fut),
+    )
+    return float(_loss(weights, model_config, sample).data)
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +403,7 @@ def run_curriculum(
 
     if resume_from is not None:
         state = TrainState.fresh(weights)
-        state.step = int(extra.get("step", 0))
+        state.step = extra.get("step", 0)
         for name in state.m:
             if f"m.{name}" in moments:
                 state.m[name][...] = moments[f"m.{name}"]

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from datetime import date
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -918,6 +919,15 @@ def _records(t: Path) -> str:
     return str(path)
 
 
+def _bad_ckpt(t: Path, extra=None, **model) -> str:
+    """t/bad.ckpt: tiny.ckpt's weights under a header whose model config has
+    the given fields replaced and whose extra is extra (default {"step": 0})."""
+    weights, cfg, _, _ = load_checkpoint(t / "tiny.ckpt")
+    header = SimpleNamespace(to_dict=lambda: {**cfg.to_dict(), **model})
+    save_checkpoint(t / "bad.ckpt", weights, header, extra={"step": 0} if extra is None else extra)
+    return str(t / "bad.ckpt")
+
+
 def _no_common_day(t: Path) -> list[str]:
     rp = t / "rates.csv"
     save_csv_panel(rp, make_rate_panel(RATE_IDS, date(2022, 1, 3), 400, seed=32))
@@ -948,6 +958,13 @@ EXIT_CASES = {
     "evaluate-out-file": (4, lambda t: _evaluate(t, "--stub", "last-value", "--out", _file(t / "out"))),
     "report-out-file": (4, lambda t: _report(t, "--records", _records(t), "--out", _file(t / "out"))),
     "train-out-file": (4, lambda t: _train(t, "--data", _data(t), "--out", _file(t / "out"))),
+    # a corrupt checkpoint: a header the model cannot run
+    "evaluate-checkpoint-header-kind": (4, lambda t: _evaluate(t, "--checkpoint", _bad_ckpt(t, n_heads=2.0))),
+    "evaluate-checkpoint-misfit": (4, lambda t: _evaluate(t, "--checkpoint", _bad_ckpt(t, patch_len=4))),
+    "train-resume-header-kind": (4, lambda t: _train(t, "--data", _data(t), "--resume", _bad_ckpt(t, n_heads=2.0))),
+    "train-resume-extra-not-object": (4, lambda t: _train(t, "--data", _data(t), "--resume", _bad_ckpt(t, extra=5))),
+    "train-resume-step-not-int": (4, lambda t: _train(
+        t, "--data", _data(t), "--resume", _bad_ckpt(t, extra={"step": "x"}))),
     # malformed content
     "evaluate-panel-not-utf8": (5, lambda t: _evaluate(
         t, "--stub", "last-value", "--stocks", _not_utf8(t / "bad.csv", "date," + ",".join(STOCK_IDS)))),

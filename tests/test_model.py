@@ -1,5 +1,7 @@
 """Model mechanics: embedding, separator, both attentions, forward, predict."""
 
+import json
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -52,6 +54,13 @@ def test_config_invariants():
     assert len(M.QUANTILE_LEVELS) == 21
     assert M.QUANTILE_LEVELS[0] == 0.01 and M.QUANTILE_LEVELS[-1] == 0.99
     assert M.QUANTILE_LEVELS[M.MEDIAN_INDEX] == 0.5
+
+
+@pytest.mark.parametrize("kw", [{"n_heads": 2.0}, {"max_context": 512.0}, {"patch_len": True}],
+                         ids=["n_heads-float", "max_context-float", "patch_len-bool"])
+def test_model_config_rejects_a_field_of_the_wrong_kind(kw):
+    with pytest.raises(ConfigError, match=f"{next(iter(kw))} must be int"):
+        M.ModelConfig(**kw)
 
 
 def test_embed_zero_patch_is_bias_pathway():
@@ -439,11 +448,30 @@ def _flip_first_header_byte(buf: bytes) -> bytes:
     return buf[:at] + bytes([buf[at] ^ 1]) + buf[at + 1 :]
 
 
+def _edit_header(edit):
+    """A corruption that rewrites the JSON header through edit(header),
+    with its length prefix."""
+    def corrupt(buf: bytes) -> bytes:
+        at = len(MAGIC) + 4  # the header length
+        (n,) = struct.unpack("<I", buf[at : at + 4])
+        header = json.loads(buf[at + 4 : at + 4 + n])
+        edit(header)
+        blob = json.dumps(header, sort_keys=True).encode()
+        return buf[:at] + struct.pack("<I", len(blob)) + blob + buf[at + 4 + n :]
+    return corrupt
+
+
 @pytest.mark.parametrize("corrupt", [
     _flip_first_header_byte,
     lambda buf: buf.replace(b'"model":', b'"modex":', 1),
     lambda buf: buf.replace(b'"d_model":', b'"d_modex":', 1),
-], ids=["not-json", "no-model", "renamed-key"])
+    _edit_header(lambda h: h["model"].update(n_heads=2.0)),
+    _edit_header(lambda h: h["model"].update(patch_len=8)),  # weights built for 4
+    _edit_header(lambda h: h.update(extra=5)),
+    _edit_header(lambda h: h["extra"].update(step="x")),
+    _edit_header(lambda h: h["extra"].update(step=-1)),
+], ids=["not-json", "no-model", "renamed-key", "header-kind", "weights-misfit", "extra-not-object",
+        "step-not-int", "step-negative"])
 def test_checkpoint_corrupt_header_raises_checkpoint_error(tmp_path, corrupt):
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, M.init_weights(CFG, seed=20), CFG, extra={"step": 1})
@@ -451,6 +479,19 @@ def test_checkpoint_corrupt_header_raises_checkpoint_error(tmp_path, corrupt):
     path.write_bytes(corrupt(buf))
     assert path.read_bytes() != buf
     with pytest.raises(CheckpointError, match="corrupt header"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("moments, corrupt", [
+    ({}, lambda buf: buf.replace(b"embed.b1", b"\xffmbed.b1", 1)),
+    ({"m.head.b": np.zeros(3)}, lambda buf: buf),
+    ({"x.head.b": np.zeros(4 * 21)}, lambda buf: buf),
+], ids=["name-not-utf8", "moment-shape", "moment-role"])
+def test_checkpoint_record_that_fits_no_weight_raises_checkpoint_error(tmp_path, moments, corrupt):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, M.init_weights(CFG, seed=20), CFG, moments=moments)
+    path.write_bytes(corrupt(path.read_bytes()))
+    with pytest.raises(CheckpointError, match="fit"):
         load_checkpoint(path)
 
 

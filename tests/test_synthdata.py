@@ -38,6 +38,8 @@ def test_tsi_invalid_specs():
         S.tsi_generate(S.TsiSpec(length=5, noise_scale=-1.0))
     with pytest.raises(ConfigError):
         S.tsi_generate(S.TsiSpec(length=5, noise_family="cauchy", noise_scale=1.0))
+    with pytest.raises(ConfigError):  # a bool is not a number
+        S.TsiSpec(length=5, seasonal=((4, True, 0.0),))
 
 
 def test_tsi_student_t_noise_runs():

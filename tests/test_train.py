@@ -109,6 +109,16 @@ def test_task_mix_validation():
         TR.TrainConfig(task_mix=(1.2, -0.2, 0.0))
 
 
+@pytest.mark.parametrize("kw", [
+    {"batch_groups": True}, {"seed": 1.5}, {"learning_rate": "0.1"}, {"cosine_decay": 1},
+    {"stage_steps": [5, 5]}, {"max_horizon_patches": 2.0},
+], ids=["batch_groups-bool", "seed-float", "learning_rate-str", "cosine_decay-int", "stage_steps-list",
+        "max_horizon_patches-float"])
+def test_train_config_rejects_a_field_of_the_wrong_kind(kw):
+    with pytest.raises(ConfigError, match=f"{next(iter(kw))} must be "):
+        TR.TrainConfig(**kw)
+
+
 def test_sample_task_uv_all_distinct_groups(corpus):
     for i in range(100):
         s = TR.sample_task(corpus, (1, 0, 0), PortableRng(1).spawn(i), 4, 16, 4)
