@@ -20,11 +20,16 @@ from .errors import ConfigError
 def same_kind(value, kind) -> bool:
     """True when value may stand for kind: a bool only for ``bool``, any
     integer for ``int``, any real number for ``float`` (a bool for neither),
-    and any other kind as ``isinstance`` says; ``X | None`` also takes None,
-    and ``tuple[int, int]`` is checked by its origin alone."""
+    and any other kind as ``isinstance`` says; ``X | None`` also takes None.
+    A parameterized tuple checks its elements by the same rule, nested:
+    ``tuple[X, ...]`` any number of X, ``tuple[X, Y]`` exactly an X and a Y."""
     origin = get_origin(kind)
     if origin in (Union, types.UnionType):
         return any(same_kind(value, k) for k in get_args(kind))
+    if origin is tuple and isinstance(value, tuple):
+        args = get_args(kind)
+        args = args[:1] * len(value) if args[1:] == (...,) else args
+        return len(value) == len(args) and all(map(same_kind, value, args))
     kind = origin or kind
     if kind is bool or isinstance(value, bool):
         return kind is bool and isinstance(value, bool)
@@ -54,7 +59,8 @@ class DictConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             if not same_kind(value, f.type):
-                raise ConfigError(f"{f.name} must be {getattr(f.type, '__name__', f.type)}, got {value!r}")
+                kind = f.type.__name__ if isinstance(f.type, type) else f.type  # tuple[int, ...] in full
+                raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
 
     def to_dict(self) -> dict:
         d = {f.name: _as_lists(getattr(self, f.name)) for f in fields(self)}

@@ -74,6 +74,8 @@ class ExperimentSpec:
             raise ConfigError(f"n and m must be positive, got n={self.n}, m={self.m}")
         if self.mode not in M.MODES:
             raise ConfigError(f"mode must be one of {M.MODES}, got {self.mode!r}")
+        if self.start_years_after < 0:
+            raise ConfigError(f"start_years_after must be >= 0, got {self.start_years_after}")
 
 
 @dataclass(frozen=True)
@@ -158,8 +160,11 @@ def rolling_origins(panel: SeriesPanel, spec: ExperimentSpec) -> list[date]:
 
     A date opens its month when the date before it lies in another month.
     Eligibility starts with the month that lies start_years_after years
-    after the panel's first date (month granularity).
+    after the panel's first date (month granularity); a start past the
+    calendar's last year leaves no origin.
     """
+    if panel.dates[0].year + spec.start_years_after > date.max.year:
+        return []
     earliest = _add_years(panel.dates[0], spec.start_years_after)
     start_month = (earliest.year, earliest.month)
     last = panel.n_dates - spec.m
@@ -203,8 +208,7 @@ class ModelForecaster:
         if key != self._trunk_key:
             self._trunk = M.trunk(values, mask, m, self.weights, self.config)
             self._trunk_key = key
-        fc = M.finish(self._trunk, gids, self.weights, self.config)
-        return fc.values[:, :, M.MEDIAN_INDEX]
+        return M.finish(self._trunk, gids, self.weights, self.config)[:, :, M.MEDIAN_INDEX]
 
 
 def _array_key(a: np.ndarray) -> tuple:

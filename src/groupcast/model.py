@@ -46,7 +46,7 @@ over fewer rows and change bits, so pruned rows have no backward:
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -54,7 +54,6 @@ from . import kernels, preprocess
 from . import tensor as T
 from .config import DictConfig
 from .errors import ConfigError, ContractError, ShapeError
-from .preprocess import ScalingState
 from .rng import PortableRng
 
 # 0.01, 0.05, 0.10, ..., 0.90, 0.95, 0.99
@@ -79,7 +78,7 @@ class ModelConfig(DictConfig):
     n_blocks: int = 2
     n_heads: int = 4
     patch_len: int = 8
-    quantile_levels: tuple = QUANTILE_LEVELS
+    quantile_levels: tuple[float, ...] = QUANTILE_LEVELS
     max_context: int = 512
     horizon_patches: int = 8
 
@@ -106,6 +105,8 @@ class GroupBatch:
     """Embedded model input for one joint forward pass.
 
     tokens: (S, T, d_model) Tensor with the separator at reg_position.
+    loc, scale: (S,) float64 scaling of each series row, in original units;
+    finish maps forecasts back by them and training scales targets by them.
     block0_time, when set, is block 0's time attention of tokens, which
     forward then does not compute again, and marks the batch as a trunk,
     whose last block forward prunes; group_ids is None only in a trunk,
@@ -115,16 +116,10 @@ class GroupBatch:
     tokens: T.Tensor
     group_ids: np.ndarray | None
     reg_position: int
-    scaling: list[ScalingState] = field(default_factory=list)
+    loc: np.ndarray
+    scale: np.ndarray
     horizon_len: int = 0
     block0_time: T.Tensor | None = None
-
-
-@dataclass(frozen=True)
-class QuantileForecast:
-    """Per-series quantile grid in original units, monotone across levels."""
-
-    values: np.ndarray  # (S, m, 21)
 
 
 # ---------------------------------------------------------------------------
@@ -537,11 +532,10 @@ def assemble_batch(
     for s in np.flatnonzero(~full):
         state = preprocess.fit_scaling(ctx[s], msk[s])
         loc[s], scale[s] = state.loc, state.scale
-    states = [ScalingState(lo, sc) for lo, sc in zip(loc.tolist(), scale.tolist())]
 
     # channels [value, rel_time, mask] of the left-padded context, as patchify
-    rel = preprocess.make_rel_time(Lc, Lh, pad_count=pad)
-    rel_ctx = rel[pad : pad + Lc]
+    rel = preprocess.make_rel_time(Lc, Lh)
+    rel_ctx = rel[:Lc]
     chans = np.zeros((S, pad + Lc, N_CHANNELS))
     chans[:, pad:, 0] = np.where(msk > 0, preprocess.scale_rows(ctx, loc, scale), 0.0)
     if pad:
@@ -551,7 +545,7 @@ def assemble_batch(
     ctx_patches = chans.reshape(S, (pad + Lc) // P, P * N_CHANNELS)
 
     fut = np.zeros((S, Lh, N_CHANNELS))
-    fut[:, :, 1] = rel[pad + Lc :]
+    fut[:, :, 1] = rel[Lc:]
     if future_known_mask is not None:
         fm = np.asarray(future_known_mask, dtype=np.float64)
         fut[:, : fm.shape[1], 2] = fm
@@ -573,7 +567,8 @@ def assemble_batch(
         tokens=tokens,
         group_ids=None if group_ids is None else np.asarray(group_ids),
         reg_position=reg_pos,
-        scaling=states,
+        loc=loc,
+        scale=scale,
         horizon_len=horizon_len,
     )
 
@@ -607,19 +602,18 @@ def trunk(
 
 def finish(
     batch: GroupBatch, group_ids: np.ndarray, weights: dict, config: ModelConfig
-) -> QuantileForecast:
+) -> np.ndarray:
     """Complete a trunk under group_ids: block 0's group attention, the
     remaining blocks and the head, the last block computing only the future
     rows, at least two (see forward). Then the quantiles are
     sorted per position (monotone rearrangement) and mapped back to
-    original units, all series in one expression. The trunk itself is left
-    as it was."""
+    original units by the batch's loc and scale, all series in one
+    expression: the (S, horizon_len, 21) quantile array. The trunk itself
+    is left as it was."""
     batch = replace(batch, group_ids=group_ids)
     grid = forward(batch, weights, config).data.astype(np.float64)
     grid = np.sort(grid[:, : batch.horizon_len, :], axis=-1)
-    loc = np.array([st.loc for st in batch.scaling])
-    scale = np.array([st.scale for st in batch.scaling])
-    return QuantileForecast(values=np.sinh(grid) * scale[:, None, None] + loc[:, None, None])
+    return np.sinh(grid) * batch.scale[:, None, None] + batch.loc[:, None, None]
 
 
 def predict(
@@ -629,8 +623,9 @@ def predict(
     horizon_len: int,
     weights: dict,
     config: ModelConfig,
-) -> QuantileForecast:
-    """Forecast horizon_len steps for every series of a panel context.
+) -> np.ndarray:
+    """Forecast horizon_len steps for every series of a panel context: the
+    (S, horizon_len, 21) quantile array in original units (see finish).
 
     mode "UV" isolates each series in its own group; "MV" shares one group
     across the panel. The trunk and finish in sequence.

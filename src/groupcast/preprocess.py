@@ -83,17 +83,14 @@ def inverse_scale(scaled: np.ndarray, state: ScalingState) -> np.ndarray:
     return np.sinh(np.asarray(scaled, dtype=np.float64)) * state.scale + state.loc
 
 
-def make_rel_time(context_len: int, horizon_len: int, pad_count: int = 0) -> np.ndarray:
-    """Relative time index over pad + context + horizon positions.
-
-    Normalized so the first context position is 0 and the last horizon
-    position is 1; pad positions extrapolate below 0, keeping the index
-    strictly increasing.
+def make_rel_time(context_len: int, horizon_len: int) -> np.ndarray:
+    """Relative time index over context + horizon positions, strictly
+    increasing: the first context position is 0 and the last horizon
+    position is 1. Pad positions left of the context take pad_rel_time,
+    which extrapolates below 0.
     """
     span = context_len + horizon_len
-    denom = float(max(span - 1, 1))
-    idx = np.arange(-pad_count, span, dtype=np.float64)
-    return idx / denom
+    return np.arange(span, dtype=np.float64) / float(max(span - 1, 1))
 
 
 def pad_rel_time(rel: np.ndarray, pad: int) -> np.ndarray:

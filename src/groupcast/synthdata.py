@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .config import DictConfig, same_kind
+from .config import DictConfig
 from .errors import ConfigError, DataError, StabilityError
 from .panels import FLOAT_FMT, atomic_open, open_text
 from .rng import PortableRng
@@ -44,7 +44,7 @@ class TsiSpec(DictConfig):
     length: int
     trend_slope: float = 0.0
     trend_curvature: float = 0.0
-    seasonal: tuple = ()  # (period, amplitude, phase) triples
+    seasonal: tuple[tuple[float, float, float], ...] = ()  # (period, amplitude, phase) triples
     noise_family: str = "gaussian"  # or "student_t"
     noise_scale: float = 0.0
     noise_df: int = 4
@@ -55,7 +55,7 @@ class TsiSpec(DictConfig):
         if self.length < 1:
             raise ConfigError(f"length must be >= 1, got {self.length}")
         for term in self.seasonal:
-            if len(term) != 3 or not all(same_kind(v, float) for v in term) or term[0] < 2:
+            if term[0] < 2:
                 raise ConfigError(f"a seasonal term is (period >= 2, amplitude, phase), got {term}")
         if self.noise_df < 1:
             raise ConfigError(f"noise_df must be >= 1, got {self.noise_df}")
@@ -80,7 +80,7 @@ class TcmSpec(DictConfig):
 
     n_series: int
     lag_order: int
-    adjacency: tuple  # nested tuples, shape (K, K, L)
+    adjacency: tuple[tuple[tuple[float, ...], ...], ...]  # shape (K, K, L)
     innovation_scale: float = 1.0
     length: int = 512
     seed: int = 0

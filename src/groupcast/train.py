@@ -27,8 +27,8 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class TrainConfig(DictConfig):
-    stage_contexts: tuple[int, int] = (256, 512)
-    stage_steps: tuple[int, int] = (5000, 5000)
+    stage_contexts: tuple[int, ...] = (256, 512)
+    stage_steps: tuple[int, ...] = (5000, 5000)
     batch_groups: int = 32
     learning_rate: float = 3e-4
     beta1: float = 0.9
@@ -44,14 +44,14 @@ class TrainConfig(DictConfig):
     def __post_init__(self):
         super().__post_init__()
         mix = self.task_mix
-        if len(mix) != 3 or any(r < 0 for r in mix) or abs(sum(mix) - 1.0) > 1e-9:
+        if any(r < 0 for r in mix) or abs(sum(mix) - 1.0) > 1e-9:
             raise ConfigError(f"task_mix must be 3 nonnegative ratios summing to 1, got {mix}")
         if any(s < 0 for s in self.stage_steps):
             raise ConfigError("stage_steps must be >= 0")
         if len(self.stage_contexts) != len(self.stage_steps):
             stages = f"stage_contexts {self.stage_contexts} and stage_steps {self.stage_steps}"
             raise ConfigError(f"{stages} differ in length")
-        for name in ("batch_groups", "checkpoint_every"):
+        for name in ("batch_groups", "checkpoint_every", "min_context_patches"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         mhp = self.max_horizon_patches
@@ -63,17 +63,17 @@ class TrainConfig(DictConfig):
 class TrainState:
     """Step counter, weights and Adam moments of one training run.
 
-    ``fresh`` makes every weight's ``data`` and ``grad`` and its two moments
-    views into one flat array per role (``flat`` keys "data", "grad", "m"
-    and "v"), so ``adam_update`` is a few whole-array calls. Write through
-    the views (``state.m[name][...] = ...``): a rebound array is no longer
-    updated.
+    ``moments`` is keyed as a checkpoint names the moments: "m.<weight>"
+    and "v.<weight>". ``fresh`` makes every weight's ``data`` and ``grad``
+    and its two moments views into one flat array per role (``flat`` keys
+    "data", "grad", "m" and "v"), so ``adam_update`` is a few whole-array
+    calls. Write through the views (``state.moments["m.<weight>"][...] =
+    ...``): a rebound array is no longer updated.
     """
 
     step: int
     weights: dict[str, T.Tensor]
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    moments: dict[str, np.ndarray]
     flat: dict[str, np.ndarray]
 
     @classmethod
@@ -85,17 +85,17 @@ class TrainState:
         dtype = dtypes.pop()
         n = sum(t.data.size for t in weights.values())
         flat = {role: np.zeros(n, dtype=dtype) for role in ("data", "grad", "m", "v")}
-        m, v = {}, {}
+        moments = {}
         off = 0
         for name, t in weights.items():
             shape, end = t.data.shape, off + t.data.size
             data = flat["data"][off:end].reshape(shape)
             data[...] = t.data
             t.data, t.grad = data, flat["grad"][off:end].reshape(shape)
-            m[name] = flat["m"][off:end].reshape(shape)
-            v[name] = flat["v"][off:end].reshape(shape)
+            for role in ("m", "v"):
+                moments[f"{role}.{name}"] = flat[role][off:end].reshape(shape)
             off = end
-        return cls(step=0, weights=weights, m=m, v=v, flat=flat)
+        return cls(step=0, weights=weights, moments=moments, flat=flat)
 
 
 @dataclass
@@ -245,11 +245,10 @@ def sample_task(
     )
 
 
-def _scaled_targets(target_values, target_mask, scaling, n_positions: int):
-    """(S, m) targets in the model's scaled space, padded to the patch grid."""
+def _scaled_targets(target_values, target_mask, loc, scale, n_positions: int):
+    """(S, m) targets in the model's scaled space under the (S,) loc and
+    scale of their rows, padded to the patch grid."""
     S, m = target_values.shape
-    loc = np.array([st.loc for st in scaling])
-    scale = np.array([st.scale for st in scaling])
     tv = np.zeros((S, n_positions))
     tm = np.zeros((S, n_positions))
     tv[:, :m] = scale_rows(np.asarray(target_values, dtype=np.float64), loc, scale)
@@ -267,7 +266,7 @@ def _loss(weights: dict, model_config: M.ModelConfig, sample: TaskSample) -> T.T
         future_values=sample.future_values, future_known_mask=sample.future_known_mask,
     )
     pred = M.forward(batch, weights, model_config)
-    tv, tm = _scaled_targets(sample.target_values, sample.target_mask, batch.scaling, pred.shape[1])
+    tv, tm = _scaled_targets(sample.target_values, sample.target_mask, batch.loc, batch.scale, pred.shape[1])
     return pinball_loss(pred, tv, tm, model_config.quantile_levels)
 
 
@@ -404,11 +403,8 @@ def run_curriculum(
     if resume_from is not None:
         state = TrainState.fresh(weights)
         state.step = extra.get("step", 0)
-        for name in state.m:
-            if f"m.{name}" in moments:
-                state.m[name][...] = moments[f"m.{name}"]
-            if f"v.{name}" in moments:
-                state.v[name][...] = moments[f"v.{name}"]
+        for name, arr in moments.items():  # load_checkpoint checked that each fits its weight
+            state.moments[name][...] = arr
     else:
         weights = M.init_weights(model_config, seed=train_config.seed)
         state = TrainState.fresh(weights)
@@ -418,16 +414,12 @@ def run_curriculum(
     boundaries = np.cumsum([0] + list(train_config.stage_steps))
 
     def save(path):
-        moments = {}
-        for name in state.weights:
-            moments[f"m.{name}"] = state.m[name]
-            moments[f"v.{name}"] = state.v[name]
         save_checkpoint(
             path,
             state.weights,
             model_config,
             extra={"step": state.step, "train": train_config.to_dict()},
-            moments=moments,
+            moments=state.moments,
         )
 
     # rows are logged in step order, so those of steps <= state.step are a prefix

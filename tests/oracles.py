@@ -546,7 +546,8 @@ def finish_unpruned(batch, weights, config):
     block0_time is dropped, since forward prunes the last block of a trunk."""
     grid = M.forward(replace(batch, block0_time=None), weights, config).data.astype(np.float64)
     grid = np.sort(grid[:, : batch.horizon_len, :], axis=-1)
-    return np.stack([P.inverse_scale(grid[s], st) for s, st in enumerate(batch.scaling)])
+    scaling = zip(batch.loc.tolist(), batch.scale.tolist())
+    return np.stack([P.inverse_scale(grid[s], P.ScalingState(lo, sc)) for s, (lo, sc) in enumerate(scaling)])
 
 
 def assemble_batch_per_row(
@@ -568,13 +569,12 @@ def assemble_batch_per_row(
     if future_known_mask is not None:
         fm = np.asarray(future_known_mask, dtype=np.float64)
         known[:, : fm.shape[1]] = fm
-    pad = (-Lc) % Pl
-    rel_full = P.make_rel_time(Lc, Lh, pad_count=pad)
+    rel_full = P.make_rel_time(Lc, Lh)
     states, ctx_patches, fut_patches = [], [], []
     for s in range(S):
         scaled, state = P.robust_scale(ctx[s], msk[s])
         states.append(state)
-        meta = P.MetaFeatures(rel_time=rel_full[pad : pad + Lc], observed_mask=msk[s])
+        meta = P.MetaFeatures(rel_time=rel_full[:Lc], observed_mask=msk[s])
         ctx_patches.append(P.patchify(scaled, meta, Pl).patches)
         fvals = np.zeros(Lh)
         if future_values is not None and np.any(known[s] > 0):
@@ -582,7 +582,7 @@ def assemble_batch_per_row(
             fv = np.asarray(future_values[s], dtype=np.float64)
             raw[: fv.shape[0]] = fv
             fvals = np.where(known[s] > 0, P.apply_scaling(raw, known[s], state), 0.0)
-        chans = np.stack([fvals, rel_full[pad + Lc :], known[s]], axis=-1)
+        chans = np.stack([fvals, rel_full[Lc:], known[s]], axis=-1)
         fut_patches.append(chans.reshape(F, Pl, 3))
     dtype = weights["embed.w1"].dtype
     ctx_arr = np.stack(ctx_patches).reshape(S, -1, Pl * 3)
@@ -594,7 +594,8 @@ def assemble_batch_per_row(
         tokens=tokens,
         group_ids=None if group_ids is None else np.asarray(group_ids),
         reg_position=reg_pos,
-        scaling=states,
+        loc=np.array([st.loc for st in states]),
+        scale=np.array([st.scale for st in states]),
         horizon_len=horizon_len,
     )
 

@@ -82,7 +82,7 @@ def test_criterion_1_gradient_suite():
         tv = np.zeros((2, pred.shape[1]))
         tm = np.zeros((2, pred.shape[1]))
         for s in range(2):
-            tv[s, :horizon] = P.apply_scaling(target[s], np.ones(horizon), batch.scaling[s])
+            tv[s, :horizon] = P.apply_scaling(target[s], np.ones(horizon), P.ScalingState(batch.loc[s], batch.scale[s]))
             tm[s, :horizon] = 1.0
         return TR.pinball_loss(pred, tv, tm, cfg.quantile_levels)
 
@@ -92,7 +92,7 @@ def test_criterion_1_gradient_suite():
         tv = np.zeros((2, pred.shape[1]))
         tm = np.zeros((2, pred.shape[1]))
         for s in range(2):
-            tv[s, :horizon] = P.apply_scaling(target[s], np.ones(horizon), batch.scaling[s])
+            tv[s, :horizon] = P.apply_scaling(target[s], np.ones(horizon), P.ScalingState(batch.loc[s], batch.scale[s]))
             tm[s, :horizon] = 1.0
         loss = TR.pinball_loss(pred, tv, tm, cfg.quantile_levels)
     # quantile-loss kinks would poison finite differences; this seed keeps
@@ -236,12 +236,12 @@ def test_criterion_5_quantile_monotonicity(trained_desk):
         K = int(rng.integers(1, 5))
         ctx = rng.normal(rng.uniform(-10, 10), rng.uniform(0.1, 9), size=(K, 20))
         fc = M.predict(ctx, np.ones_like(ctx), "MV" if trial % 2 else "UV", 9, weights, cfg)
-        assert np.all(np.diff(fc.values, axis=-1) >= 0)
+        assert np.all(np.diff(fc, axis=-1) >= 0)
         checked += 1
     for trial in range(10):
         panel, _ = S.make_cross_link_panel(rng_root.spawn(trial), 160)
         fc = M.predict(panel[:, :128], np.ones((3, 128)), "MV", 16, weights_t, cfg_t)
-        assert np.all(np.diff(fc.values, axis=-1) >= 0)
+        assert np.all(np.diff(fc, axis=-1) >= 0)
         checked += 1
     _report(5, "quantile monotonicity", f"{checked} forecast grids, 100% non-decreasing across 21 levels")
 

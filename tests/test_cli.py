@@ -979,6 +979,14 @@ EXIT_CASES = {
     "config-not-utf8": (2, lambda t: _synth(t, "--config", _not_utf8(t / "c.json", "{"))),
     "evaluate-stub-list": (2, lambda t: _evaluate(t, "--set", "stub=[1]")),
     "evaluate-horizon-past-capacity": (2, lambda t: _evaluate(t, "--checkpoint", str(t / "tiny.ckpt"), "--m", "100")),
+    "synth-tcm-bool-coefficient": (2, lambda t: _synth(
+        t, "--set", 'explicit_tcm=[{"n_series":1,"lag_order":1,"adjacency":[[[false]]],"length":8}]')),
+    "synth-tcm-string-coefficient": (2, lambda t: _synth(
+        t, "--set", 'explicit_tcm=[{"n_series":1,"lag_order":1,"adjacency":[[["0.5"]]],"length":8}]')),
+    "evaluate-start-past-calendar": (2, lambda t: _evaluate(t, "--stub", "last-value", "--set", "start_years_after=10000")),
+    "evaluate-start-negative": (2, lambda t: _evaluate(t, "--stub", "last-value", "--set", "start_years_after=-5")),
+    "train-min-context-patches-negative": (2, lambda t: _train(t, "--data", _data(t)) + [
+        "--set", "train.min_context_patches=-3"]),
 }
 
 

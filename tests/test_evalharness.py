@@ -687,7 +687,7 @@ def counted_trunks(monkeypatch):
 
 
 def _fresh(ctx, mask, mode, m, weights, cfg):
-    return M.predict(ctx, mask, mode, m, weights, cfg).values[:, :, M.MEDIAN_INDEX]
+    return M.predict(ctx, mask, mode, m, weights, cfg)[:, :, M.MEDIAN_INDEX]
 
 
 def test_forecaster_shares_trunk_bitwise_and_misses_on_any_change(tiny_model, counted_trunks):
@@ -726,8 +726,8 @@ def test_cached_trunk_is_not_mutated(tiny_model):
     assert batch.group_ids is None
     assert np.array_equal(batch.tokens.data, before[0])
     assert np.array_equal(batch.block0_time.data, before[1])
-    assert np.array_equal(mv.values, M.predict(ctx, np.ones_like(ctx), "MV", 8, weights, cfg).values)
-    assert np.array_equal(uv.values, M.predict(ctx, np.ones_like(ctx), "UV", 8, weights, cfg).values)
+    assert np.array_equal(mv, M.predict(ctx, np.ones_like(ctx), "MV", 8, weights, cfg))
+    assert np.array_equal(uv, M.predict(ctx, np.ones_like(ctx), "UV", 8, weights, cfg))
 
 
 def test_model_grid_builds_one_trunk_per_context(tiny_model, counted_trunks, tmp_path):

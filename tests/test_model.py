@@ -351,7 +351,7 @@ def test_predict_uv_invariant_to_other_series():
     ctx2 = ctx.copy()
     ctx2[1:] = rng.normal(99, 30, size=(2, 20))
     b = M.predict(ctx2, mask, "UV", 5, w, CFG)
-    assert np.array_equal(a.values[0], b.values[0])
+    assert np.array_equal(a[0], b[0])
 
 
 def test_predict_monotone_and_median_between_extremes():
@@ -359,9 +359,9 @@ def test_predict_monotone_and_median_between_extremes():
     rng = np.random.default_rng(14)
     ctx = rng.normal(25, 4, size=(2, 18))
     fc = M.predict(ctx, np.ones_like(ctx), "MV", 6, w, CFG)
-    assert np.all(np.diff(fc.values, axis=-1) >= 0)
-    med = fc.values[:, :, M.MEDIAN_INDEX]
-    assert np.all(med >= fc.values[:, :, 0]) and np.all(med <= fc.values[:, :, -1])
+    assert np.all(np.diff(fc, axis=-1) >= 0)
+    med = fc[:, :, M.MEDIAN_INDEX]
+    assert np.all(med >= fc[:, :, 0]) and np.all(med <= fc[:, :, -1])
 
 
 def test_predict_rejects_over_capacity_horizon():
@@ -383,7 +383,7 @@ def test_context_truncation_from_left(caplog):
         np.ones((2, CFG.max_context)),
         "MV", 4, w, CFG,
     )
-    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a, b)
 
 
 def test_inverse_of_zero_grid_is_loc():
@@ -504,8 +504,7 @@ def test_scaling_never_uses_horizon_values():
     full2 = full.copy()
     full2[:, 20:] += 1e6  # future perturbation must be invisible
     b2 = M.assemble_batch(full2[:, :20], np.ones((2, 20)), M.mode_group_ids("MV", 2), 8, w, CFG)
-    for s1, s2 in zip(b1.scaling, b2.scaling):
-        assert s1.loc == s2.loc and s1.scale == s2.scale
+    assert b1.loc.tolist() == b2.loc.tolist() and b1.scale.tolist() == b2.scale.tolist()
 
 
 def test_group_batch_w_zeros_where_unknown(monkeypatch):
@@ -530,7 +529,7 @@ def test_group_batch_w_zeros_where_unknown(monkeypatch):
     _ctx_patches, fut_patches = embedded
     chans = fut_patches.reshape(2, -1, M.N_CHANNELS)  # (S, F*P, [value, rel_time, mask])
     assert np.all(chans[0, :, 0] == 0.0)
-    expect = P.apply_scaling(fut[1], known[1], batch.scaling[1])
+    expect = P.apply_scaling(fut[1], known[1], P.ScalingState(batch.loc[1], batch.scale[1]))
     assert np.all(expect != 0.0)
     assert np.array_equal(chans[1, :4, 0], expect)
     assert np.array_equal(chans[:, :4, 2], known)
@@ -560,7 +559,7 @@ def test_finish_prunes_last_block_bitwise(n_blocks, dtype):
                 batch = M.trunk(ctx, mask, m, w, cfg)
                 for mode in ("MV", "UV"):
                     gids = M.mode_group_ids(mode, S)
-                    got = M.finish(batch, gids, w, cfg).values
+                    got = M.finish(batch, gids, w, cfg)
                     expect = finish_unpruned(replace(batch, group_ids=gids), w, cfg)
                     assert got.tobytes() == expect.tobytes(), (S, m, gaps, mode)
 
@@ -575,8 +574,9 @@ def test_finish_inverse_scaling_matches_per_row_inverse_scale(monkeypatch):
             for _ in range(S)
         ]
         monkeypatch.setattr(M, "forward", lambda *args, **kwargs: T.constant(raw))
-        batch = M.GroupBatch(tokens=None, group_ids=None, reg_position=0, scaling=states, horizon_len=m)
-        got = M.finish(batch, M.mode_group_ids("UV", S), {}, CFG).values
+        loc, scale = np.array([st.loc for st in states]), np.array([st.scale for st in states])
+        batch = M.GroupBatch(tokens=None, group_ids=None, reg_position=0, loc=loc, scale=scale, horizon_len=m)
+        got = M.finish(batch, M.mode_group_ids("UV", S), {}, CFG)
         grid = np.sort(raw[:, :m], axis=-1)
         expect = np.stack([P.inverse_scale(grid[s], st) for s, st in enumerate(states)])
         assert got.tobytes() == expect.tobytes()
@@ -636,7 +636,7 @@ def test_assemble_batch_matches_per_row_oracle(monkeypatch, dtype):
         case = (trial, ctx.shape, cfg.patch_len, cfg.max_context, m)
         assert got.tokens.data.dtype == dtype
         assert got.tokens.data.tobytes() == expect.tokens.data.tobytes(), case
-        assert got.scaling == expect.scaling, case
+        assert got.loc.tolist() == expect.loc.tolist() and got.scale.tolist() == expect.scale.tolist(), case
         assert got.reg_position == expect.reg_position and got.horizon_len == m
         assert [p.tobytes() for p in got_patches] == [p.tobytes() for p in expect_patches], case
         padded += min(ctx.shape[1], cfg.max_context) % cfg.patch_len != 0

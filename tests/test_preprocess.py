@@ -128,7 +128,9 @@ def test_patchify_flatten_roundtrip():
 
 
 def test_rel_time_strictly_increasing_and_normalized():
-    rel = P.make_rel_time(10, 6, pad_count=3)
+    rel = P.make_rel_time(10, 6)
     assert np.all(np.diff(rel) > 0)
-    assert rel[3] == 0.0 and rel[-1] == 1.0
-    assert rel[0] < 0  # pad extrapolates below zero
+    assert rel[0] == 0.0 and rel[-1] == 1.0
+    pad = P.pad_rel_time(rel, 3)
+    assert np.all(np.diff(np.concatenate([pad, rel])) > 0)
+    assert pad[0] < 0  # pad extrapolates below zero

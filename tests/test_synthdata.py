@@ -42,6 +42,21 @@ def test_tsi_invalid_specs():
         S.TsiSpec(length=5, seasonal=((4, True, 0.0),))
 
 
+def test_tsi_seasonal_term_is_a_triple_of_numbers():
+    for seasonal in (((4, 1.0),), ((4, 1.0, 0.0, 2.0),), ((4, "1.0", 0.0),), ((4, 1.0, None),)):
+        with pytest.raises(ConfigError, match="seasonal must be"):
+            S.TsiSpec(length=5, seasonal=seasonal)
+
+
+@pytest.mark.parametrize("coefficient", [False, "0.5", None])
+def test_tcm_adjacency_takes_only_numbers(coefficient):
+    with pytest.raises(ConfigError, match="adjacency must be"):
+        S.TcmSpec(n_series=1, lag_order=1, adjacency=(((coefficient,),),), length=8)
+    d = {"n_series": 1, "lag_order": 1, "adjacency": [[[coefficient]]], "length": 8}
+    with pytest.raises(ConfigError, match="adjacency must be"):
+        S.TcmSpec.from_dict(d)
+
+
 def test_tsi_student_t_noise_runs():
     x = S.tsi_generate(S.TsiSpec(length=500, noise_family="student_t", noise_scale=1.0, seed=4))
     assert np.isfinite(x).all() and x.std() > 0

@@ -111,12 +111,25 @@ def test_task_mix_validation():
 
 @pytest.mark.parametrize("kw", [
     {"batch_groups": True}, {"seed": 1.5}, {"learning_rate": "0.1"}, {"cosine_decay": 1},
-    {"stage_steps": [5, 5]}, {"max_horizon_patches": 2.0},
+    {"stage_steps": [5, 5]}, {"max_horizon_patches": 2.0}, {"stage_contexts": (16.5, 32)},
+    {"stage_steps": (5, True)}, {"task_mix": (0.5, 0.5)}, {"task_mix": (0.5, "0.3", 0.2)},
 ], ids=["batch_groups-bool", "seed-float", "learning_rate-str", "cosine_decay-int", "stage_steps-list",
-        "max_horizon_patches-float"])
+        "max_horizon_patches-float", "stage_contexts-float-element", "stage_steps-bool-element",
+        "task_mix-two-ratios", "task_mix-str-element"])
 def test_train_config_rejects_a_field_of_the_wrong_kind(kw):
     with pytest.raises(ConfigError, match=f"{next(iter(kw))} must be "):
         TR.TrainConfig(**kw)
+
+
+def test_train_config_takes_any_number_of_stages():
+    tc = TR.TrainConfig(stage_contexts=(16, 32, 64), stage_steps=(1, 2, 3))
+    assert TR.TrainConfig.from_dict(tc.to_dict()) == tc
+
+
+@pytest.mark.parametrize("value", [0, -3])
+def test_train_config_needs_a_context_patch(value):
+    with pytest.raises(ConfigError, match="min_context_patches must be >= 1"):
+        TR.TrainConfig(min_context_patches=value)
 
 
 def test_sample_task_uv_all_distinct_groups(corpus):
@@ -213,7 +226,8 @@ def test_scaled_targets_match_per_row_oracle():
             P.ScalingState(loc=float(rng.normal(0, 1e3)), scale=float(rng.lognormal(0, 4)))
             for _ in range(S)
         ]
-        got = TR._scaled_targets(target, tmask, states, n_positions)
+        loc, scale = np.array([st.loc for st in states]), np.array([st.scale for st in states])
+        got = TR._scaled_targets(target, tmask, loc, scale, n_positions)
         expect = scaled_targets_per_row(target, tmask, states, n_positions)
         for a, b in zip(got, expect):
             assert a.tobytes() == b.tobytes()
@@ -246,8 +260,8 @@ def test_flat_adam_matches_per_parameter_oracle_bitwise(corpus):
         )
         for k, t in state.weights.items():
             assert t.data.tobytes() == params[k].tobytes(), (step, k)
-            assert state.m[k].tobytes() == m[k].tobytes(), (step, k)
-            assert state.v[k].tobytes() == v[k].tobytes(), (step, k)
+            assert state.moments[f"m.{k}"].tobytes() == m[k].tobytes(), (step, k)
+            assert state.moments[f"v.{k}"].tobytes() == v[k].tobytes(), (step, k)
             assert np.shares_memory(t.data, state.flat["data"]), k
 
 
