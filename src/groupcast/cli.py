@@ -199,18 +199,12 @@ def cmd_synth(args) -> int:
     if not der["lag_choices"] or min(der["lag_choices"]) < 0:
         raise ConfigError(f"derived.lag_choices needs one or more lags >= 0, got {der['lag_choices']}")
     root = PortableRng(seed)
-    # (kind, make) in output order; make() returns (panel, provenance)
-    jobs: list[tuple[str, Callable[[], tuple]]] = []
-
-    tsi = cfg["tsi"]
+    tsi, tcm, ind = cfg["tsi"], cfg["tcm"], cfg["independent"]
     tsi_specs = [
         S.sample_tsi_spec(root.spawn(10_000 + i), tsi["length"], seed=seed * 1_000_003 + i)
         for i in range(tsi["count"])
     ]
     tsi_specs += [S.TsiSpec.from_dict(d) for d in cfg["explicit_tsi"]]
-    jobs += [("tsi", lambda spec=spec: (S.tsi_generate(spec), spec.to_dict())) for spec in tsi_specs]
-
-    tcm = cfg["tcm"]
     tcm_specs = [
         S.sample_tcm_spec(
             root.spawn(20_000 + i),
@@ -223,33 +217,30 @@ def cmd_synth(args) -> int:
         for i in range(tcm["count"])
     ]
     tcm_specs += [S.TcmSpec.from_dict(d) for d in cfg["explicit_tcm"]]
-    jobs += [("tcm", lambda spec=spec: (S.tcm_generate(spec), spec.to_dict())) for spec in tcm_specs]
-
-    jobs += [
-        ("derived", partial(
-            S.make_cross_link_panel, root.spawn(30_000 + i), der["length"],
-            lag_choices=tuple(der["lag_choices"]),
-        ))
-        for i in range(der["count"])
-    ]
-    ind = cfg["independent"]
-    jobs += [
-        ("independent", partial(S.make_independent_panel, root.spawn(40_000 + i), ind["length"]))
-        for i in range(ind["count"])
-    ]
+    # each family's makers in output order; make() returns (panel, provenance)
+    makers: dict[str, list[Callable[[], tuple]]] = {
+        "tsi": [lambda spec=spec: (S.tsi_generate(spec), spec.to_dict()) for spec in tsi_specs],
+        "tcm": [lambda spec=spec: (S.tcm_generate(spec), spec.to_dict()) for spec in tcm_specs],
+        "derived": [
+            partial(S.make_cross_link_panel, root.spawn(30_000 + i), der["length"],
+                    lag_choices=tuple(der["lag_choices"]))
+            for i in range(der["count"])
+        ],
+        "independent": [
+            partial(S.make_independent_panel, root.spawn(40_000 + i), ind["length"]) for i in range(ind["count"])
+        ],
+    }
+    jobs = [(f"{kind}_{i:04d}", make) for kind, makes in makers.items() for i, make in enumerate(makes)]
 
     if jobs:
         out_dir.mkdir(parents=True, exist_ok=True)
-    counters: dict[str, int] = {}
     points = 0
-    for kind, make in jobs:
-        idx = counters.get(kind, 0)
-        counters[kind] = idx + 1
-        stem = out_dir / f"{kind}_{idx:04d}"
+    for name, make in jobs:
+        stem = out_dir / name
         with np.errstate(all="ignore"):  # an overflow is caught below; files written so far stay
             panel, prov = make()
         if not np.isfinite(panel).all():
-            raise ConfigError(f"{stem.name}: the generated series are not all finite")
+            raise ConfigError(f"{name}: the generated series are not all finite")
         S.save_panel_dataset(f"{stem}.csv", panel)
         S.save_provenance(f"{stem}.json", prov)
         points += panel.size

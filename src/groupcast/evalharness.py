@@ -20,10 +20,10 @@ mode-independent trunk between them. With workers > 1 they run on a fork
 pool in the same order, each task a whole run of one context's cells. Rows
 are written in canonical order as soon as every earlier cell is done, so
 worker count never changes the output bytes. A rerun over records.csv cuts
-it back to the cells at its head that run in this grid's canonical order,
-all but the last of them (panels.resume_log), and computes the rest, so the
-file ends as one run of this grid and a crash loses only that cell and the
-computed cells still waiting to be written.
+it back to the cells at its head that run in this grid's canonical order
+with this grid's regimes, all but the last of them (panels.resume_log), and
+computes the rest, so the file ends as one run of this grid and a crash
+loses only that cell and the computed cells still waiting to be written.
 """
 
 import csv
@@ -102,7 +102,8 @@ _record_values = attrgetter(*RECORD_FIELDS)
 # per column: how a value is written (None: as it is) and how it is read
 _WRITE = tuple({float: FLOAT_FMT.__mod__, date: date.isoformat}.get(f.type) for f in fields(EvalRecord))
 _READ = tuple({date: date.fromisoformat}.get(f.type, f.type) for f in fields(EvalRecord))
-_MODE_COLUMN = RECORD_FIELDS.index("mode")
+_MODE_COLUMN, _REGIME_COLUMN = RECORD_FIELDS.index("mode"), RECORD_FIELDS.index("regime")
+REGIMES = ("pre", "post")  # a record's regime: its origin before the cutoff, or on or after it
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +299,7 @@ def evaluate_cell(
     ctx_values, ctx_mask = ctx
     realized = panel.values[:, oi : oi + spec.m]
     realized_mask = panel.mask[:, oi : oi + spec.m]
-    regime = "pre" if origin < spec.cutoff else "post"
+    regime = regime_of(spec, origin)
     try:
         point = forecaster.forecast_panel(
             ctx_values,
@@ -333,6 +334,11 @@ def evaluate_cell(
             )
         )
     return records, skips
+
+
+def regime_of(spec: ExperimentSpec, origin: date) -> str:
+    """The regime of a cell's records: "pre" before spec.cutoff, else "post"."""
+    return "pre" if origin < spec.cutoff else "post"
 
 
 def _whole_array_scores(realized: np.ndarray, realized_mask: np.ndarray, point) -> dict:
@@ -389,13 +395,14 @@ def run_grid(
     flushed as soon as every cell before it in that order is done, and
     computed cells wait in memory until then. A rerun keeps the cells at the
     head of records_path while they are this grid's cells in canonical
-    order, one after another, drops the rows after them (see
-    panels.resume_log), and computes the last one kept, whose rows a crash
-    may have cut short, and every cell after it. A cell with no rows ends
-    the kept run. So a rerun writes the bytes of one uninterrupted run of
-    this grid, whatever the file held, and a crash loses only that cell and
-    the cells still waiting. A records_path that does not start with the
-    records header, or that holds a malformed whole row, raises DataError.
+    order, one after another, with the regime this grid gives them
+    (regime_of), drops the rows after them (see panels.resume_log), and
+    computes the last one kept, whose rows a crash may have cut short, and
+    every cell after it. A cell with no rows ends the kept run. So a rerun
+    writes the bytes of one uninterrupted run of this grid, whatever the
+    file held, and a crash loses only that cell and the cells still
+    waiting. A records_path that does not start with the records header,
+    or that holds a malformed whole row, raises DataError.
     """
     cells = [(spec, origin) for spec, origins in plan.items() for origin in origins]
     existing: list[EvalRecord] = []
@@ -407,7 +414,7 @@ def run_grid(
             nonlocal start
             runs = [list(run) for _, run in groupby(_parse_records(rows, path), key=_cell_key)]
             for run, (s, o) in zip(runs, cells):
-                if _cell_key(run[0]) != (s.panel, s.mode, s.n, s.m, o):
+                if _cell_key(run[0]) != (s.panel, s.mode, s.n, s.m, o) or run[0].regime != regime_of(s, o):
                     break
                 start += 1
             start = max(start - 1, 0)
@@ -471,11 +478,11 @@ def read_records(path) -> list[EvalRecord]:
 
 def _parse_records(lines: list[str], path) -> list[EvalRecord]:
     """The records of the whole rows that follow the header of records.csv;
-    a malformed row, one with a mode not in M.MODES included, raises
-    DataError naming its line."""
+    a malformed row, one with a mode not in M.MODES or a regime not in
+    REGIMES included, raises DataError naming its line."""
     out = []
     for li, row in enumerate(csv.reader(lines), start=2):
-        if len(row) != len(RECORD_FIELDS) or row[_MODE_COLUMN] not in M.MODES:
+        if len(row) != len(RECORD_FIELDS) or row[_MODE_COLUMN] not in M.MODES or row[_REGIME_COLUMN] not in REGIMES:
             raise DataError(f"{path}: row {li} malformed")
         try:
             out.append(EvalRecord(*(read(v) for read, v in zip(_READ, row))))

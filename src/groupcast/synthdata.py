@@ -5,9 +5,10 @@ Four generator families:
 * trend/seasonality/noise blends (TsiSpec) for univariate series;
 * temporal-causal autoregressive panels (TcmSpec) over a stationary
   lagged adjacency;
-* multivariate panels derived from univariate bases through lag-shifted
-  linear mixing, giving panels with known cross-series dependence;
-* panels of mutually independent noise series.
+* derived panels: lag-shifted copies of one AR(1) base plus independent
+  noise, a leader and 2 followers whose futures the leader's context
+  reveals;
+* panels of 3 mutually independent noise series.
 
 A spec checks itself when it is built, so a spec that exists is valid and
 the generators check nothing: a field of the wrong kind (config.same_kind,
@@ -17,7 +18,9 @@ non-stationary TcmSpec StabilityError (a ConfigError too).
 All randomness flows through PortableRng, so identical specs and seeds
 reproduce identical datasets byte-for-byte. Parameter ranges used by the
 sample_* helpers are artifact choices and are recorded in the provenance
-JSON written next to each dataset.
+JSON written next to each dataset. The sampled tcm specs take their
+spectral radius from TCM_RADIUS_RANGE; a derived panel's 2 followers and
+an independent panel's 3 series are fixed too: constants, not parameters.
 """
 
 import csv
@@ -33,6 +36,8 @@ from .config import DictConfig
 from .errors import ConfigError, DataError, StabilityError
 from .panels import FLOAT_FMT, atomic_open, open_text
 from .rng import PortableRng
+
+TCM_RADIUS_RANGE = (0.5, 0.95)  # the companion spectral radius of a sampled tcm spec
 
 
 @dataclass(frozen=True)
@@ -125,24 +130,24 @@ def companion_matrix(adjacency: np.ndarray) -> np.ndarray:
     return comp
 
 
-def spectral_radius(M: np.ndarray, tol: float = 1e-8, max_iter: int = 5000) -> float:
+def spectral_radius(M: np.ndarray) -> float:
     """Spectral radius by block power iteration (2-column orthogonal
     iteration), which also converges for complex-conjugate dominant pairs.
 
     The 2x2 projected matrix's eigenvalue magnitudes come from the
-    quadratic formula; iteration stops when the estimate is stable to tol.
+    quadratic formula; iteration stops when the estimate is stable to 1e-8
+    (relative, three times running) or after 5000 steps.
     """
     n = M.shape[0]
     if n == 1:
         return float(abs(M[0, 0]))
-    p = min(2, n)
-    q = np.stack([np.ones(n), np.arange(1, n + 1, dtype=np.float64)], axis=1)[:, :p]
+    q = np.stack([np.ones(n), np.arange(1, n + 1, dtype=np.float64)], axis=1)
     q, _ = np.linalg.qr(q)
     prev = None
     stable = 0
     est = 0.0
     z = M @ q
-    for _ in range(max_iter):
+    for _ in range(5000):
         if not np.isfinite(z).all() or float(np.abs(z).max()) == 0.0:
             return 0.0 if float(np.abs(z).max()) == 0.0 else float("inf")
         q, _ = np.linalg.qr(z)
@@ -156,7 +161,7 @@ def spectral_radius(M: np.ndarray, tol: float = 1e-8, max_iter: int = 5000) -> f
             est = max(abs((tr + r) / 2.0), abs((tr - r) / 2.0))
         else:
             est = math.sqrt(det)
-        if prev is not None and abs(est - prev) <= tol * max(abs(est), 1.0):
+        if prev is not None and abs(est - prev) <= 1e-8 * max(abs(est), 1.0):
             stable += 1
             if stable >= 3:
                 return float(est)
@@ -207,40 +212,25 @@ def tcm_generate(spec: TcmSpec) -> np.ndarray:
     return np.ascontiguousarray(x[burn:].T)
 
 
-def derive_multivariate(
-    bases: np.ndarray,
-    mixing: np.ndarray,
-    lags: np.ndarray,
-    seed: int,
-    noise_scale: float = 0.0,
-) -> np.ndarray:
-    """Linear mixes of lag-shifted bases plus optional independent noise.
+def derive_multivariate(base: np.ndarray, lags, seed: int, noise_scale: float = 0.0) -> np.ndarray:
+    """Lag-shifted copies of one base plus optional independent noise.
 
-    bases: (B, Tb); mixing: (K, B); lags: per (series, base) non-negative
-    offsets, broadcastable to (K, B). Output (K, Tb - max_lag) with
-    out[i, t] = sum_b mixing[i, b] * bases[b, t + max_lag - lags[i, b]].
+    base: (Tb,); lags: one non-negative offset per output series. Output
+    (K, Tb - max_lag) with out[i, t] = base[t + max_lag - lags[i]] plus
+    noise_scale times a normal draw of PortableRng(seed).spawn(13). Each
+    row is 0.0 plus the shifted slice, so a -0.0 base value reads +0.0.
+    A lag outside [0, Tb - 1] raises ConfigError.
     """
-    bases = np.asarray(bases, dtype=np.float64)
-    mixing = np.asarray(mixing, dtype=np.float64)
-    if bases.ndim != 2 or mixing.ndim != 2 or mixing.shape[1] != bases.shape[0]:
-        raise ConfigError(
-            f"mixing {mixing.shape} incompatible with bases {bases.shape}"
-        )
-    K, B = mixing.shape
-    Tb = bases.shape[1]
-    lags = np.broadcast_to(np.asarray(lags, dtype=np.int64), (K, B)).copy()
+    base = np.asarray(base, dtype=np.float64)
+    lags = np.asarray(lags, dtype=np.int64)
+    Tb = base.shape[0]
     max_lag = int(lags.max(initial=0))
     if lags.min(initial=0) < 0 or max_lag >= Tb:
-        raise ConfigError(f"lags must lie in [0, {Tb - 1}], got max {max_lag}")
-    To = Tb - max_lag
+        raise ConfigError(f"lags must lie in [0, {Tb - 1}], got {lags.tolist()}")
+    K, To = len(lags), Tb - max_lag
     out = np.zeros((K, To), dtype=np.float64)
-    for i in range(K):
-        for b in range(B):
-            c = mixing[i, b]
-            if c == 0.0:
-                continue
-            start = max_lag - int(lags[i, b])
-            out[i] += c * bases[b, start : start + To]
+    for i, lag in enumerate(lags.tolist()):
+        out[i] += base[max_lag - lag : max_lag - lag + To]
     if noise_scale > 0:
         rng = PortableRng(seed).spawn(13)
         out = out + noise_scale * rng.normal(K * To).reshape(K, To)
@@ -279,18 +269,21 @@ def sample_tcm_spec(
     n_series_range: tuple[int, int] = (2, 5),
     lag_range: tuple[int, int] = (1, 2),
     edge_prob: float = 0.4,
-    radius_range: tuple[float, float] = (0.5, 0.95),
 ) -> TcmSpec:
-    """Random DAG-over-lags adjacency rescaled to a target spectral radius.
+    """Random DAG-over-lags adjacency rescaled to a spectral radius drawn
+    from TCM_RADIUS_RANGE.
 
     A random variate order makes the cross-series graph acyclic; self-lags
     are always candidates. Scaling lag-l matrices by c**l scales the
     companion spectrum by c, which pins the radius exactly. A range that
-    is not [lo, hi] with 1 <= lo <= hi raises ConfigError.
+    is not [lo, hi] with 1 <= lo <= hi, or an edge_prob outside [0, 1],
+    raises ConfigError.
     """
     for name, r in (("n_series_range", n_series_range), ("lag_range", lag_range)):
         if len(r) != 2 or not 1 <= r[0] <= r[1]:
             raise ConfigError(f"{name} needs [lo, hi] with 1 <= lo <= hi, got {list(r)}")
+    if not 0 <= edge_prob <= 1:
+        raise ConfigError(f"edge_prob must lie in [0, 1], got {edge_prob}")
     K = int(rng.integers(1, n_series_range[1] - n_series_range[0] + 1)[0]) + n_series_range[0]
     L = int(rng.integers(1, lag_range[1] - lag_range[0] + 1)[0]) + lag_range[0]
     order = np.argsort(rng.uniform(K))
@@ -307,7 +300,8 @@ def sample_tcm_spec(
                     continue
                 adj[i, j, l] = float(rng.normal(1)[0]) * 0.5
     raw_radius = spectral_radius(companion_matrix(adj))
-    target = radius_range[0] + float(rng.uniform(1)[0]) * (radius_range[1] - radius_range[0])
+    lo, hi = TCM_RADIUS_RANGE
+    target = lo + float(rng.uniform(1)[0]) * (hi - lo)
     if raw_radius > 0:
         c = target / raw_radius
         for l in range(L):
@@ -322,69 +316,46 @@ def sample_tcm_spec(
     )
 
 
-def make_ar1_base(rng_seed: int, length: int, phi: float, scale: float = 1.0) -> np.ndarray:
-    """Stationary AR(1) driver used for derived panels."""
-    spec = TcmSpec(
-        n_series=1,
-        lag_order=1,
-        adjacency=(((phi,),),),
-        innovation_scale=scale,
-        length=length,
-        seed=rng_seed,
-    )
+def make_ar1_base(rng_seed: int, length: int, phi: float) -> np.ndarray:
+    """The stationary AR(1) base series of a derived panel, unit innovations."""
+    spec = TcmSpec(n_series=1, lag_order=1, adjacency=(((phi,),),), length=length, seed=rng_seed)
     return tcm_generate(spec)[0]
 
 
 def make_cross_link_panel(
     rng: PortableRng,
     length: int,
-    n_followers: int = 2,
     lag_choices: tuple[int, ...] = (8, 16),
     noise_scale: float = 0.05,
 ) -> tuple[np.ndarray, dict]:
-    """Leader plus followers that replay the leader with a known lag.
+    """A leader and 2 followers that replay one AR(1) base with a lag drawn
+    from lag_choices (the leader's lag is 0), each plus its own noise.
 
     The followers' futures are readable from the leader's context, so a
     model that shares information within a group can beat any single-series
-    forecast on them. Returns (panel (K, length), provenance dict).
+    forecast on them. Returns (panel (3, length), provenance dict).
     """
     seed = int(rng.raw64(1)[0] & 0x7FFFFFFF)
     phi = 0.85 + float(rng.uniform(1)[0]) * 0.12
-    max_lag = max(lag_choices)
-    base = make_ar1_base(seed, length + max_lag, phi)
-    K = 1 + n_followers
-    mixing = np.zeros((K, 1))
-    mixing[:, 0] = 1.0
-    lags = np.zeros((K, 1), dtype=np.int64)
-    chosen = []
-    for f in range(n_followers):
-        lag = int(lag_choices[int(rng.integers(1, len(lag_choices))[0])])
-        lags[1 + f, 0] = lag
-        chosen.append(lag)
-    panel = derive_multivariate(base[None, :], mixing, lags, seed=seed + 1, noise_scale=noise_scale)
-    prov = {
-        "kind": "derived",
-        "base": "ar1",
-        "phi": phi,
-        "lags": [0] + chosen,
-        "noise_scale": noise_scale,
-        "seed": seed,
-    }
+    base = make_ar1_base(seed, length + max(lag_choices), phi)
+    lags = [0] + [int(lag_choices[int(rng.integers(1, len(lag_choices))[0])]) for _ in range(2)]
+    panel = derive_multivariate(base, lags, seed=seed + 1, noise_scale=noise_scale)
+    prov = {"kind": "derived", "base": "ar1", "phi": phi, "lags": lags, "noise_scale": noise_scale, "seed": seed}
     return panel[:, -length:], prov
 
 
-def make_independent_panel(
-    rng: PortableRng, length: int, n_series: int = 3
-) -> tuple[np.ndarray, dict]:
-    """Mutually independent noise series; cross-series info is worthless."""
+def make_independent_panel(rng: PortableRng, length: int) -> tuple[np.ndarray, dict]:
+    """3 mutually independent noise series, each with its own offset and
+    scale; cross-series info is worthless. Returns (panel (3, length),
+    provenance dict)."""
     seed = int(rng.raw64(1)[0] & 0x7FFFFFFF)
     sub = PortableRng(seed).spawn(29)
-    panel = np.empty((n_series, length), dtype=np.float64)
-    scales = 0.5 + sub.uniform(n_series) * 2.0
-    offsets = sub.normal(n_series) * 5.0
-    for i in range(n_series):
+    panel = np.empty((3, length), dtype=np.float64)
+    scales = 0.5 + sub.uniform(3) * 2.0
+    offsets = sub.normal(3) * 5.0
+    for i in range(3):
         panel[i] = offsets[i] + scales[i] * sub.normal(length)
-    return panel, {"kind": "independent", "seed": seed, "n_series": n_series}
+    return panel, {"kind": "independent", "seed": seed, "n_series": 3}
 
 
 # ---------------------------------------------------------------------------

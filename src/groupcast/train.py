@@ -364,6 +364,16 @@ def evaluate_pinball(
 LOG_HEADER = "step,stage,loss,lr,wallclock_ms\n"
 
 
+def _check_resumed(path, name: str, saved, given: dict) -> None:
+    """ConfigError naming each key where the name config given to a resumed
+    run differs from the one its checkpoint saved."""
+    if saved != given:
+        saved = saved if isinstance(saved, dict) else {}
+        keys = sorted(k for k in saved.keys() | given.keys() if saved.get(k) != given.get(k))
+        differ = ", ".join(f"{k} {saved.get(k)!r} -> {given.get(k)!r}" for k in keys)
+        raise ConfigError(f"{path}: a resume takes the checkpoint's {name} config; it differs in {differ}")
+
+
 def run_curriculum(
     model_config: M.ModelConfig,
     train_config: TrainConfig,
@@ -384,11 +394,16 @@ def run_curriculum(
     header raises DataError. A fresh run replaces the log. A stats dict,
     when given, receives "steps": the number of steps this call ran. A
     max_horizon_patches above the model's horizon_patches raises
-    ConfigError before out_dir is created. A stage context past the model's
-    max_context logs one warning before the first step.
+    ConfigError before out_dir is created, and so does a resume whose
+    model_config is not the checkpoint's, or whose train_config is not the
+    one the checkpoint records (when it records one). A stage context past
+    the model's max_context logs one warning before the first step.
     """
     if resume_from is not None:
-        weights, model_config, extra, moments = load_checkpoint(resume_from)
+        weights, saved_model, extra, moments = load_checkpoint(resume_from)
+        _check_resumed(resume_from, "model", saved_model.to_dict(), model_config.to_dict())
+        if "train" in extra:
+            _check_resumed(resume_from, "train", extra["train"], train_config.to_dict())
     max_fut = train_config.max_horizon_patches or model_config.horizon_patches
     if max_fut > model_config.horizon_patches:
         raise ConfigError(

@@ -22,7 +22,11 @@ no LayerNorm, softmax or linear code is shared with what they check). The ``csv.
 writer and the numpy-scalar VAR loop are the byte references for the
 %-template ``synthdata.save_panel_dataset`` and ``kernels.var_recursion``,
 whose step over Python floats is generated once per (K, L) shape; the power iteration with two products by M per
-step is the byte reference for ``synthdata.spectral_radius``. The per-series scoring loop, which calls the
+step is the byte reference for ``synthdata.spectral_radius``. The general
+mixing formula of derived panels, summed one element at a time over a
+(K, B) mixing matrix (it draws the same noise from ``PortableRng``), is the
+byte reference for the lag-shifted copies of ``synthdata.derive_multivariate``
+and ``synthdata.make_cross_link_panel``. The per-series scoring loop, which calls the
 package's ``rmse`` and ``mape`` once per series, is the byte reference for
 the whole-array metrics of ``evalharness.evaluate_cell``. The two-phase
 reverse sweep, which sums every gradient before it touches a leaf, is the
@@ -44,6 +48,7 @@ from groupcast import preprocess as P
 from groupcast import tensor as T
 from groupcast.errors import DegenerateInputError, ShapeError
 from groupcast.panels import slice_context
+from groupcast.rng import PortableRng
 
 LAYER_NORM_EPS = 1e-5
 
@@ -219,6 +224,28 @@ def spectral_radius_two_products(M: np.ndarray, tol: float = 1e-8, max_iter: int
             stable = 0
         prev = est
     return float(est)
+
+
+def derive_mixing_loop(bases, mixing, lags, seed: int, noise_scale: float = 0.0) -> np.ndarray:
+    """out[i, t] = sum over b of mixing[i][b] * bases[b][t + max_lag - lags[i][b]],
+    summed from 0.0 with zero coefficients skipped, plus noise_scale times the
+    normal draw of PortableRng(seed).spawn(13), one Python float at a time."""
+    K, B = len(mixing), len(bases)
+    max_lag = max(max(row) for row in lags)
+    To = len(bases[0]) - max_lag
+    noise = PortableRng(seed).spawn(13).normal(K * To).tolist() if noise_scale > 0 else None
+    out = np.zeros((K, To), dtype=np.float64)
+    for i in range(K):
+        for t in range(To):
+            acc = 0.0
+            for b in range(B):
+                c = float(mixing[i][b])
+                if c != 0.0:
+                    acc += c * float(bases[b][t + max_lag - lags[i][b]])
+            if noise is not None:
+                acc = acc + noise_scale * noise[i * To + t]
+            out[i, t] = acc
+    return out
 
 
 def pinball_cell(level: float, err: float) -> float:

@@ -295,6 +295,7 @@ def test_unknown_config_key_exits_2(tmp_path):
     ["synth", "--set", 'tsi={"count": 2, "length": 10}', "--set",
      'tcm={"count": 1, "length": 10, "radius_range": [0.5, 1.5]}'],
     ["synth", "--set", "tsi.count=-1"],
+    ["synth", "--set", 'tsi={"count": 2, "length": 10}', "--set", 'tcm={"count": 2, "length": 10, "edge_prob": 5}'],
     ["synth", "--set", "derived.length=0"],
     ["synth", "--set", 'tsi={"count": 1, "length": 10}', "--set",
      'explicit_tsi=[{"length": 5, "noise_family": "student_t", "noise_scale": 1.0, "noise_df": 0}]'],
@@ -310,7 +311,8 @@ def test_unknown_config_key_exits_2(tmp_path):
         "contexts-str", "contexts-float", "horizons-bool", "horizons-mixed", "modes-int", "modes-null",
         "lag_range-float", "lag_range-str", "lag_choices-bool", "lag_choices-list",
         "independent-length0", "tcm-length0-after-tsi", "n_series_range-reversed", "lag_choices-empty",
-        "tcm-radius_range-unstable", "tsi-count-negative", "derived-length0-count0",
+        "tcm-radius_range-unstable", "tsi-count-negative", "tcm-edge_prob-above-1-after-tsi",
+        "derived-length0-count0",
         "explicit-tsi-noise_df0", "explicit-tsi-slope-str", "explicit-tcm-n_series-float"])
 def test_malformed_config_exits_2_and_writes_nothing(tmp_path, capsys, argv):
     inputs = {
@@ -485,6 +487,22 @@ def test_train_resume_into_a_foreign_log_exits_5(tmp_path, capsys):
     assert code == 5
     assert "train_log.csv: does not start with the header" in capsys.readouterr().err
     assert (out / "train_log.csv").read_text() == "date,AAPL\n2020-01-02,1.5\n"
+
+
+@pytest.mark.parametrize("override", ["train.seed=9", "model.d_model=16"])
+def test_train_resume_with_another_config_exits_2_before_writing(tmp_path, capsys, override):
+    data = _synth_small(tmp_path)
+    first = tmp_path / "first"
+    assert cli.main(["train", "--data", str(data), "--out", str(first)] + TRAIN_OVERRIDES) == 0
+    out = tmp_path / "resumed"
+    capsys.readouterr()
+    code = cli.main(["train", "--data", str(data), "--out", str(out), "--resume",
+                     str(first / "ckpt_step000004.ckpt")] + TRAIN_OVERRIDES + ["--set", override])
+    assert code == 2
+    err = capsys.readouterr().err
+    key = override.split("=")[0].split(".")[1]
+    assert err.startswith("config error:") and f"differs in {key} " in err and err.count("\n") == 1, err
+    assert not out.exists()
 
 
 def test_train_resume_from_corrupt_checkpoint_exits_4(tmp_path):
@@ -822,6 +840,38 @@ def test_report_malformed_records_exits_5(tmp_path, capsys):
     assert not (tmp_path / "z").exists()
 
 
+def test_report_and_resumed_evaluate_reject_a_regime_other_than_pre_or_post(tmp_path, capsys):
+    records = tmp_path / "records.csv"
+    row = "stocks,MV,AAPL,30,5,{},1.5,0.01,0,{}\n"
+    records.write_text(",".join(E.RECORD_FIELDS) + "\n" + row.format("2020-01-02", "pre")
+                       + row.format("2024-01-02", "later"))
+    capsys.readouterr()
+    assert cli.main(["report", "--records", str(records), "--out", str(tmp_path / "z")]) == 5
+    assert "row 3 malformed" in capsys.readouterr().err
+    assert not (tmp_path / "z").exists()
+    out = tmp_path / "eval"
+    argv = ["evaluate", "--out", str(out)] + _eval_inputs(tmp_path, n_days=600)
+    assert cli.main(argv) == 0
+    lines = (out / "records.csv").read_bytes().splitlines(keepends=True)
+    lines[-1] = lines[-1].rsplit(b",", 1)[0] + b",later\r\n"
+    (out / "records.csv").write_bytes(b"".join(lines))
+    capsys.readouterr()
+    assert cli.main(argv) == 5
+    assert f"row {len(lines)} malformed" in capsys.readouterr().err
+
+
+def test_evaluate_rerun_with_another_cutoff_writes_the_fresh_run_tree(tmp_path):
+    sp = tmp_path / "stocks.csv"
+    save_csv_panel(sp, make_price_panel(STOCK_IDS, date(2018, 1, 2), 600, seed=31))
+    grid = ["--stocks", str(sp), "--stub", "last-value", "--mode", "UV", "--n", "30", "--m", "5",
+            "--set", "start_years_after=1"]
+    rerun, fresh = tmp_path / "rerun", tmp_path / "fresh"
+    assert cli.main(["evaluate", "--out", str(rerun), "--set", "cutoff=2019-06-01"] + grid) == 0
+    assert cli.main(["evaluate", "--out", str(rerun), "--set", "cutoff=2020-01-01"] + grid) == 0
+    assert cli.main(["evaluate", "--out", str(fresh), "--set", "cutoff=2020-01-01"] + grid) == 0
+    assert tree_bytes(rerun) == tree_bytes(fresh)
+
+
 def test_report_drops_torn_final_row(tmp_path, market_csvs):
     sp, rp = market_csvs
     out = tmp_path / "eval"
@@ -987,6 +1037,8 @@ EXIT_CASES = {
     "evaluate-start-negative": (2, lambda t: _evaluate(t, "--stub", "last-value", "--set", "start_years_after=-5")),
     "train-min-context-patches-negative": (2, lambda t: _train(t, "--data", _data(t)) + [
         "--set", "train.min_context_patches=-3"]),
+    "synth-tcm-edge-prob-above-1": (2, lambda t: _synth(t, "--set", "tcm.count=2", "--set", "tcm.edge_prob=5")),
+    "synth-tcm-edge-prob-negative": (2, lambda t: _synth(t, "--set", "tcm.count=2", "--set", "tcm.edge_prob=-3")),
 }
 
 

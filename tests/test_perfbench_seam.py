@@ -107,6 +107,18 @@ def test_timing_patch_sees_every_grid_cell_with_its_spec(monkeypatch, tmp_path, 
         assert per_mode == {mo: sum(line.split(",")[1] == mo for line in expected) for mo in per_mode}
 
 
+def test_train_desk_setup_builds_its_corpus_pools(monkeypatch, tmp_path):
+    """workloads.TrainDesk builds its corpus from the synthdata generators
+    with the keyword arguments it passes: a changed signature fails here."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    desk = workloads.TrainDesk(0)
+    desk.setup(tmp_path)
+    corpus = desk.corpus
+    assert (len(corpus.univariate), len(corpus.panels), len(corpus.covariate_panels)) == (260, 240, 60)
+
+
 def test_synth_pass_saves_each_dataset_once_through_the_module_attributes(monkeypatch, tmp_path):
     """workloads.SynthCorpus counts points by replacing S.save_panel_dataset
     and times each dataset by replacing S.save_provenance: cmd_synth must

@@ -1,4 +1,4 @@
-"""Generators: trend/seasonal blends, causal panels, derived mixtures."""
+"""Generators: trend/seasonal blends, causal panels, lag-shifted derived panels."""
 
 import json
 
@@ -11,7 +11,7 @@ from groupcast import synthdata as S
 from groupcast.errors import ConfigError, DataError, StabilityError
 from groupcast.rng import PortableRng
 
-from oracles import save_panel_dataset_csv_writer, spectral_radius_two_products
+from oracles import derive_mixing_loop, save_panel_dataset_csv_writer, spectral_radius_two_products
 
 
 def test_tsi_pure_sinusoid_exactly_periodic():
@@ -173,18 +173,9 @@ def test_sampled_tcm_specs_are_stationary_and_stable():
         assert v2 <= 2.0 * v1 and v1 <= 2.0 * v2, (i, v1, v2)
 
 
-def test_derive_identity_mixing_returns_bases():
-    rng = PortableRng(2)
-    bases = rng.normal(3 * 50).reshape(3, 50)
-    out = S.derive_multivariate(bases, np.eye(3), np.zeros((3, 3), dtype=int), seed=0)
-    assert np.array_equal(out, bases)
-
-
 def test_derive_lag_shift_and_crosscorr_peak():
     base = S.make_ar1_base(7, 600, 0.9)
-    out = S.derive_multivariate(
-        base[None, :], np.array([[1.0], [1.0]]), np.array([[0], [5]]), seed=1
-    )
+    out = S.derive_multivariate(base, [0, 5], seed=1)
     s1, s2 = out
     assert np.array_equal(s2[5:], s1[:-5])
     lags = range(-10, 11)
@@ -192,20 +183,33 @@ def test_derive_lag_shift_and_crosscorr_peak():
     assert list(lags)[int(np.argmax(cc))] == 5
 
 
-def test_derive_zero_mixing_row_is_pure_noise():
-    rng = PortableRng(3)
-    bases = rng.normal(100).reshape(1, 100)
-    mixing = np.array([[1.0], [0.0]])
-    out = S.derive_multivariate(bases, mixing, np.zeros((2, 1), dtype=int), seed=5, noise_scale=0.5)
-    corr = np.corrcoef(out[1], bases[0])[0, 1]
-    assert out[1].std() > 0 and abs(corr) < 0.35
-
-
 def test_derive_rejects_out_of_range_lags():
     with pytest.raises(ConfigError):
-        S.derive_multivariate(np.zeros((1, 10)), np.ones((1, 1)), np.array([[10]]), seed=0)
+        S.derive_multivariate(np.zeros(10), [10], seed=0)
     with pytest.raises(ConfigError):
-        S.derive_multivariate(np.zeros((1, 10)), np.ones((1, 1)), np.array([[-1]]), seed=0)
+        S.derive_multivariate(np.zeros(10), [-1], seed=0)
+
+
+@pytest.mark.parametrize("noise_scale", [0.0, 0.5])
+def test_derive_matches_the_mixing_loop_oracle_bit_for_bit(noise_scale):
+    base = PortableRng(3).normal(60)
+    base[[0, 7, 30, 59]] = -0.0  # 0.0 + -0.0 is +0.0: no copy keeps the sign
+    lags = [0, 4, 9, 4]
+    out = S.derive_multivariate(base, lags, seed=5, noise_scale=noise_scale)
+    ref = derive_mixing_loop([base], [[1.0]] * 4, [[lag] for lag in lags], seed=5, noise_scale=noise_scale)
+    assert out.tobytes() == ref.tobytes()
+    assert noise_scale or not np.signbit(out[out == 0.0]).any()
+
+
+def test_cross_link_panel_matches_the_mixing_loop_oracle_bit_for_bit():
+    for i, lag_choices in enumerate([(8, 16), (8,), (0, 3, 5)]):
+        panel, prov = S.make_cross_link_panel(PortableRng(40 + i), 80, lag_choices=lag_choices)
+        base = S.make_ar1_base(prov["seed"], 80 + max(lag_choices), prov["phi"])
+        ref = derive_mixing_loop(
+            [base], [[1.0]] * 3, [[lag] for lag in prov["lags"]], seed=prov["seed"] + 1, noise_scale=0.05
+        )
+        assert panel.shape == (3, 80) and prov["lags"][0] == 0
+        assert panel.tobytes() == ref[:, -80:].tobytes(), lag_choices
 
 
 def test_generators_bitwise_deterministic():
