@@ -11,8 +11,9 @@ Subcommands wire the library into the full workflow:
 Each command's config keys and their defaults are one table below
 (SYNTH_KEYS, TRAIN_CMD_KEYS, EVAL_KEYS, REPORT_KEYS). Later layers win:
 the defaults, a JSON ``--config`` file, each ``--set dotted.key=value``
-(value parsed as JSON, falling back to string), then the flags. An unknown
-key or a malformed value is a config error. GROUPCAST_OUT provides the
+(value parsed as JSON, falling back to string), then the flags. Each value
+is checked once, as its layer assigns it (_assign): an unknown key or a
+malformed value is a config error. GROUPCAST_OUT provides the
 default output directory. Exit codes, which ``main`` alone maps: 0 ok,
 2 config error, 3 training abort, 4 load failure (a file that cannot be
 opened, read or written, or a corrupt checkpoint), 5 malformed data.
@@ -89,18 +90,19 @@ def _load_config(args, table: dict) -> dict:
     return cfg
 
 
-# Keys that take a string, or null for not set, and what the string names.
-STRING_KEYS = dict.fromkeys(
-    ("out_dir", "data_dir", "resume", "checkpoint", "panels.stocks", "panels.rates", "records"), "path"
-) | {"stub": "stub name"}
+# The kind of each key whose default is None ("not set"). A None field of
+# the model or train section is its config class's to check.
+UNSET_KINDS = dict.fromkeys(
+    ("out_dir", "data_dir", "resume", "checkpoint", "panels.stocks", "panels.rates", "records", "stub"), str | None
+) | {"workers": int | None, "seed": int | None}
 
 
 def _assign(cfg: dict, table: dict, key: str, value) -> None:
     """Set the dotted key of cfg, checked against the key table: the key must
-    exist, a section takes an object and a leaf a value of its default's kind
-    by config.same_kind (a bool only for a bool, any number for a float), a
-    string or null for a STRING_KEYS key, anything for another None. A list
-    whose default has elements takes elements of their kind."""
+    exist, a section takes an object, and a leaf a value of one kind by
+    config.same_kind (a bool only for a bool, any number for a float): its
+    default's kind, or UNSET_KINDS' for a None default. A list whose
+    default has elements takes elements of their kind."""
     node, known = cfg, table
     *path, leaf = key.split(".")
     for part in path:
@@ -118,14 +120,12 @@ def _assign(cfg: dict, table: dict, key: str, value) -> None:
         for sub, v in value.items():
             _assign(cfg, table, f"{key}.{sub}", v)
         return
-    if default is not None and not same_kind(value, type(default)):
-        kind = type(default).__name__
-        raise ConfigError(f"config key {key!r} must be of type {kind}, got {value!r}")
+    kind = UNSET_KINDS.get(key, object) if default is None else type(default)
+    if not same_kind(value, kind):
+        raise ConfigError(f"config key {key!r} must be of type {getattr(kind, '__name__', kind)}, got {value!r}")
     if isinstance(default, list) and default and not all(same_kind(v, type(default[0])) for v in value):
         kind = type(default[0]).__name__
         raise ConfigError(f"config key {key!r} takes a list of {kind}, got {value!r}")
-    if key in STRING_KEYS and not same_kind(value, str | None):
-        raise ConfigError(f"config key {key!r} takes a {STRING_KEYS[key]} string or null, got {value!r}")
     node[leaf] = value
 
 
@@ -205,15 +205,9 @@ def cmd_synth(args) -> int:
         for i in range(tsi["count"])
     ]
     tsi_specs += [S.TsiSpec.from_dict(d) for d in cfg["explicit_tsi"]]
+    tcm_args = {k: v for k, v in tcm.items() if k != "count"}
     tcm_specs = [
-        S.sample_tcm_spec(
-            root.spawn(20_000 + i),
-            tcm["length"],
-            seed=seed * 2_000_003 + i,
-            n_series_range=tuple(tcm["n_series_range"]),
-            lag_range=tuple(tcm["lag_range"]),
-            edge_prob=float(tcm["edge_prob"]),
-        )
+        S.sample_tcm_spec(root.spawn(20_000 + i), seed=seed * 2_000_003 + i, **tcm_args)
         for i in range(tcm["count"])
     ]
     tcm_specs += [S.TcmSpec.from_dict(d) for d in cfg["explicit_tcm"]]
@@ -261,14 +255,11 @@ def cmd_train(args) -> int:
     model_cfg = M.ModelConfig.from_dict(cfg["model"])
     train_cfg = TR.TrainConfig.from_dict(cfg["train"])
     corpus = TR.Corpus.from_dir(cfg["data_dir"])
-    stats: dict = {}
     start = time.perf_counter()
-    path = TR.run_curriculum(
-        model_cfg, train_cfg, corpus, out_dir, resume_from=cfg["resume"], stats=stats
-    )
-    _summary("train", start, stats["steps"], "steps")
-    print(f"checkpoint: {path}")
-    print(f"training log: {Path(out_dir) / 'train_log.csv'}")
+    steps = TR.run_curriculum(model_cfg, train_cfg, corpus, out_dir, resume_from=cfg["resume"])
+    _summary("train", start, steps, "steps")
+    print(f"checkpoint: {out_dir / 'model.ckpt'}")
+    print(f"training log: {out_dir / 'train_log.csv'}")
     return EXIT_OK
 
 
@@ -295,8 +286,10 @@ def _cell(v) -> str:
 
 def cmd_evaluate(args) -> int:
     cfg = _load_config(args, EVAL_KEYS)
-    workers = cfg["workers"]
-    if workers is not None and (not same_kind(workers, int) or workers < 1):
+    stub, workers = cfg["stub"], cfg["workers"]
+    if stub and stub not in E.STUB_FORECASTERS:
+        raise ConfigError(f"unknown stub {stub!r}; choose from {sorted(E.STUB_FORECASTERS)}")
+    if workers is not None and workers < 1:
         raise ConfigError(f"workers must be an integer >= 1 (null for all cores), got {workers!r}")
     out_dir = Path(cfg["out_dir"] or _default_out())
     panels = {k: load_csv_panel(p, expected_ids=PANEL_IDS[k]) for k, p in cfg["panels"].items() if p}
@@ -305,11 +298,8 @@ def cmd_evaluate(args) -> int:
     if cfg["include_combined"] and "stocks" in panels and "rates" in panels:
         panels["combined"] = build_combined(panels["stocks"], panels["rates"])
 
-    stub = cfg["stub"]
     max_context = float("inf")  # a stub never cuts a context
     if stub:
-        if stub not in E.STUB_FORECASTERS:
-            raise ConfigError(f"unknown stub {stub!r}; choose from {sorted(E.STUB_FORECASTERS)}")
         forecaster = E.STUB_FORECASTERS[stub]()
     else:
         ckpt = cfg["checkpoint"]
@@ -443,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="repeatable")
     pe.add_argument("--n", dest="contexts", action="append", type=int, help="context length; repeatable")
     pe.add_argument("--m", dest="horizons", action="append", type=int, help="horizon; repeatable")
-    pe.add_argument("--stub", choices=sorted(E.STUB_FORECASTERS), help="bypass the model")
+    pe.add_argument("--stub", help=f"bypass the model: one of {', '.join(sorted(E.STUB_FORECASTERS))}")
     pe.add_argument("--dry-run", action="store_true", help="print grid size and origin counts")
     pe.add_argument("--workers", type=int, help="evaluation pool size")
     pe.set_defaults(func=cmd_evaluate)

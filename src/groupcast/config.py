@@ -31,7 +31,7 @@ def same_kind(value, kind) -> bool:
         args = args[:1] * len(value) if args[1:] == (...,) else args
         return len(value) == len(args) and all(map(same_kind, value, args))
     kind = origin or kind
-    if kind is bool or isinstance(value, bool):
+    if kind is bool or isinstance(value, bool) and kind in (int, float):
         return kind is bool and isinstance(value, bool)
     return isinstance(value, {int: numbers.Integral, float: numbers.Real}.get(kind, kind))
 

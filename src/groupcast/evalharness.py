@@ -33,7 +33,7 @@ from bisect import bisect_left
 from contextlib import ExitStack
 from dataclasses import dataclass, fields
 from datetime import date
-from itertools import chain, groupby
+from itertools import chain, compress, groupby
 from operator import attrgetter
 from pathlib import Path
 
@@ -275,8 +275,10 @@ def evaluate_cell(
     """All per-series records for one (spec, origin) grid cell, and a skip
     for each series that has none.
 
-    A forecast that raises or has another shape than the realized values
-    skips every series as a forecast error. Otherwise fully observed rows
+    A series with no observed context value is skipped ("no observed
+    context") and the others are forecast without it, in MV as one group.
+    A forecast that raises or is not of the realized shape skips every
+    series it covers as a forecast error. Otherwise fully observed rows
     with no actual below MAPE_SKIP_THRESHOLD are scored together in
     whole-array ops (see _whole_array_scores); the other rows fall back to
     rmse and mape one at a time. The records and skip reasons are those of
@@ -300,6 +302,14 @@ def evaluate_cell(
     realized = panel.values[:, oi : oi + spec.m]
     realized_mask = panel.mask[:, oi : oi + spec.m]
     regime = regime_of(spec, origin)
+    ids = panel.series_ids
+    seen = (ctx_mask > 0).any(axis=1)
+    if not seen.all():  # only then a copy: a fully observed cell passes the arrays it always did
+        for sid in compress(ids, ~seen):
+            skip(sid, "no observed context")
+        ids = list(compress(ids, seen))
+        ctx_values, ctx_mask = ctx_values[seen], ctx_mask[seen]
+        realized, realized_mask = realized[seen], realized_mask[seen]
     try:
         point = forecaster.forecast_panel(
             ctx_values,
@@ -313,11 +323,11 @@ def evaluate_cell(
     except Exception as exc:  # per-origin failures never kill the grid
         logger.warning("forecast failed at %s %s n=%d m=%d %s: %s",
                        spec.panel, spec.mode, spec.n, spec.m, origin, exc)
-        for sid in panel.series_ids:
+        for sid in ids:
             skip(sid, f"forecast error: {exc}")
         return records, skips
     whole = _whole_array_scores(realized, realized_mask, point)
-    for k, sid in enumerate(panel.series_ids):
+    for k, sid in enumerate(ids):
         if k in whole:
             (r, mp), nskip = whole[k], 0
         else:
@@ -621,7 +631,7 @@ def emit_artifacts(records: list[EvalRecord], out_dir) -> tuple[dict[str, Path],
     sides = group_by(records, lambda r: r.regime)
     reg_rows = [
         [side] + cells
-        for side in ("pre", "post")
+        for side in REGIMES
         for cells in _cells(aggregate_mode(sides.get(side, [])), TABLE1_COLUMNS)
     ]
 

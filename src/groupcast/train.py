@@ -380,53 +380,57 @@ def run_curriculum(
     corpus: Corpus,
     out_dir,
     resume_from=None,
-    stats: dict | None = None,
-) -> Path:
-    """Two-stage training over increasing context limits.
+) -> int:
+    """Two-stage training over increasing context limits; returns the
+    number of steps this call ran.
 
     Stage 2 continues from stage-1 weights. Writes checkpoints at the
-    configured cadence plus stage boundaries, a CSV log train_log.csv
-    (step, stage, loss, lr, wallclock_ms), and returns the final checkpoint
-    path (<out_dir>/model.ckpt). Each step's row is flushed before any
-    checkpoint can be saved, and resuming cuts the log back to the
-    checkpoint's step (panels.resume_log), so a run resumed in place after
-    a hard crash logs every step once; a log that does not start with the
-    header raises DataError. A fresh run replaces the log. A stats dict,
-    when given, receives "steps": the number of steps this call ran. A
-    max_horizon_patches above the model's horizon_patches raises
-    ConfigError before out_dir is created, and so does a resume whose
-    model_config is not the checkpoint's, or whose train_config is not the
-    one the checkpoint records (when it records one). A stage context past
-    the model's max_context logs one warning before the first step.
+    configured cadence plus stage boundaries, the last as
+    <out_dir>/model.ckpt, and a CSV log train_log.csv (step, stage, loss,
+    lr, wallclock_ms). Each step's row is flushed before any checkpoint can
+    be saved, and resuming cuts the log back to the checkpoint's step
+    (panels.resume_log), so a run resumed in place after a hard crash logs
+    every step once; a log that does not start with the header raises
+    DataError. A fresh run replaces the log. ConfigError is raised before
+    out_dir is created for a max_horizon_patches above the model's, a
+    corpus series shorter than the longest window a running stage draws
+    ((context patches + max future patches) * patch_len), and a resume
+    whose model_config is not the checkpoint's or whose train_config is
+    not the one the checkpoint records (if it records one). A context past
+    the model's max_context in a running stage logs one warning first.
     """
     if resume_from is not None:
         weights, saved_model, extra, moments = load_checkpoint(resume_from)
         _check_resumed(resume_from, "model", saved_model.to_dict(), model_config.to_dict())
         if "train" in extra:
             _check_resumed(resume_from, "train", extra["train"], train_config.to_dict())
+    else:
+        weights, extra, moments = M.init_weights(model_config, seed=train_config.seed), {}, {}
+    state = TrainState.fresh(weights)
+    first_step = state.step = extra.get("step", 0)
+    for name, arr in moments.items():  # load_checkpoint checked that each fits its weight
+        state.moments[name][...] = arr
     max_fut = train_config.max_horizon_patches or model_config.horizon_patches
     if max_fut > model_config.horizon_patches:
         raise ConfigError(
             f"max_horizon_patches {max_fut} exceeds the model's horizon_patches "
             f"{model_config.horizon_patches}"
         )
+    P = model_config.patch_len
+    stage_patches = [max(c // P, train_config.min_context_patches) for c in train_config.stage_contexts]
+    boundaries = np.cumsum([0] + list(train_config.stage_steps))
+    running = [p for p, start, end in zip(stage_patches, boundaries, boundaries[1:]) if end > max(start, first_step)]
+    window = (max(running) + max_fut) * P if running else 0  # the longest window a step draws
+    shortest = min(x.shape[-1] for pool in (corpus.univariate, corpus.panels, corpus.covariate_panels) for x in pool)
+    if shortest < window:
+        raise ConfigError(f"series of length {shortest} too short for window {window}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     log_path = out_dir / "train_log.csv"
-    final_path = out_dir / "model.ckpt"
-
-    if resume_from is not None:
-        state = TrainState.fresh(weights)
-        state.step = extra.get("step", 0)
-        for name, arr in moments.items():  # load_checkpoint checked that each fits its weight
-            state.moments[name][...] = arr
-    else:
-        weights = M.init_weights(model_config, seed=train_config.seed)
-        state = TrainState.fresh(weights)
+    if resume_from is None:
         log_path.unlink(missing_ok=True)
 
     total_steps = sum(train_config.stage_steps)
-    boundaries = np.cumsum([0] + list(train_config.stage_steps))
 
     def save(path):
         save_checkpoint(
@@ -441,10 +445,7 @@ def run_curriculum(
     resume_log(
         log_path, LOG_HEADER, lambda rows: sum(int(r.split(",", 1)[0]) <= state.step for r in rows)
     )
-    first_step = state.step
-    P = model_config.patch_len
-    stage_patches = [max(c // P, train_config.min_context_patches) for c in train_config.stage_contexts]
-    longest = max(stage_patches, default=0) * P  # the longest context a step samples
+    longest = max(running, default=0) * P  # the longest context a step samples
     if longest > model_config.max_context:
         logger.warning("contexts of up to %d positions are cut to max_context=%d", longest, model_config.max_context)
     with open(log_path, "a") as log:
@@ -470,7 +471,5 @@ def run_curriculum(
             log.flush()
             if state.step % train_config.checkpoint_every == 0 or state.step in boundaries[1:]:
                 save(out_dir / f"ckpt_step{state.step:06d}.ckpt")
-    save(final_path)
-    if stats is not None:
-        stats["steps"] = state.step - first_step
-    return final_path
+    save(out_dir / "model.ckpt")
+    return state.step - first_step

@@ -2,6 +2,8 @@
 
 import multiprocessing
 import os
+import subprocess
+import sys
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -132,15 +134,50 @@ DESK_TRAIN_CONFIG = TR.TrainConfig(
 )
 
 
+def pytest_collection_modifyitems(items):
+    """Run the tests that use trained_desk last, so the rest of the suite
+    runs while a child process trains it (see _desk_training)."""
+    items.sort(key=lambda item: "trained_desk" in item.fixturenames)  # stable: keeps each side's order
+
+
+# The child's program: the desk curriculum into the directory argv[1] names.
+DESK_TRAIN_SCRIPT = """
+import sys
+from conftest import DESK_TRAIN_CONFIG, build_training_corpus
+from groupcast import model as M, train as TR
+TR.run_curriculum(M.ModelConfig(), DESK_TRAIN_CONFIG, build_training_corpus(), sys.argv[1])
+"""
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _desk_training(request, tmp_path_factory):
+    """The desk training run for trained_desk, started in a child process on
+    the session's first test when a selected test uses trained_desk (the
+    child takes the second core while the other tests run), else None.
+    A child still running at the end of the session is killed."""
+    if not any("trained_desk" in item.fixturenames for item in request.session.items):
+        yield None
+        return
+    out = tmp_path_factory.mktemp("desk_train")
+    paths = [str(Path(__file__).parent), str(Path(M.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    with subprocess.Popen(  # on exit: closes the pipe and waits
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", DESK_TRAIN_SCRIPT, str(out)],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+    ) as child:
+        yield child, out
+        child.kill()  # a no-op once it has exited
+
+
 @pytest.fixture(scope="session")
-def trained_desk(tmp_path_factory):
-    """Desk-default model trained on the synthetic corpus (about half a
-    minute); shared by the acceptance tests."""
+def trained_desk(_desk_training):
+    """Desk-default model trained on the synthetic corpus (about 20 s, in a
+    child process); shared by the acceptance tests."""
     from groupcast.checkpoint import load_checkpoint
 
-    out = tmp_path_factory.mktemp("desk_train")
-    corpus = build_training_corpus()
-    cfg = M.ModelConfig()
-    path = TR.run_curriculum(cfg, DESK_TRAIN_CONFIG, corpus, out)
-    weights, cfg2, _, _ = load_checkpoint(path)
-    return weights, cfg2, path
+    child, out = _desk_training
+    _, err = child.communicate()
+    assert child.returncode == 0, err
+    path = out / "model.ckpt"
+    weights, cfg, _, _ = load_checkpoint(path)
+    return weights, cfg, path

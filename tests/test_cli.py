@@ -222,25 +222,53 @@ def test_evaluate_hard_crash_after_each_cell_and_around_each_artifact_rename_rer
         assert tree_bytes(out) == want, k
 
 
+@pytest.fixture()
+def no_open(monkeypatch, tmp_path):
+    """Fail any open() while the test runs, in an empty working directory."""
+    def no_open(*args, **kwargs):
+        raise AssertionError(f"opened {args[0]!r} before the config error")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("builtins.open", no_open)
+
+
 @pytest.mark.parametrize("command,key", [
     ("synth", "out_dir"), ("train", "out_dir"), ("evaluate", "out_dir"), ("report", "out_dir"),
     ("train", "data_dir"), ("train", "resume"), ("evaluate", "checkpoint"),
     ("evaluate", "panels.stocks"), ("evaluate", "panels.rates"), ("report", "records"),
 ])
 @pytest.mark.parametrize("value", ["5", "true", "[1]", '{"path": "x"}'])
-def test_path_key_takes_only_a_string_or_null(monkeypatch, tmp_path, capsys, command, key, value):
-    def no_open(*args, **kwargs):
-        raise AssertionError(f"opened {args[0]!r} before the config error")
-
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr("builtins.open", no_open)
+def test_path_key_takes_only_a_string_or_null(no_open, tmp_path, capsys, command, key, value):
     capsys.readouterr()
     assert cli.main([command, "--set", f"{key}={value}"]) == 2
-    assert f"config error: config key {key!r} takes a path string or null" in capsys.readouterr().err
+    assert f"config error: config key {key!r} must be of type str | None" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
     if key.startswith("panels."):  # through the section's object, too
         sub = key.split(".")[1]
         assert cli.main([command, "--set", f'panels={{"{sub}": {value}}}']) == 2
+
+
+@pytest.mark.parametrize("flags", [["--stub", "bogus"], ["--set", "stub=bogus"]], ids=["flag", "set"])
+def test_unknown_stub_exits_2_in_one_line_before_any_file_is_opened(no_open, tmp_path, capsys, flags):
+    capsys.readouterr()
+    argv = ["evaluate", "--stocks", "stocks.csv", "--checkpoint", "model.ckpt", *flags]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        "config error: unknown stub 'bogus'; choose from ['last-value', 'perfect-foresight']\n"
+    )
+    assert not list(tmp_path.iterdir())
+
+
+def test_unset_kinds_name_each_none_default_outside_the_model_and_train_sections():
+    def none_leaves(table, prefix=""):
+        for key, default in table.items():
+            if isinstance(default, dict) and prefix + key not in ("model", "train"):
+                yield from none_leaves(default, f"{prefix}{key}.")
+            elif default is None:
+                yield prefix + key
+
+    tables = (cli.SYNTH_KEYS, cli.TRAIN_CMD_KEYS, cli.EVAL_KEYS, cli.REPORT_KEYS)
+    assert set(cli.UNSET_KINDS) == {key for table in tables for key in none_leaves(table)}
 
 
 def test_unknown_config_key_exits_2(tmp_path):
@@ -266,6 +294,7 @@ def test_unknown_config_key_exits_2(tmp_path):
     ["evaluate", "--workers", "-3"],
     ["evaluate", "--set", "stub=[1]"],
     ["evaluate", "--set", "stub=0"],
+    ["evaluate", "--set", 'seed="x"'],
     # train configs that failed mid-curriculum, after files were written
     ["train", "--set", "train.stage_contexts=[64]", "--set", "train.stage_steps=[2,2]"],
     ["train", "--set", "train.stage_contexts=[16,32,32]"],
@@ -304,7 +333,7 @@ def test_unknown_config_key_exits_2(tmp_path):
      'explicit_tcm=[{"n_series": 1.0, "lag_order": 1, "adjacency": [[[0.5]]], "length": 5}]'],
 ], ids=["tsi-int", "count-str", "tsi-key", "tcm-missing", "tsi-length0", "tcm-adjacency",
         "tcm-unstable", "model-int", "d_model-str", "top-seed", "workers-0", "workers-negative",
-        "stub-list", "stub-int",
+        "stub-list", "stub-int", "eval-seed-str",
         "one-context-two-stages", "three-contexts-two-stages", "batch_groups-0", "checkpoint_every-0",
         "max_horizon_patches-negative", "max_horizon_patches-0", "max_horizon_patches-past-model",
         "max_horizon_patches-float", "max_horizon_patches-bool",
@@ -582,7 +611,7 @@ def test_evaluate_with_model_checkpoint(tmp_path, market_csvs, tiny_ckpt):
 def test_evaluate_prints_grid_time_and_skips_by_reason_to_stderr(tmp_path, market_csvs, tiny_ckpt, capsys):
     _, rp = market_csvs
     stocks = make_price_panel(STOCK_IDS, date(2019, 1, 1), 400, seed=31)
-    stocks.mask[0] = 0.0  # AAPL is never observed, so no stocks context can be scaled
+    stocks.mask[0] = 0.0  # AAPL is never observed: each stocks cell forecasts the other six
     sp = tmp_path / "stocks_no_aapl.csv"
     save_csv_panel(sp, stocks)
 
@@ -595,18 +624,22 @@ def test_evaluate_prints_grid_time_and_skips_by_reason_to_stderr(tmp_path, marke
         assert code == 0
         return capsys.readouterr()
 
-    total = re.search(r"total cells: (\d+)", run(tmp_path / "dry", "--dry-run").out)[1]
+    dry = run(tmp_path / "dry", "--dry-run").out
+    total = re.search(r"total cells: (\d+)", dry)[1]
+    stocks_cells = sum(int(n) for n in re.findall(r"stocks .* origins=(\d+)", dry))
 
     first = run(tmp_path / "a")
     lines = [ln for ln in first.err.splitlines() if ln.startswith("grid: ")]
     assert len(lines) == 1 and "grid: " not in first.out
-    # every series of every stocks cell is skipped, the rates cells are not
+    # AAPL is skipped in every stocks cell, and no other series is
     hit = re.fullmatch(
         r"grid: \d+\.\d\d s wall, (\d+) cells \(\d+\.\d cells/s\), "
-        r"(\d+) skips \((\d+) forecast error: cannot scale an all-missing series\)",
+        r"(\d+) skips \((\d+) no observed context\)",
         lines[0],
     )
-    assert hit and hit[2] == hit[3] != "0"
+    assert hit and hit[2] == hit[3] == str(stocks_cells) != "0"
+    records = E.read_records(tmp_path / "a" / "records.csv")
+    assert {r.series for r in records if r.panel == "stocks"} == set(STOCK_IDS[1:])
     assert f"{hit[2]} skips)" in first.out
     assert hit[1] == total  # a fresh output directory computes every cell
     run(tmp_path / "b")
@@ -1037,6 +1070,8 @@ EXIT_CASES = {
     "evaluate-start-negative": (2, lambda t: _evaluate(t, "--stub", "last-value", "--set", "start_years_after=-5")),
     "train-min-context-patches-negative": (2, lambda t: _train(t, "--data", _data(t)) + [
         "--set", "train.min_context_patches=-3"]),
+    "train-series-shorter-than-window": (2, lambda t: _train(t, "--data", _data(t)) + [
+        "--set", "train.stage_contexts=[16,48]"]),
     "synth-tcm-edge-prob-above-1": (2, lambda t: _synth(t, "--set", "tcm.count=2", "--set", "tcm.edge_prob=5")),
     "synth-tcm-edge-prob-negative": (2, lambda t: _synth(t, "--set", "tcm.count=2", "--set", "tcm.edge_prob=-3")),
 }

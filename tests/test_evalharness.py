@@ -997,6 +997,33 @@ def test_empty_records_write_headers(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+@pytest.mark.parametrize("kind", ["model", "last-value"])
+def test_a_series_with_no_observed_context_is_skipped_and_the_rest_are_forecast_without_it(tiny_model, kind):
+    weights, cfg = tiny_model
+    forecaster = E.ModelForecaster(weights, cfg) if kind == "model" else E.LastValueStub()
+    full = make_price_panel(STOCK_IDS, date(2019, 1, 1), 320, seed=21)
+    full.mask[3, :200] = 0.0  # listed late: observed from its 201st day on
+    ids = full.series_ids
+    rest = SeriesPanel(dates=full.dates, series_ids=ids[:3] + ids[4:],
+                       values=np.delete(full.values, 3, 0), mask=np.delete(full.mask, 3, 0))
+    plan = E.grid_plan([_spec(mode=mode, n=64, m=8, start_years_after=0) for mode in M.MODES], {"stocks": full})
+    records, skips, _ = E.run_grid(plan, {"stocks": full}, forecaster)
+    cells = [(spec, origin) for spec, origins in plan.items() for origin in origins]
+    unseen = [(spec, origin) for spec, origin in cells if origin <= full.dates[200]]
+    assert 0 < len(unseen) < len(cells)
+    assert skips == [
+        {"panel": "stocks", "mode": spec.mode, "series": ids[3], "n": 64, "m": 8,
+         "origin": origin.isoformat(), "reason": "no observed context"}
+        for spec, origin in unseen
+    ]
+    for spec, origin in cells:
+        got = [r for r in records if (r.mode, r.origin) == (spec.mode, origin)]
+        if (spec, origin) in unseen:  # the other six, in MV as one group: the panel without it
+            assert got == E.evaluate_cell(rest, spec, origin, forecaster)[0]
+        else:
+            assert [r.series for r in got] == ids
+
+
 # UV forecasts identical inside the combined run (model semantics)
 
 

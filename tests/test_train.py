@@ -353,10 +353,10 @@ def test_two_runs_same_seed_bitwise_identical(tmp_path, corpus):
         stage_contexts=(16, 32), stage_steps=(60, 40), batch_groups=3,
         learning_rate=1e-3, seed=21, checkpoint_every=10_000,
     )
-    p1 = TR.run_curriculum(CFG, tc, corpus, tmp_path / "a")
-    p2 = TR.run_curriculum(CFG, tc, corpus, tmp_path / "b")
-    w1, _, e1, m1 = load_checkpoint(p1)
-    w2, _, e2, m2 = load_checkpoint(p2)
+    assert TR.run_curriculum(CFG, tc, corpus, tmp_path / "a") == 100  # the steps it ran
+    assert TR.run_curriculum(CFG, tc, corpus, tmp_path / "b") == 100
+    w1, _, e1, m1 = load_checkpoint(tmp_path / "a" / "model.ckpt")
+    w2, _, e2, m2 = load_checkpoint(tmp_path / "b" / "model.ckpt")
     assert e1["step"] == e2["step"] == 100
     for k in w1:
         assert np.array_equal(w1[k].data, w2[k].data), k
@@ -378,12 +378,26 @@ def test_a_stage_context_past_max_context_warns_once_before_the_first_step(tmp_p
     assert warned == [["contexts of up to 80 positions are cut to max_context=64"], []]
 
 
+@pytest.mark.parametrize("stage_steps", [(2, 2), (2, 0)])
+def test_a_series_shorter_than_a_running_stage_window_raises_before_out_dir_exists(tmp_path, stage_steps):
+    # stage 2 draws windows of up to (48 // 4 + 2) * 4 = 56 positions, stage 1 of up to 24
+    tc = TR.TrainConfig(stage_contexts=(16, 48), stage_steps=stage_steps, batch_groups=2, seed=3)
+    corpus = TR.Corpus(univariate=[np.arange(40.0)], panels=[np.ones((2, 60))])
+    if stage_steps[1]:
+        with pytest.raises(ConfigError, match="series of length 40 too short for window 56"):
+            TR.run_curriculum(CFG, tc, corpus, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+    else:  # stage 2 does not run
+        assert TR.run_curriculum(CFG, tc, corpus, tmp_path / "out") == 2
+
+
 def test_curriculum_stages_and_boundary(tmp_path, corpus):
     tc = TR.TrainConfig(
         stage_contexts=(16, 32), stage_steps=(30, 20), batch_groups=2,
         learning_rate=1e-3, seed=5, checkpoint_every=30,
     )
-    final = TR.run_curriculum(CFG, tc, corpus, tmp_path)
+    TR.run_curriculum(CFG, tc, corpus, tmp_path)
+    final = tmp_path / "model.ckpt"
     log_lines = (tmp_path / "train_log.csv").read_text().strip().split("\n")
     assert log_lines[0] == "step,stage,loss,lr,wallclock_ms"
     rows = [line.split(",") for line in log_lines[1:]]
@@ -407,15 +421,16 @@ def test_resume_continues_step_counter(tmp_path, corpus):
         stage_contexts=(16, 32), stage_steps=(20, 20), batch_groups=2,
         learning_rate=1e-3, seed=8, checkpoint_every=20,
     )
-    full = TR.run_curriculum(CFG, tc_full, corpus, tmp_path / "full")
-    half = TR.run_curriculum(CFG, tc_full, corpus, tmp_path / "half")
+    TR.run_curriculum(CFG, tc_full, corpus, tmp_path / "full")
+    TR.run_curriculum(CFG, tc_full, corpus, tmp_path / "half")
     # redo the second half from the boundary checkpoint
-    resumed = TR.run_curriculum(
+    ran = TR.run_curriculum(
         CFG, tc_full, corpus, tmp_path / "resumed",
         resume_from=tmp_path / "half" / "ckpt_step000020.ckpt",
     )
-    wf, _, ef, _ = load_checkpoint(full)
-    wr, _, er, _ = load_checkpoint(resumed)
+    assert ran == 20
+    wf, _, ef, _ = load_checkpoint(tmp_path / "full" / "model.ckpt")
+    wr, _, er, _ = load_checkpoint(tmp_path / "resumed" / "model.ckpt")
     assert ef["step"] == er["step"] == 40
     for k in wf:
         assert np.array_equal(wf[k].data, wr[k].data), k
@@ -426,7 +441,7 @@ def test_resume_in_place_matches_uninterrupted_run(tmp_path, corpus, monkeypatch
         stage_contexts=(16, 32), stage_steps=(20, 20), batch_groups=2,
         learning_rate=1e-3, seed=9, checkpoint_every=20,
     )
-    full = TR.run_curriculum(CFG, tc, corpus, tmp_path / "full")
+    TR.run_curriculum(CFG, tc, corpus, tmp_path / "full")
     TR.run_curriculum(CFG, tc, corpus, tmp_path / "run")
     with open(tmp_path / "run" / "train_log.csv", "a") as fh:
         fh.write("41,2,0.5")  # a row torn by a crash
@@ -436,10 +451,10 @@ def test_resume_in_place_matches_uninterrupted_run(tmp_path, corpus, monkeypatch
 
     # the log is cut in place, never rewritten
     monkeypatch.setattr(Path, "write_text", no_rewrite)
-    resumed = TR.run_curriculum(
+    TR.run_curriculum(
         CFG, tc, corpus, tmp_path / "run", resume_from=tmp_path / "run" / "ckpt_step000020.ckpt"
     )
-    assert resumed.read_bytes() == full.read_bytes()
+    assert (tmp_path / "run" / "model.ckpt").read_bytes() == (tmp_path / "full" / "model.ckpt").read_bytes()
     logged = _log_without_wallclock(tmp_path / "run")
     assert logged == _log_without_wallclock(tmp_path / "full")
     assert len(logged) == 41
