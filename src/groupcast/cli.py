@@ -286,11 +286,17 @@ def _cell(v) -> str:
 
 def cmd_evaluate(args) -> int:
     cfg = _load_config(args, EVAL_KEYS)
-    stub, workers = cfg["stub"], cfg["workers"]
+    stub, workers, ckpt = cfg["stub"], cfg["workers"], cfg["checkpoint"]
     if stub and stub not in E.STUB_FORECASTERS:
         raise ConfigError(f"unknown stub {stub!r}; choose from {sorted(E.STUB_FORECASTERS)}")
+    if not stub and not ckpt:
+        raise ConfigError("evaluate needs a checkpoint (or --stub for harness self-test)")
     if workers is not None and workers < 1:
         raise ConfigError(f"workers must be an integer >= 1 (null for all cores), got {workers!r}")
+    try:
+        cutoff = date.fromisoformat(cfg["cutoff"])
+    except ValueError as exc:
+        raise ConfigError(f"cutoff must be an ISO date: {exc}") from exc
     out_dir = Path(cfg["out_dir"] or _default_out())
     panels = {k: load_csv_panel(p, expected_ids=PANEL_IDS[k]) for k, p in cfg["panels"].items() if p}
     if not panels:
@@ -298,24 +304,15 @@ def cmd_evaluate(args) -> int:
     if cfg["include_combined"] and "stocks" in panels and "rates" in panels:
         panels["combined"] = build_combined(panels["stocks"], panels["rates"])
 
-    max_context = float("inf")  # a stub never cuts a context
     if stub:
         forecaster = E.STUB_FORECASTERS[stub]()
     else:
-        ckpt = cfg["checkpoint"]
-        if not ckpt:
-            raise ConfigError("evaluate needs a checkpoint (or --stub for harness self-test)")
         weights, model_cfg, _extra, _m = load_checkpoint(ckpt)
         horizon = max(cfg["horizons"], default=0)
         if horizon > model_cfg.horizon_capacity:
             raise ConfigError(f"horizon {horizon} exceeds the checkpoint's capacity {model_cfg.horizon_capacity}")
-        max_context = model_cfg.max_context
         forecaster = E.ModelForecaster(weights, model_cfg)
 
-    try:
-        cutoff = date.fromisoformat(cfg["cutoff"])
-    except ValueError as exc:
-        raise ConfigError(f"cutoff must be an ISO date: {exc}") from exc
     specs = [
         E.ExperimentSpec(
             panel=p, mode=mo.upper(), n=n, m=m,
@@ -334,7 +331,7 @@ def cmd_evaluate(args) -> int:
     if args.dry_run:
         print("dry run: grid summary")
         for spec, origins in plan.items():
-            used = f" ({max_context} used)" if spec.n > max_context else ""
+            used = f" ({forecaster.max_context} used)" if spec.n > forecaster.max_context else ""
             print(f"  {spec.panel:9s} {spec.mode} n={spec.n:4d}{used} m={spec.m:3d} origins={len(origins)}")
         print(f"total cells: {sum(map(len, plan.values()))}")
         return EXIT_OK
@@ -348,9 +345,9 @@ def cmd_evaluate(args) -> int:
     )
     by_reason = sorted(Counter(s["reason"] for s in skips).items(), key=lambda kv: (-kv[1], kv[0]))
     detail = "; ".join(f"{n} {reason}" for reason, n in by_reason)  # largest first
-    # the planned cells that run on the last max_context days of their context
-    cut = sum(len(origins) for spec, origins in plan.items() if spec.n > max_context)
-    cut_note = f", {cut} planned cells truncated to max_context {max_context}" if cut else ""
+    # the planned cells whose context evaluate_cell cuts to the window the forecaster reads
+    cut = sum(len(origins) for spec, origins in plan.items() if spec.n > forecaster.max_context)
+    cut_note = f", {cut} planned cells truncated to max_context {forecaster.max_context}" if cut else ""
     _summary("grid", start, cells, "cells", after=f", {len(skips)} skips" + (detail and f" ({detail})") + cut_note)
     paths, table1, table2 = E.emit_artifacts(records, out_dir)
     print(f"records: {records_path} ({len(records)} rows, {len(skips)} skips)")

@@ -185,7 +185,8 @@ def rolling_origins(panel: SeriesPanel, spec: ExperimentSpec) -> list[date]:
 
 class ModelForecaster:
     """Wraps the trained model; the point forecast is the middle of the 21
-    quantile levels (M.MEDIAN_INDEX, the median at the default levels).
+    quantile levels (M.MEDIAN_INDEX, the median at the default levels),
+    read from the last config.max_context days of a context.
 
     It keeps the trunk of the last context it forecast (see model.trunk),
     keyed on the bytes of the context values and mask and on the horizon,
@@ -198,6 +199,7 @@ class ModelForecaster:
     def __init__(self, weights: dict, config: M.ModelConfig):
         self.weights = weights
         self.config = config
+        self.max_context = config.max_context
         self._trunk_key = None
         self._trunk = None
 
@@ -218,26 +220,23 @@ def _array_key(a: np.ndarray) -> tuple:
 
 
 class LastValueStub:
-    """Repeats each series' last observed context value; harness self-test."""
+    """Repeats each series' last observed value in the whole context (a
+    series with none is skipped by evaluate_cell); harness self-test."""
 
     needs_truth = False
+    max_context = np.inf
 
     def forecast_panel(self, context_values, context_mask, mode, m, realized=None):
         ctx = np.asarray(context_values, dtype=np.float64)
-        msk = np.asarray(context_mask)
-        K = ctx.shape[0]
-        out = np.zeros((K, m))
-        for k in range(K):
-            obs = np.nonzero(msk[k] > 0)[0]
-            last = ctx[k, obs[-1]] if obs.size else 0.0
-            out[k, :] = last
-        return out
+        last = ctx.shape[1] - 1 - np.argmax(np.asarray(context_mask)[:, ::-1] > 0, axis=1)
+        return np.repeat(ctx[np.arange(ctx.shape[0]), last][:, None], m, axis=1)
 
 
 class PerfectForesightStub:
     """Replays the realized future; yields exactly zero error."""
 
     needs_truth = True
+    max_context = np.inf
 
     def forecast_panel(self, context_values, context_mask, mode, m, realized=None):
         values, _mask = realized
@@ -275,8 +274,10 @@ def evaluate_cell(
     """All per-series records for one (spec, origin) grid cell, and a skip
     for each series that has none.
 
-    A series with no observed context value is skipped ("no observed
-    context") and the others are forecast without it, in MV as one group.
+    A series with no observed value in the window the forecaster reads,
+    the last min(spec.n, forecaster.max_context) days before the origin,
+    is skipped ("no observed context") and the others are forecast
+    without it, in MV as one group.
     A forecast that raises or is not of the realized shape skips every
     series it covers as a forecast error. Otherwise fully observed rows
     with no actual below MAPE_SKIP_THRESHOLD are scored together in
@@ -294,11 +295,10 @@ def evaluate_cell(
              "m": spec.m, "origin": origin.isoformat(), "reason": reason}
         )
 
-    ctx = slice_context(panel, origin, spec.n)
     oi = bisect_left(panel.dates, origin)
-    if ctx is None or oi == panel.n_dates or panel.dates[oi] != origin:
+    if oi < spec.n or oi == panel.n_dates or panel.dates[oi] != origin:
         raise KeyError(f"origin {origin} is not a date of panel {spec.panel} with {spec.n} dates before it")
-    ctx_values, ctx_mask = ctx
+    ctx_values, ctx_mask = slice_context(panel, origin, min(spec.n, forecaster.max_context))
     realized = panel.values[:, oi : oi + spec.m]
     realized_mask = panel.mask[:, oi : oi + spec.m]
     regime = regime_of(spec, origin)

@@ -28,7 +28,8 @@ mixing formula of derived panels, summed one element at a time over a
 byte reference for the lag-shifted copies of ``synthdata.derive_multivariate``
 and ``synthdata.make_cross_link_panel``. The per-series scoring loop, which calls the
 package's ``rmse`` and ``mape`` once per series, is the byte reference for
-the whole-array metrics of ``evalharness.evaluate_cell``. The two-phase
+the whole-array metrics of ``evalharness.evaluate_cell``; the per-series
+last-value loop is the byte reference for ``evalharness.LastValueStub``. The two-phase
 reverse sweep, which sums every gradient before it touches a leaf, is the
 byte reference for ``tensor.backward``.
 """
@@ -280,6 +281,20 @@ def brute_force_metrics(panel_values, panel_mask, forecast_fn, origins_idx, n, m
                 tot += abs((a - f) / a)
                 cnt += 1
             out[(oi, k)] = ((sq / nsq) ** 0.5, tot / cnt, skipped)
+    return out
+
+
+def last_value_per_series(context_values, context_mask, m):
+    """Each series' last observed context value repeated m times, one series
+    at a time; 0.0 for a series with none."""
+    ctx = np.asarray(context_values, dtype=np.float64)
+    msk = np.asarray(context_mask)
+    K = ctx.shape[0]
+    out = np.zeros((K, m))
+    for k in range(K):
+        obs = np.nonzero(msk[k] > 0)[0]
+        last = ctx[k, obs[-1]] if obs.size else 0.0
+        out[k, :] = last
     return out
 
 

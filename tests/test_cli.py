@@ -259,6 +259,18 @@ def test_unknown_stub_exits_2_in_one_line_before_any_file_is_opened(no_open, tmp
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--stub", "last-value", "--set", "cutoff=not-a-date"], "cutoff must be an ISO date: "),
+    ([], "evaluate needs a checkpoint (or --stub for harness self-test)\n"),
+], ids=["cutoff", "no-forecaster"])
+def test_evaluate_config_error_exits_2_in_one_line_before_any_file_is_opened(no_open, tmp_path, capsys, flags, message):
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--stocks", "missing.csv", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}") and err.count("\n") == 1, err
+    assert not list(tmp_path.iterdir())
+
+
 def test_unset_kinds_name_each_none_default_outside_the_model_and_train_sections():
     def none_leaves(table, prefix=""):
         for key, default in table.items():
@@ -1023,8 +1035,8 @@ EXIT_PREFIX = {2: "config error:", 4: "load failure:", 5: "malformed data:"}
 # checkpoint of capacity 64); t/out is where a command that writes would write
 EXIT_CASES = {
     # a file that cannot be opened, read or written
-    "evaluate-panel-missing": (4, lambda t: _evaluate(t, "--rates", str(t / "no.csv"))),
-    "evaluate-panel-directory": (4, lambda t: _evaluate(t, "--rates", str(t))),
+    "evaluate-panel-missing": (4, lambda t: _evaluate(t, "--stub", "last-value", "--rates", str(t / "no.csv"))),
+    "evaluate-panel-directory": (4, lambda t: _evaluate(t, "--stub", "last-value", "--rates", str(t))),
     "evaluate-checkpoint-missing": (4, lambda t: _evaluate(t, "--checkpoint", str(t / "no"))),
     "evaluate-checkpoint-directory": (4, lambda t: _evaluate(t, "--checkpoint", str(t))),
     "train-dataset-directory": (4, lambda t: _train(t, "--data", _data(t, subdir="x.csv"))),

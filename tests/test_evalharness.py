@@ -11,7 +11,7 @@ import pytest
 from groupcast import evalharness as E
 from groupcast import model as M
 from groupcast.errors import DataError, DegenerateInputError
-from groupcast.panels import RATE_IDS, STOCK_IDS, SeriesPanel, build_combined
+from groupcast.panels import RATE_IDS, STOCK_IDS, SeriesPanel, build_combined, slice_context
 
 from conftest import crash_in_child, make_price_panel, make_rate_panel, tree_bytes, weekday_calendar
 from oracles import (
@@ -19,6 +19,7 @@ from oracles import (
     emit_artifacts_scan,
     evaluate_cell_per_series,
     finish_unpruned,
+    last_value_per_series,
     mape_loop,
     rmse_two_lines,
 )
@@ -517,6 +518,7 @@ class FixedForecast:
     """Returns a preset point path whatever the context."""
 
     needs_truth = False
+    max_context = np.inf
 
     def __init__(self, point):
         self.point = point
@@ -595,6 +597,37 @@ def test_wrong_forecast_shape_skips_every_series(shape):
     assert records == []
     reason = f"forecast error: forecast shape {shape}, expected (7, 9)"
     assert [s["reason"] for s in skips] == [reason] * 7
+
+
+class LastValueLoop:
+    """The per-series last-value loop of the oracles as a forecaster."""
+
+    needs_truth = False
+    max_context = np.inf
+
+    def forecast_panel(self, context_values, context_mask, mode, m, realized=None):
+        return last_value_per_series(context_values, context_mask, m)
+
+
+def test_last_value_stub_equals_the_per_series_loop_on_gaps_and_a_late_listing():
+    panel = make_price_panel(STOCK_IDS, date(2019, 1, 1), 320, seed=23)
+    panel.mask[1, 100:180] = 0.0  # a publication gap
+    panel.mask[4, :150] = 0.0  # listed late
+    panel.mask[2, ::7] = 0.0  # scattered gaps, on some contexts' last day
+    specs = [_spec(mode=mo, n=n, m=8, start_years_after=0) for mo in M.MODES for n in (20, 64)]
+    plan = E.grid_plan(specs, {"stocks": panel})
+    got = E.run_grid(plan, {"stocks": panel}, E.LastValueStub())
+    assert got == E.run_grid(plan, {"stocks": panel}, LastValueLoop())
+    # the gap and the late listing reach the skip rule; the scattered gaps do not
+    assert {s["series"] for s in got[1] if s["reason"] == "no observed context"} == set(STOCK_IDS[1::3])
+    for spec, origins in plan.items():
+        for origin in origins:  # every row evaluate_cell hands the stub, bit for bit
+            ctx, mask = slice_context(panel, origin, spec.n)
+            seen = (mask > 0).any(axis=1)
+            point = E.LastValueStub().forecast_panel(ctx[seen], mask[seen], spec.mode, spec.m)
+            want = last_value_per_series(ctx[seen], mask[seen], spec.m)
+            assert point.dtype == want.dtype and point.shape == want.shape
+            assert point.tobytes() == want.tobytes()
 
 
 class DropsARowInMV(E.LastValueStub):
@@ -1022,6 +1055,33 @@ def test_a_series_with_no_observed_context_is_skipped_and_the_rest_are_forecast_
             assert got == E.evaluate_cell(rest, spec, origin, forecaster)[0]
         else:
             assert [r.series for r in got] == ids
+
+
+def test_a_series_observed_only_before_the_models_window_is_skipped_and_the_rest_are_forecast_without_it(
+    tiny_model,
+):
+    weights, cfg = tiny_model
+    forecaster = E.ModelForecaster(weights, cfg)
+    n = cfg.max_context + 44  # the model reads the last max_context days of each n-day context
+    full = make_price_panel(STOCK_IDS, date(2019, 1, 1), 420, seed=21)
+    full.mask[3, 40:] = 0.0  # observed on its first 40 days only
+    ids = full.series_ids
+    rest = SeriesPanel(dates=full.dates, series_ids=ids[:3] + ids[4:],
+                       values=np.delete(full.values, 3, 0), mask=np.delete(full.mask, 3, 0))
+    specs = [_spec(mode=mode, n=n, m=8, start_years_after=0) for mode in M.MODES]
+    plan = E.grid_plan(specs, {"stocks": full})
+    records, skips, _ = E.run_grid(plan, {"stocks": full}, forecaster)
+    cells = [(spec, origin) for spec, origins in plan.items() for origin in origins]
+    # some n-day contexts observe it; no model window does
+    assert any(full.dates.index(origin) - n < 40 for _, origin in cells)
+    assert skips == [
+        {"panel": "stocks", "mode": spec.mode, "series": ids[3], "n": n, "m": 8,
+         "origin": origin.isoformat(), "reason": "no observed context"}
+        for spec, origin in cells
+    ]
+    assert (records, []) == E.run_grid(E.grid_plan(specs, {"stocks": rest}), {"stocks": rest}, forecaster)[:2]
+    for spec, origin in cells:  # the other six get records in MV and in UV
+        assert [r.series for r in records if (r.mode, r.origin) == (spec.mode, origin)] == rest.series_ids
 
 
 # UV forecasts identical inside the combined run (model semantics)
