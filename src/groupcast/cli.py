@@ -298,10 +298,24 @@ def cmd_evaluate(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"cutoff must be an ISO date: {exc}") from exc
     out_dir = Path(cfg["out_dir"] or _default_out())
-    panels = {k: load_csv_panel(p, expected_ids=PANEL_IDS[k]) for k, p in cfg["panels"].items() if p}
-    if not panels:
+    paths = {k: p for k, p in cfg["panels"].items() if p}
+    if not paths:
         raise ConfigError("evaluate needs at least one of panels.stocks / panels.rates")
-    if cfg["include_combined"] and "stocks" in panels and "rates" in panels:
+    combined = cfg["include_combined"] and "stocks" in paths and "rates" in paths
+    # ExperimentSpec checks every grid value before any file is opened
+    specs = [
+        E.ExperimentSpec(
+            panel=p, mode=mo.upper(), n=n, m=m,
+            start_years_after=cfg["start_years_after"],
+            cutoff=cutoff,
+        )
+        for p in sorted([*paths, "combined"] if combined else paths, key=E.panel_sort_key)
+        for mo in cfg["modes"]
+        for n in cfg["contexts"]
+        for m in cfg["horizons"]
+    ]
+    panels = {k: load_csv_panel(p, expected_ids=PANEL_IDS[k]) for k, p in paths.items()}
+    if combined:
         panels["combined"] = build_combined(panels["stocks"], panels["rates"])
 
     if stub:
@@ -312,18 +326,6 @@ def cmd_evaluate(args) -> int:
         if horizon > model_cfg.horizon_capacity:
             raise ConfigError(f"horizon {horizon} exceeds the checkpoint's capacity {model_cfg.horizon_capacity}")
         forecaster = E.ModelForecaster(weights, model_cfg)
-
-    specs = [
-        E.ExperimentSpec(
-            panel=p, mode=mo.upper(), n=n, m=m,
-            start_years_after=cfg["start_years_after"],
-            cutoff=cutoff,
-        )
-        for p in sorted(panels, key=E.panel_sort_key)
-        for mo in cfg["modes"]
-        for n in cfg["contexts"]
-        for m in cfg["horizons"]
-    ]
 
     plan = E.grid_plan(specs, panels)
     if not any(plan.values()):
@@ -426,8 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--checkpoint", help="model checkpoint")
     pe.add_argument("--stocks", dest="panels.stocks", metavar="CSV", help="stocks panel CSV")
     pe.add_argument("--rates", dest="panels.rates", metavar="CSV", help="rates panel CSV")
-    pe.add_argument("--mode", dest="modes", action="append", type=str.upper, choices=M.MODES,
-                    help="repeatable")
+    pe.add_argument("--mode", dest="modes", action="append", help="MV or UV, either case; repeatable")
     pe.add_argument("--n", dest="contexts", action="append", type=int, help="context length; repeatable")
     pe.add_argument("--m", dest="horizons", action="append", type=int, help="horizon; repeatable")
     pe.add_argument("--stub", help=f"bypass the model: one of {', '.join(sorted(E.STUB_FORECASTERS))}")

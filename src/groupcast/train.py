@@ -103,18 +103,14 @@ class TaskSample:
     """One training batch before embedding: raw windows plus task framing.
 
     Rows are series; group_ids partition them into jointly-attending tasks.
-    future_values/future_known_mask feed the known-future input channel
-    (covariate rows); target_mask selects the cells that enter the loss.
+    target_values (S, m) is each row's future; future_known_mask marks the
+    cells fed as known inputs (covariate rows), and the loss takes the rest.
     """
 
     context_values: np.ndarray
-    context_mask: np.ndarray
     group_ids: np.ndarray
-    horizon_len: int
-    future_values: np.ndarray
-    future_known_mask: np.ndarray
     target_values: np.ndarray
-    target_mask: np.ndarray
+    future_known_mask: np.ndarray
 
 
 class Corpus:
@@ -194,8 +190,8 @@ def sample_task(
     """Draw a batch of n_groups tasks (UV / MV / covariate per mix ratios).
 
     UV groups are singleton rows; MV groups share one ID across a panel;
-    covariate groups mark rows past the first as known-future inputs and
-    keep the loss on the target row only.
+    covariate groups mark rows past the first as known-future inputs
+    (future_known_mask 1) and keep the loss on the target row only.
 
     Every task takes three uniforms, in order: its kind (a categorical draw
     over mix), its index in the kind's pool and its window start (each
@@ -229,19 +225,11 @@ def sample_task(
     covariate[np.cumsum(sizes) - sizes] = False
     known = np.zeros((rows.shape[0], horizon_len))
     known[covariate] = 1.0
-    future = rows[:, ctx_len:]
-    fvals = np.zeros_like(known)
-    fvals[covariate] = future[covariate]
-    context = rows[:, :ctx_len].copy()
     return TaskSample(
-        context_values=context,
-        context_mask=np.ones_like(context),
+        context_values=rows[:, :ctx_len].copy(),
         group_ids=np.repeat(np.arange(n_groups, dtype=np.int64), sizes),
-        horizon_len=horizon_len,
-        future_values=fvals,
+        target_values=rows[:, ctx_len:].copy(),
         future_known_mask=known,
-        target_values=future.copy(),
-        target_mask=1.0 - known,
     )
 
 
@@ -258,15 +246,18 @@ def _scaled_targets(target_values, target_mask, loc, scale, n_positions: int):
 
 def _loss(weights: dict, model_config: M.ModelConfig, sample: TaskSample) -> T.Tensor:
     """Scaled-space pinball loss of one forward pass over sample: assemble
-    the batch, run the model and score the (S, m) targets; recorded when a
-    tape is active. train_step and evaluate_pinball both call it."""
+    the batch (context mask all ones, horizon target_values' width, known
+    future read from target_values' known cells), run the model and score
+    the cells that are not known inputs; recorded when a tape is active.
+    train_step and evaluate_pinball both call it."""
+    known = sample.future_known_mask
     batch = M.assemble_batch(
-        sample.context_values, sample.context_mask, sample.group_ids, sample.horizon_len,
-        weights, model_config,
-        future_values=sample.future_values, future_known_mask=sample.future_known_mask,
+        sample.context_values, np.ones_like(sample.context_values), sample.group_ids,
+        sample.target_values.shape[1], weights, model_config,
+        future_values=sample.target_values, future_known_mask=known,
     )
     pred = M.forward(batch, weights, model_config)
-    tv, tm = _scaled_targets(sample.target_values, sample.target_mask, batch.loc, batch.scale, pred.shape[1])
+    tv, tm = _scaled_targets(sample.target_values, 1.0 - known, batch.loc, batch.scale, pred.shape[1])
     return pinball_loss(pred, tv, tm, model_config.quantile_levels)
 
 
@@ -323,7 +314,7 @@ def train_step(
         raise TrainingAbort(
             f"non-finite loss {loss_val} at step {state.step + 1} "
             f"(batch: {sample.context_values.shape[0]} rows, ctx {sample.context_values.shape[1]}, "
-            f"horizon {sample.horizon_len})"
+            f"horizon {sample.target_values.shape[1]})"
         )
     state.flat["grad"].fill(0)
     T.backward(loss, tape)
@@ -343,17 +334,12 @@ def evaluate_pinball(
     """Scaled-space pinball loss of a forward pass on one panel window.
 
     Context is the first ctx_len columns; targets the next horizon_len,
-    with no known-future input. Comparable across modes because scaling
-    depends only on the context.
+    all of them scored, with no known-future input. Comparable across
+    modes because scaling depends only on the context.
     """
     panel = np.asarray(panel, dtype=np.float64)
-    ctx = panel[:, :ctx_len]
     fut = panel[:, ctx_len : ctx_len + horizon_len]
-    sample = TaskSample(
-        ctx, np.ones_like(ctx), M.mode_group_ids(mode, panel.shape[0]), horizon_len,
-        future_values=np.zeros_like(fut), future_known_mask=np.zeros_like(fut),
-        target_values=fut, target_mask=np.ones_like(fut),
-    )
+    sample = TaskSample(panel[:, :ctx_len], M.mode_group_ids(mode, panel.shape[0]), fut, np.zeros_like(fut))
     return float(_loss(weights, model_config, sample).data)
 
 

@@ -657,7 +657,7 @@ def sample_task_per_draw(corpus, mix, rng, n_groups, ctx_len, horizon_len):
     """train.sample_task with one rng.uniform(1) call per draw: kind (a
     running-sum categorical over mix), pool index and window start (each
     floor(u * high), capped at high - 1), task by task. Returns a dict of
-    the TaskSample fields."""
+    the four TaskSample fields."""
 
     def draw_int(high):
         return min(int(math.floor(float(rng.uniform(1)[0]) * high)), high - 1)
@@ -671,7 +671,7 @@ def sample_task_per_draw(corpus, mix, rng, n_groups, ctx_len, horizon_len):
                 return i
         return len(mix) - 1
 
-    out = {k: [] for k in ("ctx", "fv", "fm", "tv", "tm")}
+    out = {k: [] for k in ("ctx", "fm", "tv")}
     gids = []
     need = ctx_len + horizon_len
     for g in range(n_groups):
@@ -687,27 +687,18 @@ def sample_task_per_draw(corpus, mix, rng, n_groups, ctx_len, horizon_len):
         K = rows.shape[0]
         fut = rows[:, ctx_len:]
         known = np.zeros((K, horizon_len))
-        fvals = np.zeros((K, horizon_len))
-        tmask = np.ones((K, horizon_len))
         if kind == 2 and K > 1:
             known[1:, :] = 1.0
-            fvals[1:, :] = fut[1:, :]
-            tmask[1:, :] = 0.0
         out["ctx"].append(rows[:, :ctx_len])
-        out["fv"].append(fvals)
         out["fm"].append(known)
         out["tv"].append(fut)
-        out["tm"].append(tmask)
         gids.extend([g] * K)
     cat = {k: np.concatenate(v) for k, v in out.items()}
     return {
         "context_values": cat["ctx"],
-        "context_mask": np.ones_like(cat["ctx"]),
         "group_ids": np.asarray(gids, dtype=np.int64),
-        "future_values": cat["fv"],
-        "future_known_mask": cat["fm"],
         "target_values": cat["tv"],
-        "target_mask": cat["tm"],
+        "future_known_mask": cat["fm"],
     }
 
 

@@ -262,7 +262,12 @@ def test_unknown_stub_exits_2_in_one_line_before_any_file_is_opened(no_open, tmp
 @pytest.mark.parametrize("flags,message", [
     (["--stub", "last-value", "--set", "cutoff=not-a-date"], "cutoff must be an ISO date: "),
     ([], "evaluate needs a checkpoint (or --stub for harness self-test)\n"),
-], ids=["cutoff", "no-forecaster"])
+    (["--stub", "last-value", "--set", 'modes=["XX"]'], "mode must be one of ('MV', 'UV'), got 'XX'\n"),
+    (["--stub", "last-value", "--mode", "xx"], "mode must be one of ('MV', 'UV'), got 'XX'\n"),
+    (["--stub", "last-value", "--m", "5", "--set", "contexts=[0]"], "n and m must be positive, got n=0, m=5\n"),
+    (["--stub", "last-value", "--n", "30", "--set", "horizons=[0]"], "n and m must be positive, got n=30, m=0\n"),
+    (["--stub", "last-value", "--set", "start_years_after=-5"], "start_years_after must be >= 0, got -5\n"),
+], ids=["cutoff", "no-forecaster", "modes", "mode-flag", "contexts", "horizons", "start-years-after"])
 def test_evaluate_config_error_exits_2_in_one_line_before_any_file_is_opened(no_open, tmp_path, capsys, flags, message):
     capsys.readouterr()
     assert cli.main(["evaluate", "--stocks", "missing.csv", *flags]) == 2

@@ -148,25 +148,22 @@ def test_sample_task_mv_one_group_per_panel(corpus):
 
 
 def test_sample_task_covariate_w_cells(corpus):
+    windows = [np.lib.stride_tricks.sliding_window_view(p, 20, axis=1) for p in corpus.covariate_panels]
     for i in range(100):
         s = TR.sample_task(corpus, (0, 0, 1), PortableRng(3).spawn(i), 3, 16, 4)
+        assert s.target_values.shape == s.future_known_mask.shape == (s.group_ids.size, 4)
         for g in np.unique(s.group_ids):
             rows = np.nonzero(s.group_ids == g)[0]
-            target_row = rows[0]
-            assert np.all(s.future_known_mask[target_row] == 0)
-            assert np.all(s.target_mask[target_row] == 1)
-            for r in rows[1:]:
-                assert np.all(s.future_known_mask[r] == 1)
-                assert np.all(s.target_mask[r] == 0)
-        # known-future values only on covariate rows
-        unknown = s.future_known_mask == 0
-        assert np.all(s.future_values[unknown] == 0)
+            assert np.all(s.future_known_mask[rows[0]] == 0)  # the target row: every cell in the loss
+            assert np.all(s.future_known_mask[rows[1:]] == 1)  # covariate rows: every cell a known input
+            # each row's target_values is the future of the group's one drawn window
+            drawn = np.hstack([s.context_values[rows], s.target_values[rows]])
+            assert any(
+                (w == drawn[:, None, :]).all(axis=(0, 2)).any() for w in windows if w.shape[0] == rows.size
+            ), (i, g)
 
 
-TASK_FIELDS = (
-    "context_values", "context_mask", "group_ids", "future_values",
-    "future_known_mask", "target_values", "target_mask",
-)
+TASK_FIELDS = ("context_values", "group_ids", "target_values", "future_known_mask")
 
 
 def test_sample_task_matches_per_draw_oracle(corpus):
@@ -191,7 +188,7 @@ def test_sample_task_matches_per_draw_oracle(corpus):
                 expect = sample_task_per_draw(c, mix, ref_rng, n_groups, 20, 8)
                 case = (ci, mix, seed)
                 assert got_rng.counter == ref_rng.counter == seed % 3 + 3 * n_groups, case
-                assert got.horizon_len == 8
+                assert got.target_values.shape[1] == 8
                 for name in TASK_FIELDS:
                     a, b = getattr(got, name), expect[name]
                     assert a.dtype == b.dtype and a.shape == b.shape, (case, name)
@@ -231,6 +228,42 @@ def test_scaled_targets_match_per_row_oracle():
         expect = scaled_targets_per_row(target, tmask, states, n_positions)
         for a, b in zip(got, expect):
             assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("mix", [(1, 0, 0), (0, 1, 0), (0, 0, 1)], ids=["UV", "MV", "covariate"])
+def test_loss_and_grads_equal_the_spelled_out_batch_bitwise(corpus, mix):
+    """_loss derives the context mask, the horizon, the target mask and the
+    known-future values from the four TaskSample fields. Its loss and every
+    leaf gradient have the bytes of the batch built with them spelled out:
+    future values zero but on known cells, a ones context mask, the horizon
+    given, and 1 - known as the target mask."""
+
+    def loss_and_grads(loss_of):
+        weights = M.init_weights(CFG, seed=6)
+        with T.record() as tape:
+            loss = loss_of(weights)
+        T.backward(loss, tape)
+        return loss.data.tobytes(), {k: t.grad.tobytes() for k, t in weights.items()}
+
+    for i in range(4):
+        s = TR.sample_task(corpus, mix, PortableRng(6).spawn(i), 3, 16, 4)
+        known = s.future_known_mask
+        assert known.any() == (mix == (0, 0, 1))
+        covariate = known[:, 0] > 0
+        future_values = np.zeros_like(known)
+        future_values[covariate] = s.target_values[covariate]
+
+        def spelled_out(weights):
+            batch = M.assemble_batch(
+                s.context_values, np.ones_like(s.context_values), s.group_ids, 4, weights, CFG,
+                future_values=future_values, future_known_mask=known,
+            )
+            pred = M.forward(batch, weights, CFG)
+            tv, tm = TR._scaled_targets(s.target_values, 1 - known, batch.loc, batch.scale, pred.shape[1])
+            return TR.pinball_loss(pred, tv, tm, CFG.quantile_levels)
+
+        got = loss_and_grads(lambda weights: TR._loss(weights, CFG, s))
+        assert got == loss_and_grads(spelled_out), (mix, i)
 
 
 def test_adam_zero_gradient_leaves_weights(corpus):
