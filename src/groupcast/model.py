@@ -414,18 +414,11 @@ def group_attention(
     masked attention are one fused tape entry (_attention), whose input,
     the series-major view of the tokens, feeds nothing else.
 
-    The separator token (at reg_position) is excluded: it neither updates
-    nor contributes, and is copied through unchanged.
+    Attention runs at every patch index, the separator's (reg_position)
+    included: patch indices never mix, so that row changes no other. The
+    separator's output row is its input row, copied through unchanged.
     """
-    if reg_position is None:
-        sub = tokens
-    else:
-        L = tokens.shape[1]
-        before = T.narrow(tokens, 1, 0, reg_position)
-        reg_tok = T.narrow(tokens, 1, reg_position, 1)
-        after = T.narrow(tokens, 1, reg_position + 1, L - reg_position - 1)
-        sub = T.concat([before, after], axis=1)
-    flipped = T.transpose(sub, (1, 0, 2))  # (L', S, D)
+    flipped = T.transpose(tokens, (1, 0, 2))  # (L, S, D)
     g = np.asarray(group_ids)
     n_groups = len(set(g.tolist()))
     if n_groups == g.size:
@@ -438,9 +431,9 @@ def group_attention(
     out = T.transpose(out, (1, 0, 2))
     if reg_position is None:
         return out
-    out_before = T.narrow(out, 1, 0, reg_position)
-    out_after = T.narrow(out, 1, reg_position, out.shape[1] - reg_position)
-    return T.concat([out_before, reg_tok, out_after], axis=1)
+    r, L = reg_position, out.shape[1]
+    rows = [T.narrow(out, 1, 0, r), T.narrow(tokens, 1, r, 1), T.narrow(out, 1, r + 1, L - r - 1)]
+    return T.concat(rows, axis=1)
 
 
 def forward(batch: GroupBatch, weights: dict, config: ModelConfig) -> T.Tensor:
@@ -495,9 +488,11 @@ def assemble_batch(
     context_values/context_mask: (S, Lc) in original units. future_values,
     when given, are known-future covariate inputs (S, m) in original units;
     cells with future_known_mask 0 are ignored and enter the grid as 0.
-    Every row is scaled and patched in whole-array operations that give
-    the bits of preprocess.robust_scale and patchify row by row. A context
-    past config.max_context keeps its last max_context positions.
+    Context and future share one channel grid, whose value cells start as
+    each row's loc, so a pad or unset cell scales to exactly 0; one
+    expression scales it with the bits of preprocess.robust_scale and
+    patchify row by row. A context past config.max_context keeps its last
+    max_context positions.
     """
     ctx = np.asarray(context_values, dtype=np.float64)
     msk = np.asarray(context_mask, dtype=np.float64)
@@ -533,31 +528,22 @@ def assemble_batch(
         state = preprocess.fit_scaling(ctx[s], msk[s])
         loc[s], scale[s] = state.loc, state.scale
 
-    # channels [value, rel_time, mask] of the left-padded context, as patchify
-    rel = preprocess.make_rel_time(Lc, Lh)
-    rel_ctx = rel[:Lc]
-    chans = np.zeros((S, pad + Lc, N_CHANNELS))
-    chans[:, pad:, 0] = np.where(msk > 0, preprocess.scale_rows(ctx, loc, scale), 0.0)
-    if pad:
-        chans[:, :pad, 1] = preprocess.pad_rel_time(rel_ctx, pad)
-    chans[:, pad:, 1] = rel_ctx
-    chans[:, pad:, 2] = msk
-    ctx_patches = chans.reshape(S, (pad + Lc) // P, P * N_CHANNELS)
-
-    fut = np.zeros((S, Lh, N_CHANNELS))
-    fut[:, :, 1] = rel[Lc:]
+    # channels [value, rel_time, mask] of the left-padded context and the
+    # future, as patchify; an unset value holds loc, so it scales to 0
+    Lp = pad + Lc
+    chans = np.zeros((S, Lp + Lh, N_CHANNELS))
+    vals = np.repeat(loc[:, None], Lp + Lh, axis=1)
+    vals[:, pad:Lp] = ctx
+    chans[:, pad:Lp, 2] = msk
+    if future_values is not None:
+        vals[:, Lp : Lp + np.shape(future_values)[1]] = future_values
     if future_known_mask is not None:
-        fm = np.asarray(future_known_mask, dtype=np.float64)
-        fut[:, : fm.shape[1], 2] = fm
-        known = fut[:, :, 2] > 0
-        rows = np.flatnonzero(known.any(axis=1))
-        if future_values is not None and rows.size:
-            fv = np.asarray(future_values, dtype=np.float64)[rows]
-            raw = np.zeros((rows.size, Lh))
-            raw[:, : fv.shape[1]] = fv
-            scaled = preprocess.scale_rows(raw, loc[rows], scale[rows])
-            fut[rows, :, 0] = np.where(known[rows], scaled, 0.0)
-    fut_patches = fut.reshape(S, F, P * N_CHANNELS)
+        chans[:, Lp : Lp + np.shape(future_known_mask)[1], 2] = future_known_mask
+    chans[..., 0] = np.where(chans[..., 2] > 0, preprocess.scale_rows(vals, loc, scale), 0.0)
+    rel = preprocess.make_rel_time(Lc, Lh)
+    chans[..., 1] = np.concatenate([preprocess.pad_rel_time(rel[:Lc], pad), rel])
+    ctx_patches = chans[:, :Lp].reshape(S, Lp // P, P * N_CHANNELS)
+    fut_patches = chans[:, Lp:].reshape(S, F, P * N_CHANNELS)
 
     ctx_tokens = embed_patches(T.constant(ctx_patches, dtype=dtype), weights)
     fut_tokens = embed_patches(T.constant(fut_patches, dtype=dtype), weights)

@@ -335,9 +335,12 @@ def evaluate_pinball(
 
     Context is the first ctx_len columns; targets the next horizon_len,
     all of them scored, with no known-future input. Comparable across
-    modes because scaling depends only on the context.
+    modes because scaling depends only on the context. A panel narrower
+    than the window raises ConfigError before any forward pass.
     """
     panel = np.asarray(panel, dtype=np.float64)
+    if panel.shape[1] < ctx_len + horizon_len:
+        raise ConfigError(f"series of length {panel.shape[1]} too short for window {ctx_len + horizon_len}")
     fut = panel[:, ctx_len : ctx_len + horizon_len]
     sample = TaskSample(panel[:, :ctx_len], M.mode_group_ids(mode, panel.shape[0]), fut, np.zeros_like(fut))
     return float(_loss(weights, model_config, sample).data)

@@ -253,7 +253,7 @@ def test_group_attention_distinct_ids_is_self_attention():
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("reg_position", [None, 2])
+@pytest.mark.parametrize("reg_position", [None, 0, 2, 4])
 @pytest.mark.parametrize(
     "gids", [[0, 1, 2, 3, 4, 5], [0, 0, 0, 0, 0, 0], [0, 0, 1, 2, 2, 2]], ids=["UV", "MV", "mixed"]
 )
@@ -592,6 +592,8 @@ def _oracle_case(rng, trial):
     )
     S = 1 if trial % 5 == 0 else int(rng.integers(2, 12))
     Lc = int(rng.integers(2, cfg.max_context + 1))
+    if trial % 6 == 2:  # one position: pad rel_time steps by 1, not by the future's step
+        Lc = 1
     if trial % 4 == 1:  # longer than max_context: truncated from the left
         Lc = cfg.max_context + int(rng.integers(1, 40))
     m = int(rng.integers(1, cfg.horizon_capacity + 1))

@@ -3,9 +3,12 @@
 perfbench/layers.py replaces module attributes of the package to time
 them, and perfbench/workloads.py passes fixed argv to the CLI and calls the
 config classes' to_dict; deleting or renaming one of those breaks the
-benchmark, so these run its code against the current source.
+benchmark, so these run its code against the current source. One pass of
+each workload must also give the output hashes perfbench/reference.json
+recorded, so a change of bits fails here and not only in the benchmark.
 """
 
+import json
 from datetime import date
 from pathlib import Path
 
@@ -142,3 +145,25 @@ def test_synth_pass_saves_each_dataset_once_through_the_module_attributes(monkey
     assert len(csvs) == len(jsons) == 6
     assert result.work == sum(len(p.read_text().splitlines()) - 1 for p in csvs)  # one row per point
     assert len(result.latencies_ms) == len(result.op_ends) == 5  # the first interval is dropped
+
+
+@pytest.mark.parametrize("name", ["train-desk", "eval-grid", "synth-corpus"])
+def test_one_pass_of_each_workload_gives_the_recorded_seed_0_hashes(monkeypatch, tmp_path, name):
+    """The benchmark runs every pass against perfbench/reference.json; one
+    seed-0 pass here catches a change of output bits in tier-1. Hashes are
+    recorded for one numpy/BLAS build, so another build skips."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import hostspeed
+    import run
+    import workloads
+
+    reference = json.loads((PERFBENCH / "reference.json").read_text())
+    if reference["build"] != run.build_fingerprint():
+        pytest.skip("perfbench/reference.json holds no hashes for this numpy/BLAS build")
+    workload = workloads.WORKLOADS[name](0)
+    inputs, out = tmp_path / "inputs", tmp_path / "out"
+    inputs.mkdir()
+    workload.setup(inputs)
+    result = workload.run_pass(out, hostspeed.HostSpeed(None))
+    assert result.error is None and result.failed == 0
+    assert workload.pass_hashes(out) == reference["hashes"][name]["0"]

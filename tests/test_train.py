@@ -212,6 +212,22 @@ def test_sample_task_short_series_raises_config_error():
         TR.sample_task(c, (1, 0, 0), PortableRng(0), 2, 16, 4)
 
 
+@pytest.mark.parametrize("width", [128, 130])
+def test_evaluate_pinball_needs_the_whole_window_before_any_forward(monkeypatch, width):
+    """A panel without horizon_len columns after the context is refused,
+    not scored over the columns it has (or none)."""
+    cfg = M.ModelConfig()
+    weights = M.init_weights(cfg, seed=0)
+    panel = np.random.default_rng(11).normal(size=(3, width))
+
+    def no_batch(*args, **kwargs):
+        raise AssertionError("evaluate_pinball assembled a batch")
+
+    monkeypatch.setattr(M, "assemble_batch", no_batch)
+    with pytest.raises(ConfigError, match=f"series of length {width} too short for window 136"):
+        TR.evaluate_pinball(weights, cfg, panel, "MV", 128, 8)
+
+
 def test_scaled_targets_match_per_row_oracle():
     rng = np.random.default_rng(10)
     for _ in range(100):
