@@ -190,16 +190,17 @@ def cmd_synth(args) -> int:
     out_dir = Path(cfg["out_dir"] or _default_out())
     seed = cfg["seed"]
     # every input is checked before the first file is written: the family
-    # sections here, each spec (sampled or explicit) when it is built
+    # sections and their ranges here, whatever the counts, and each spec
+    # (sampled or explicit) when it is built
     for family in ("tsi", "tcm", "derived", "independent"):
         count, length = cfg[family]["count"], cfg[family]["length"]
         if count < 0 or length < 1:
             raise ConfigError(f"{family} needs count >= 0 and length >= 1, got {count} and {length}")
-    der = cfg["derived"]
+    tsi, tcm, der, ind = cfg["tsi"], cfg["tcm"], cfg["derived"], cfg["independent"]
+    S.check_tcm_ranges(tcm["n_series_range"], tcm["lag_range"], tcm["edge_prob"])
     if not der["lag_choices"] or min(der["lag_choices"]) < 0:
         raise ConfigError(f"derived.lag_choices needs one or more lags >= 0, got {der['lag_choices']}")
     root = PortableRng(seed)
-    tsi, tcm, ind = cfg["tsi"], cfg["tcm"], cfg["independent"]
     tsi_specs = [
         S.sample_tsi_spec(root.spawn(10_000 + i), tsi["length"], seed=seed * 1_000_003 + i)
         for i in range(tsi["count"])

@@ -262,6 +262,16 @@ def sample_tsi_spec(rng: PortableRng, length: int, seed: int) -> TsiSpec:
     )
 
 
+def check_tcm_ranges(n_series_range, lag_range, edge_prob) -> None:
+    """Raise ConfigError unless both ranges are [lo, hi] with 1 <= lo <= hi
+    and edge_prob lies in [0, 1]."""
+    for name, r in (("n_series_range", n_series_range), ("lag_range", lag_range)):
+        if len(r) != 2 or not 1 <= r[0] <= r[1]:
+            raise ConfigError(f"{name} needs [lo, hi] with 1 <= lo <= hi, got {list(r)}")
+    if not 0 <= edge_prob <= 1:
+        raise ConfigError(f"edge_prob must lie in [0, 1], got {edge_prob}")
+
+
 def sample_tcm_spec(
     rng: PortableRng,
     length: int,
@@ -275,15 +285,10 @@ def sample_tcm_spec(
 
     A random variate order makes the cross-series graph acyclic; self-lags
     are always candidates. Scaling lag-l matrices by c**l scales the
-    companion spectrum by c, which pins the radius exactly. A range that
-    is not [lo, hi] with 1 <= lo <= hi, or an edge_prob outside [0, 1],
-    raises ConfigError.
+    companion spectrum by c, which pins the radius exactly. Ranges that
+    fail check_tcm_ranges raise ConfigError.
     """
-    for name, r in (("n_series_range", n_series_range), ("lag_range", lag_range)):
-        if len(r) != 2 or not 1 <= r[0] <= r[1]:
-            raise ConfigError(f"{name} needs [lo, hi] with 1 <= lo <= hi, got {list(r)}")
-    if not 0 <= edge_prob <= 1:
-        raise ConfigError(f"edge_prob must lie in [0, 1], got {edge_prob}")
+    check_tcm_ranges(n_series_range, lag_range, edge_prob)
     K = int(rng.integers(1, n_series_range[1] - n_series_range[0] + 1)[0]) + n_series_range[0]
     L = int(rng.integers(1, lag_range[1] - lag_range[0] + 1)[0]) + lag_range[0]
     order = np.argsort(rng.uniform(K))

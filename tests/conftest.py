@@ -1,30 +1,25 @@
-"""Shared fixtures: toy market panels and the trained desk-scale model."""
+"""Shared fixtures: toy market panels and the trained desk-scale model.
+
+The synthetic panel and corpus recipe is perfbench/workloads.py's, the one
+the train-desk workload runs, re-exported here. workloads.py imports its
+sibling modules by name, so the perfbench/ directory goes on sys.path.
+"""
 
 import multiprocessing
 import os
 import subprocess
 import sys
-from datetime import date, timedelta
+from datetime import date
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from groupcast import model as M
-from groupcast import synthdata as S
 from groupcast import train as TR
-from groupcast.panels import RATE_IDS, STOCK_IDS, SeriesPanel
-from groupcast.rng import PortableRng
+from groupcast.panels import RATE_IDS, STOCK_IDS
 
-
-def weekday_calendar(start: date, n_days: int) -> list[date]:
-    out = []
-    d = start
-    while len(out) < n_days:
-        if d.weekday() < 5:
-            out.append(d)
-        d += timedelta(days=1)
-    return out
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import build_training_corpus, make_price_panel, make_rate_panel, weekday_calendar  # noqa: E402,F401
 
 
 CRASH_EXIT = 9
@@ -58,33 +53,6 @@ def tree_bytes(root) -> dict[str, bytes]:
     return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-def make_price_panel(ids, start: date, n_days: int, seed: int, base=100.0) -> SeriesPanel:
-    """Positive random-walk price paths on a weekday calendar."""
-    dates = weekday_calendar(start, n_days)
-    rng = PortableRng(seed).spawn(3)
-    K = len(ids)
-    steps = rng.normal(K * n_days).reshape(K, n_days) * 0.01
-    levels = base * np.exp(np.cumsum(steps, axis=1))
-    mask = np.ones((K, n_days))
-    return SeriesPanel(dates=dates, series_ids=list(ids), values=levels, mask=mask)
-
-
-def make_rate_panel(ids, start: date, n_days: int, seed: int) -> SeriesPanel:
-    """Mean-reverting positive rate paths around a few percent."""
-    dates = weekday_calendar(start, n_days)
-    rng = PortableRng(seed).spawn(5)
-    K = len(ids)
-    vals = np.empty((K, n_days))
-    for k in range(K):
-        level = 1.0 + 0.4 * k
-        x = level
-        eps = rng.normal(n_days) * 0.03
-        for t in range(n_days):
-            x = x + 0.02 * (level - x) + eps[t]
-            vals[k, t] = max(x, 0.05)
-    return SeriesPanel(dates=dates, series_ids=list(ids), values=vals, mask=np.ones((K, n_days)))
-
-
 @pytest.fixture(scope="session")
 def market_panels():
     """Stocks + rates panels on one 2019-2025 weekday calendar."""
@@ -101,25 +69,6 @@ def tiny_model():
     )
     weights = M.init_weights(cfg, seed=42)
     return weights, cfg
-
-
-def build_training_corpus(seed: int = 2024) -> TR.Corpus:
-    """Cross-linked + independent panels plus a balanced univariate pool."""
-    root = PortableRng(seed)
-    uni = [S.tsi_generate(S.sample_tsi_spec(root.spawn(i), 400, seed=i)) for i in range(40)]
-    uni += [
-        S.make_ar1_base(500 + i, 400, 0.88 + 0.08 * float(root.spawn(999 + i).uniform(1)[0]))
-        for i in range(40)
-    ]
-    cross = [
-        S.make_cross_link_panel(root.spawn(10_000 + i), 420, lag_choices=(8,), noise_scale=0.05)[0]
-        for i in range(120)
-    ]
-    indep = [S.make_independent_panel(root.spawn(20_000 + i), 420)[0] for i in range(120)]
-    for p in indep[:60]:
-        uni.extend([p[0], p[1], p[2]])
-    cov = [np.stack([p[1], p[0]]) for p in cross[:60]]
-    return TR.Corpus(univariate=uni, panels=cross + indep, covariate_panels=cov)
 
 
 DESK_TRAIN_CONFIG = TR.TrainConfig(
@@ -145,7 +94,7 @@ DESK_TRAIN_SCRIPT = """
 import sys
 from conftest import DESK_TRAIN_CONFIG, build_training_corpus
 from groupcast import model as M, train as TR
-TR.run_curriculum(M.ModelConfig(), DESK_TRAIN_CONFIG, build_training_corpus(), sys.argv[1])
+TR.run_curriculum(M.ModelConfig(), DESK_TRAIN_CONFIG, build_training_corpus(2024), sys.argv[1])
 """
 
 

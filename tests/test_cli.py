@@ -343,6 +343,9 @@ def test_unknown_config_key_exits_2(tmp_path):
     ["synth", "--set", "tsi.count=-1"],
     ["synth", "--set", 'tsi={"count": 2, "length": 10}', "--set", 'tcm={"count": 2, "length": 10, "edge_prob": 5}'],
     ["synth", "--set", "derived.length=0"],
+    ["synth", "--set", 'tsi={"count": 1, "length": 32}', "--set", 'tcm={"count": 0, "n_series_range": [5, 2]}'],
+    ["synth", "--set", 'tsi={"count": 1, "length": 32}', "--set", 'tcm={"count": 0, "edge_prob": 7}'],
+    ["synth", "--set", 'tsi={"count": 1, "length": 32}', "--set", 'tcm={"count": 0, "lag_range": [0, 2]}'],
     ["synth", "--set", 'tsi={"count": 1, "length": 10}', "--set",
      'explicit_tsi=[{"length": 5, "noise_family": "student_t", "noise_scale": 1.0, "noise_df": 0}]'],
     ["synth", "--set", 'tsi={"count": 1, "length": 10}', "--set", 'explicit_tsi=[{"length": 5, "trend_slope": "a"}]'],
@@ -358,7 +361,8 @@ def test_unknown_config_key_exits_2(tmp_path):
         "lag_range-float", "lag_range-str", "lag_choices-bool", "lag_choices-list",
         "independent-length0", "tcm-length0-after-tsi", "n_series_range-reversed", "lag_choices-empty",
         "tcm-radius_range-unstable", "tsi-count-negative", "tcm-edge_prob-above-1-after-tsi",
-        "derived-length0-count0",
+        "derived-length0-count0", "tcm-count0-n_series_range-reversed", "tcm-count0-edge_prob-above-1",
+        "tcm-count0-lag_range-from-0",
         "explicit-tsi-noise_df0", "explicit-tsi-slope-str", "explicit-tcm-n_series-float"])
 def test_malformed_config_exits_2_and_writes_nothing(tmp_path, capsys, argv):
     inputs = {

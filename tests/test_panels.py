@@ -1,6 +1,10 @@
 """Panel CSV ingestion, combined-panel construction, context slicing."""
 
+import os
+import subprocess
+import sys
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,3 +212,17 @@ def test_resume_log_keeps_the_header_and_the_rows_keep_counts(tmp_path, before, 
         return
     assert PN.resume_log(path, "a,b\r\n", keep) == kept
     assert path.read_bytes() == ("a,b\r\n" + "".join(kept)).encode()
+
+
+def test_readme_demo_snippet_runs_as_written(tmp_path):
+    """README's snippet for demo snapshots imports the panel recipe through
+    tests/conftest.py's re-export of perfbench/workloads.py."""
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    snippet = readme.split("A quick way to produce", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "data").mkdir()
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root), str(root / "src")])}
+    proc = subprocess.run([sys.executable, "-c", snippet], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    panel = PN.load_csv_panel(tmp_path / "data/stocks.csv", expected_ids=PN.STOCK_IDS)
+    assert len(panel.dates) == 3900

@@ -8,9 +8,9 @@ each workload must also give the output hashes perfbench/reference.json
 recorded, so a change of bits fails here and not only in the benchmark.
 """
 
+import dataclasses
 import json
 from datetime import date
-from pathlib import Path
 
 import pytest
 
@@ -19,16 +19,15 @@ from groupcast import evalharness as E
 from groupcast import model as M
 from groupcast import train as TR
 
-from conftest import make_price_panel, make_rate_panel
+from conftest import DESK_TRAIN_CONFIG, make_price_panel, make_rate_panel
+import hostspeed
+import layers
+import run
+import spans
+import workloads
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
-
-def test_perfbench_instrument_patches_and_restores(monkeypatch):
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    import layers
-    import spans
-
+def test_perfbench_instrument_patches_and_restores():
     owners = (layers.cli, layers.E, layers.K, layers.M, layers.P, layers.S, layers.T, layers.TR)
     before = [dict(vars(m)) for m in owners]
     with spans.Patcher() as patcher:
@@ -41,10 +40,7 @@ def test_perfbench_instrument_patches_and_restores(monkeypatch):
         assert not changed, (m.__name__, changed)
 
 
-def test_perfbench_cli_argv_and_configs_still_parse(monkeypatch, tmp_path, capsys):
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    import workloads
-
+def test_perfbench_cli_argv_and_configs_still_parse(tmp_path, capsys):
     grid = workloads.EvalGrid(0)
     grid.setup(tmp_path)
     argv = ["evaluate", "--out", str(tmp_path / "eval")] + grid.argv_inputs
@@ -66,14 +62,10 @@ def test_perfbench_cli_argv_and_configs_still_parse(monkeypatch, tmp_path, capsy
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_timing_patch_sees_every_grid_cell_with_its_spec(monkeypatch, tmp_path, workers):
+def test_timing_patch_sees_every_grid_cell_with_its_spec(tmp_path, workers):
     """workloads.EvalGrid times each cell by replacing E.evaluate_cell, and
     layers names its span from the spec at argument 1: run_grid must reach
     every cell through that attribute, on the pool's workers too."""
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    import layers
-    import spans
-
     panels = {
         "stocks": make_price_panel(["s0", "s1", "s2"], date(2015, 1, 6), 160, seed=51),
         "rates": make_rate_panel(["r0", "r1"], date(2015, 1, 6), 160, seed=52),
@@ -110,26 +102,28 @@ def test_timing_patch_sees_every_grid_cell_with_its_spec(monkeypatch, tmp_path, 
         assert per_mode == {mo: sum(line.split(",")[1] == mo for line in expected) for mo in per_mode}
 
 
-def test_train_desk_setup_builds_its_corpus_pools(monkeypatch, tmp_path):
+def test_train_desk_setup_builds_its_corpus_pools(tmp_path):
     """workloads.TrainDesk builds its corpus from the synthdata generators
     with the keyword arguments it passes: a changed signature fails here."""
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    import workloads
-
     desk = workloads.TrainDesk(0)
     desk.setup(tmp_path)
     corpus = desk.corpus
     assert (len(corpus.univariate), len(corpus.panels), len(corpus.covariate_panels)) == (260, 240, 60)
 
 
+def test_train_desk_runs_the_desk_fixture_recipe():
+    """train-desk claims the trained_desk fixture's recipe: the same model,
+    train config and corpus seed, with fewer steps per stage."""
+    desk = workloads.TrainDesk(0)
+    assert desk.train_config == dataclasses.replace(DESK_TRAIN_CONFIG, stage_steps=workloads.TrainDesk.STAGE_STEPS)
+    assert desk.corpus_seed == 2024
+    assert desk.model_config == M.ModelConfig()
+
+
 def test_synth_pass_saves_each_dataset_once_through_the_module_attributes(monkeypatch, tmp_path):
     """workloads.SynthCorpus counts points by replacing S.save_panel_dataset
     and times each dataset by replacing S.save_provenance: cmd_synth must
     call both through the module, once per dataset."""
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    import hostspeed
-    import workloads
-
     monkeypatch.setattr(workloads.SynthCorpus, "CONFIG", {
         "tsi": {"count": 2, "length": 48},
         "tcm": {"count": 2, "length": 40, "n_series_range": [3, 3], "lag_range": [2, 2]},
@@ -148,16 +142,11 @@ def test_synth_pass_saves_each_dataset_once_through_the_module_attributes(monkey
 
 
 @pytest.mark.parametrize("name", ["train-desk", "eval-grid", "synth-corpus"])
-def test_one_pass_of_each_workload_gives_the_recorded_seed_0_hashes(monkeypatch, tmp_path, name):
+def test_one_pass_of_each_workload_gives_the_recorded_seed_0_hashes(tmp_path, name):
     """The benchmark runs every pass against perfbench/reference.json; one
     seed-0 pass here catches a change of output bits in tier-1. Hashes are
     recorded for one numpy/BLAS build, so another build skips."""
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    import hostspeed
-    import run
-    import workloads
-
-    reference = json.loads((PERFBENCH / "reference.json").read_text())
+    reference = json.loads(run.REFERENCE.read_text())
     if reference["build"] != run.build_fingerprint():
         pytest.skip("perfbench/reference.json holds no hashes for this numpy/BLAS build")
     workload = workloads.WORKLOADS[name](0)
