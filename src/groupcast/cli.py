@@ -69,7 +69,7 @@ def _load_config(args, table: dict) -> dict:
     layers: list[tuple[str, object]] = []
     if args.config:
         try:  # an OSError is a load failure; see main
-            from_file = json.loads(Path(args.config).read_text())
+            from_file = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except ValueError as exc:  # not UTF-8, or not JSON
             raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from exc
         if not isinstance(from_file, dict):

@@ -441,7 +441,7 @@ def run_grid(
     with ExitStack() as stack:
         writer = None
         if path is not None:
-            fh = stack.enter_context(open(path, "a", newline=""))
+            fh = stack.enter_context(open(path, "a", newline="", encoding="utf-8"))
             writer = csv.writer(fh)
         _POOL_STATE.update(panels=panels, forecaster=forecaster)  # forked workers inherit it
         stack.callback(_POOL_STATE.clear)

@@ -109,12 +109,11 @@ class GroupBatch:
     finish maps forecasts back by them and training scales targets by them.
     block0_time, when set, is block 0's time attention of tokens, which
     forward then does not compute again, and marks the batch as a trunk,
-    whose last block forward prunes; group_ids is None only in a trunk,
-    before finish sets it.
+    whose last block forward prunes. A batch holds no group IDs: forward
+    takes them, so one batch serves every mode.
     """
 
     tokens: T.Tensor
-    group_ids: np.ndarray | None
     reg_position: int
     loc: np.ndarray
     scale: np.ndarray
@@ -436,8 +435,8 @@ def group_attention(
     return T.concat(rows, axis=1)
 
 
-def forward(batch: GroupBatch, weights: dict, config: ModelConfig) -> T.Tensor:
-    """Run the attention blocks and head; returns (S, F*P, 21) scaled grid.
+def forward(batch: GroupBatch, group_ids: np.ndarray, weights: dict, config: ModelConfig) -> T.Tensor:
+    """Run the blocks, grouped by group_ids, and head; returns (S, F*P, 21) scaled grid.
 
     A trunk (block0_time set) is an inference batch, so its last block
     computes only the rows the head reads, the future patches, with at least
@@ -459,7 +458,7 @@ def forward(batch: GroupBatch, weights: dict, config: ModelConfig) -> T.Tensor:
             x = time_attention(x, weights, f"block{i}.time", config.n_heads, rows_from=rows_from)
         reg_position = batch.reg_position - rows_from
         x = group_attention(
-            x, batch.group_ids, weights, f"block{i}.group", config.n_heads,
+            x, group_ids, weights, f"block{i}.group", config.n_heads,
             reg_position if reg_position >= 0 else None,
         )
     n_future = L - batch.reg_position - 1
@@ -476,7 +475,6 @@ def forward(batch: GroupBatch, weights: dict, config: ModelConfig) -> T.Tensor:
 def assemble_batch(
     context_values: np.ndarray,
     context_mask: np.ndarray,
-    group_ids: np.ndarray | None,
     horizon_len: int,
     weights: dict,
     config: ModelConfig,
@@ -492,7 +490,7 @@ def assemble_batch(
     each row's loc, so a pad or unset cell scales to exactly 0; one
     expression scales it with the bits of preprocess.robust_scale and
     patchify row by row. A context past config.max_context keeps its last
-    max_context positions.
+    max_context positions; like every batch it holds no group IDs.
     """
     ctx = np.asarray(context_values, dtype=np.float64)
     msk = np.asarray(context_mask, dtype=np.float64)
@@ -551,7 +549,6 @@ def assemble_batch(
 
     return GroupBatch(
         tokens=tokens,
-        group_ids=None if group_ids is None else np.asarray(group_ids),
         reg_position=reg_pos,
         loc=loc,
         scale=scale,
@@ -576,10 +573,10 @@ def trunk(
 ) -> GroupBatch:
     """The mode-independent part of a forecast of one panel context.
 
-    The batch of assemble_batch with block0_time set and no group IDs;
-    finish sets the IDs on a copy, so one trunk serves every mode.
+    The batch of assemble_batch with block0_time set. Like every batch it
+    holds no group IDs, so one trunk serves every mode.
     """
-    batch = assemble_batch(context_values, context_mask, None, horizon_len, weights, config)
+    batch = assemble_batch(context_values, context_mask, horizon_len, weights, config)
     if config.n_blocks == 0:
         return batch
     block0_time = time_attention(batch.tokens, weights, "block0.time", config.n_heads)
@@ -596,8 +593,7 @@ def finish(
     original units by the batch's loc and scale, all series in one
     expression: the (S, horizon_len, 21) quantile array. The trunk itself
     is left as it was."""
-    batch = replace(batch, group_ids=group_ids)
-    grid = forward(batch, weights, config).data.astype(np.float64)
+    grid = forward(batch, group_ids, weights, config).data.astype(np.float64)
     grid = np.sort(grid[:, : batch.horizon_len, :], axis=-1)
     return np.sinh(grid) * batch.scale[:, None, None] + batch.loc[:, None, None]
 

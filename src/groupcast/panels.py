@@ -47,9 +47,9 @@ FLOAT_FMT = "%.17g"
 
 @contextmanager
 def open_text(path):
-    """Open a CSV file for reading as text. A byte that does not decode,
+    """Open a CSV file for reading as UTF-8 text. A byte that does not decode,
     wherever the block reads it, raises DataError naming the file."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:
@@ -58,13 +58,13 @@ def open_text(path):
 
 @contextmanager
 def atomic_open(path, mode: str = "w"):
-    """Open a temporary sibling of ``path`` for writing and rename it over
+    """Open a temporary sibling of ``path`` for writing (text as UTF-8) and rename it over
     ``path`` when the block exits cleanly. The file appears whole or not at
     all: a failed write removes the temporary and leaves any old file."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, mode, newline=None if "b" in mode else "") as fh:
+        with open(tmp, mode, **({} if "b" in mode else {"newline": "", "encoding": "utf-8"})) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

@@ -1,4 +1,4 @@
-"""Series preprocessing: robust scaling and patching.
+"""Series preprocessing: robust scaling and patching, on plain arrays.
 
 The scaling transform is asinh((x - loc) / scale) with loc/scale estimated
 from observed context points only, so statistics can never leak future
@@ -26,27 +26,6 @@ class ScalingState:
 
     loc: float
     scale: float
-
-
-@dataclass(frozen=True)
-class MetaFeatures:
-    """Per-position side channels: relative time index and observed mask."""
-
-    rel_time: np.ndarray
-    observed_mask: np.ndarray
-
-
-@dataclass(frozen=True)
-class PatchSequence:
-    """Non-overlapping patches covering a left-padded series exactly.
-
-    patches: (n_patches, patch_len, 3) with channel layout
-    [value, rel_time, mask]; pad positions carry value 0 and mask 0.
-    """
-
-    patches: np.ndarray
-    patch_len: int
-    pad_count: int
 
 
 def fit_scaling(series: np.ndarray, mask: np.ndarray) -> ScalingState:
@@ -99,29 +78,25 @@ def pad_rel_time(rel: np.ndarray, pad: int) -> np.ndarray:
     return rel[0] + step * np.arange(-pad, 0, dtype=np.float64)
 
 
-def patchify(scaled: np.ndarray, meta: MetaFeatures, patch_len: int) -> PatchSequence:
-    """Left-pad to a multiple of patch_len and split into patches.
-
-    Channel layout per position: [value, rel_time, mask]. Padding carries
-    value 0 / mask 0 and extends rel_time below its first entry so it stays
-    strictly increasing.
+def patchify(scaled: np.ndarray, rel_time: np.ndarray, mask: np.ndarray, patch_len: int) -> np.ndarray:
+    """Left-pad to a multiple of patch_len and split into patches: the
+    (n_patches, patch_len, 3) array, channels [value, rel_time, mask] per
+    position. The (-n) % patch_len pad positions carry value 0 / mask 0 and
+    extend rel_time below its first entry so it stays strictly increasing.
     """
     if patch_len <= 0:
         raise ConfigError(f"patch length must be positive, got {patch_len}")
     scaled = np.asarray(scaled, dtype=np.float64)
     n = scaled.shape[0]
     pad = (-n) % patch_len
-    rel = np.asarray(meta.rel_time, dtype=np.float64)
-    mask = np.asarray(meta.observed_mask, dtype=np.float64)
+    rel, mask = (np.asarray(a, dtype=np.float64) for a in (rel_time, mask))
     if rel.shape[0] != n or mask.shape[0] != n:
-        raise ConfigError("meta feature lengths must match the series length")
+        raise ConfigError("rel_time and mask lengths must match the series length")
     if pad:
         values = np.concatenate([np.zeros(pad), scaled])
         rel = np.concatenate([pad_rel_time(rel, pad), rel])
         mask = np.concatenate([np.zeros(pad), mask])
     else:
         values = scaled
-    chans = np.stack([values, rel, mask], axis=-1)
-    patches = chans.reshape(-1, patch_len, 3)
-    return PatchSequence(patches=patches, patch_len=patch_len, pad_count=pad)
+    return np.stack([values, rel, mask], axis=-1).reshape(-1, patch_len, 3)
 

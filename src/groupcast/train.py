@@ -252,11 +252,11 @@ def _loss(weights: dict, model_config: M.ModelConfig, sample: TaskSample) -> T.T
     train_step and evaluate_pinball both call it."""
     known = sample.future_known_mask
     batch = M.assemble_batch(
-        sample.context_values, np.ones_like(sample.context_values), sample.group_ids,
+        sample.context_values, np.ones_like(sample.context_values),
         sample.target_values.shape[1], weights, model_config,
         future_values=sample.target_values, future_known_mask=known,
     )
-    pred = M.forward(batch, weights, model_config)
+    pred = M.forward(batch, sample.group_ids, weights, model_config)
     tv, tm = _scaled_targets(sample.target_values, 1.0 - known, batch.loc, batch.scale, pred.shape[1])
     return pinball_loss(pred, tv, tm, model_config.quantile_levels)
 
@@ -437,7 +437,7 @@ def run_curriculum(
     longest = max(running, default=0) * P  # the longest context a step samples
     if longest > model_config.max_context:
         logger.warning("contexts of up to %d positions are cut to max_context=%d", longest, model_config.max_context)
-    with open(log_path, "a") as log:
+    with open(log_path, "a", encoding="utf-8") as log:
         for step in range(first_step, total_steps):
             stage = int(np.searchsorted(boundaries[1:], step, side="right"))
             t0 = time.monotonic()

@@ -581,24 +581,25 @@ def softmax_three_temporaries(x):
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def finish_unpruned(batch, weights, config):
-    """model.finish without pruning: the full forward of a batch whose
-    group IDs are set, then the per-position sort and the per-series
-    inverse scaling. Returns the (S, horizon_len, 21) grid. A trunk's
-    block0_time is dropped, since forward prunes the last block of a trunk."""
-    grid = M.forward(replace(batch, block0_time=None), weights, config).data.astype(np.float64)
+def finish_unpruned(batch, group_ids, weights, config):
+    """model.finish without pruning: the full forward of a batch under
+    group_ids, then the per-position sort and the per-series inverse
+    scaling. Returns the (S, horizon_len, 21) grid. A trunk's block0_time
+    is dropped, since forward prunes the last block of a trunk."""
+    grid = M.forward(replace(batch, block0_time=None), group_ids, weights, config).data.astype(np.float64)
     grid = np.sort(grid[:, : batch.horizon_len, :], axis=-1)
     scaling = zip(batch.loc.tolist(), batch.scale.tolist())
     return np.stack([P.inverse_scale(grid[s], P.ScalingState(lo, sc)) for s, (lo, sc) in enumerate(scaling)])
 
 
 def assemble_batch_per_row(
-    context_values, context_mask, group_ids, horizon_len, weights, config,
+    context_values, context_mask, horizon_len, weights, config,
     future_values=None, future_known_mask=None,
 ):
     """model.assemble_batch one series row at a time: robust_scale, patchify
     and the known-future channel per row, then the same embedding and
-    separator. Returns the GroupBatch."""
+    separator. Returns the GroupBatch, which like assemble_batch's holds no
+    group IDs."""
     ctx = np.asarray(context_values, dtype=np.float64)
     msk = np.asarray(context_mask, dtype=np.float64)
     ctx = ctx[:, -config.max_context :]
@@ -616,8 +617,7 @@ def assemble_batch_per_row(
     for s in range(S):
         scaled, state = P.robust_scale(ctx[s], msk[s])
         states.append(state)
-        meta = P.MetaFeatures(rel_time=rel_full[:Lc], observed_mask=msk[s])
-        ctx_patches.append(P.patchify(scaled, meta, Pl).patches)
+        ctx_patches.append(P.patchify(scaled, rel_full[:Lc], msk[s], Pl))
         fvals = np.zeros(Lh)
         if future_values is not None and np.any(known[s] > 0):
             raw = np.zeros(Lh)
@@ -634,7 +634,6 @@ def assemble_batch_per_row(
     tokens, reg_pos = M.insert_reg(ctx_tokens, fut_tokens, weights["reg"])
     return M.GroupBatch(
         tokens=tokens,
-        group_ids=None if group_ids is None else np.asarray(group_ids),
         reg_position=reg_pos,
         loc=np.array([st.loc for st in states]),
         scale=np.array([st.scale for st in states]),

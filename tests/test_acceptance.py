@@ -77,8 +77,8 @@ def test_criterion_1_gradient_suite():
     target = rng.normal(5.0, 2.0, size=(2, horizon))
 
     def model_loss():
-        batch = M.assemble_batch(ctx, mask, gids, horizon, weights, cfg)
-        pred = M.forward(batch, weights, cfg)
+        batch = M.assemble_batch(ctx, mask, horizon, weights, cfg)
+        pred = M.forward(batch, gids, weights, cfg)
         tv = np.zeros((2, pred.shape[1]))
         tm = np.zeros((2, pred.shape[1]))
         for s in range(2):
@@ -87,8 +87,8 @@ def test_criterion_1_gradient_suite():
         return TR.pinball_loss(pred, tv, tm, cfg.quantile_levels)
 
     with T.record() as tape:
-        batch = M.assemble_batch(ctx, mask, gids, horizon, weights, cfg)
-        pred = M.forward(batch, weights, cfg)
+        batch = M.assemble_batch(ctx, mask, horizon, weights, cfg)
+        pred = M.forward(batch, gids, weights, cfg)
         tv = np.zeros((2, pred.shape[1]))
         tm = np.zeros((2, pred.shape[1]))
         for s in range(2):
@@ -166,13 +166,13 @@ def test_criterion_3_group_semantics():
         ctx = rng.normal(rng.uniform(-5, 5), rng.uniform(0.5, 4), size=(S_count, 16))
         mask = np.ones_like(ctx)
 
-        out = M.forward(M.assemble_batch(ctx, mask, gids, 4, weights, cfg), weights, cfg).data
+        out = M.forward(M.assemble_batch(ctx, mask, 4, weights, cfg), gids, weights, cfg).data
         # randomize every series of group A (the first group present)
         target_group = gids[0]
         others = gids != target_group
         ctx2 = ctx.copy()
         ctx2[~others] = rng.normal(20, 9, size=ctx[~others].shape)
-        out2 = M.forward(M.assemble_batch(ctx2, mask, gids, 4, weights, cfg), weights, cfg).data
+        out2 = M.forward(M.assemble_batch(ctx2, mask, 4, weights, cfg), gids, weights, cfg).data
         if others.any():
             worst_iso = max(worst_iso, float(np.abs(out[others] - out2[others]).max()))
 
@@ -186,7 +186,7 @@ def test_criterion_3_group_semantics():
             order = np.arange(S_count)
             order[rows] = perm_rows
             out_p = M.forward(
-                M.assemble_batch(ctx[order], mask, gids[order], 4, weights, cfg), weights, cfg
+                M.assemble_batch(ctx[order], mask, 4, weights, cfg), gids[order], weights, cfg
             ).data
             worst_perm = max(worst_perm, float(np.abs(out_p - out[order]).max()))
     assert worst_iso <= 1e-6

@@ -1012,8 +1012,13 @@ def _data(t: Path, subdir: str = "", bad: bytes = b"") -> str:
     return str(data)
 
 
-def _file(path: Path) -> str:
-    path.write_text("x\n")
+def _empty_dir(path: Path) -> str:
+    path.mkdir()
+    return str(path)
+
+
+def _file(path: Path, text: str = "x\n") -> str:
+    path.write_text(text)
     return str(path)
 
 
@@ -1041,7 +1046,8 @@ def _no_common_day(t: Path) -> list[str]:
 EXIT_PREFIX = {2: "config error:", 4: "load failure:", 5: "malformed data:"}
 
 # (code, argv built in a fresh directory t that holds tiny.ckpt, a d16
-# checkpoint of capacity 64); t/out is where a command that writes would write
+# checkpoint of capacity 64, and optionally a phrase the message holds);
+# t/out is where a command that writes would write
 EXIT_CASES = {
     # a file that cannot be opened, read or written
     "evaluate-panel-missing": (4, lambda t: _evaluate(t, "--stub", "last-value", "--rates", str(t / "no.csv"))),
@@ -1079,8 +1085,42 @@ EXIT_CASES = {
     "evaluate-combined-no-common-day": (5, _no_common_day),
     "report-records-malformed": (5, lambda t: _report(t, "--records", _file(t / "records.csv"))),
     "validate-malformed": (5, lambda t: _validate(_file(t / "p.csv"))),
+    "validate-duplicate-column": (5, lambda t: _validate(_file(t / "p.csv", "date,A,A\n2020-01-02,1,2\n")),
+                                  "duplicate series columns"),
+    "validate-row-too-long": (5, lambda t: _validate(_file(t / "p.csv", "date,A\n2020-01-02,1,2\n")),
+                              "row 2 has 3 cells, expected 2"),
+    "validate-bad-date": (5, lambda t: _validate(_file(t / "p.csv", "date,A\n2020-13-02,1\n")), "bad date"),
+    "validate-no-rows": (5, lambda t: _validate(_file(t / "p.csv", "date,A\n")), "no data rows"),
+    "train-dataset-wrong-header": (5, lambda t: _train(t, "--data", _data(t, bad=b"id,t,value\r\ns0,0,1\r\n")),
+                                   "expected header series_id,t,value"),
+    "train-dataset-two-cell-row": (5, lambda t: _train(t, "--data", _data(t, bad=b"series_id,t,value\r\ns0,0\r\n")),
+                                   "malformed row"),
+    "train-dataset-no-rows": (5, lambda t: _train(t, "--data", _data(t, bad=b"series_id,t,value\r\n")),
+                              "empty dataset"),
+    "train-dataset-unequal-series": (5, lambda t: _train(
+        t, "--data", _data(t, bad=b"series_id,t,value\r\na,0,1\r\na,1,2\r\nb,0,3\r\n")), "series lengths differ"),
     # config errors
     "config-not-utf8": (2, lambda t: _synth(t, "--config", _not_utf8(t / "c.json", "{"))),
+    "config-not-object": (2, lambda t: _synth(t, "--config", _file(t / "c.json", "[1]")), "must hold a JSON object"),
+    "set-without-value": (2, lambda t: _synth(t, "--set", "seed"), "--set expects key=value"),
+    "evaluate-unknown-panel-key": (2, lambda t: _evaluate(t, "--stub", "last-value", "--set", "panels.stocks.x=1"),
+                                   "unknown config key 'panels.stocks.x'"),
+    "train-no-data": (2, lambda t: _train(t), "train needs data_dir"),
+    "evaluate-no-panel": (2, lambda t: ["evaluate", "--out", str(t / "out"), "--stub", "last-value"],
+                          "needs at least one of panels.stocks / panels.rates"),
+    "report-no-records": (2, lambda t: _report(t), "report needs a records path"),
+    "train-data-empty": (2, lambda t: _train(t, "--data", _empty_dir(t / "data")), "no dataset CSVs under"),
+    "synth-tsi-not-object": (2, lambda t: _synth(t, "--set", "explicit_tsi=[5]"), "TsiSpec needs an object"),
+    "synth-tsi-kind-tcm": (2, lambda t: _synth(t, "--set", 'explicit_tsi=[{"kind":"tcm","length":5}]'),
+                           "TsiSpec needs kind 'tsi'"),
+    "synth-tcm-lag-order-0": (2, lambda t: _synth(
+        t, "--set", 'explicit_tcm=[{"n_series":1,"lag_order":0,"adjacency":[],"length":8}]'), "lag order must be >= 1"),
+    "train-head-width-odd": (2, lambda t: _train(t, "--data", _data(t)) + ["--set", "model.d_model=6"],
+                             "head width must be even"),
+    "train-patch-len-0": (2, lambda t: _train(t, "--data", _data(t)) + ["--set", "model.patch_len=0"],
+                          "patch_len out of range"),
+    "train-stage-steps-negative": (2, lambda t: _train(t, "--data", _data(t)) + [
+        "--set", "train.stage_steps=[-1, 5]"], "stage_steps must be >= 0"),
     "evaluate-stub-list": (2, lambda t: _evaluate(t, "--set", "stub=[1]")),
     "evaluate-horizon-past-capacity": (2, lambda t: _evaluate(t, "--checkpoint", str(t / "tiny.ckpt"), "--m", "100")),
     "synth-tcm-bool-coefficient": (2, lambda t: _synth(
@@ -1100,12 +1140,13 @@ EXIT_CASES = {
 
 @pytest.mark.parametrize("case", EXIT_CASES)
 def test_bad_input_exits_with_its_code_in_one_line(tmp_path, tiny_ckpt, capsys, case):
-    code, argv = EXIT_CASES[case]
+    code, argv, *phrase = EXIT_CASES[case]
     argv = argv(tmp_path)
     capsys.readouterr()
     assert cli.main(argv) == code
     err = capsys.readouterr().err
     assert err.startswith(EXIT_PREFIX[code]) and err.count("\n") == 1, err
+    assert all(p in err for p in phrase), err
     assert "Traceback" not in err
     assert not (tmp_path / "out").is_dir()
 
@@ -1120,6 +1161,49 @@ def test_entry_point_maps_a_missing_file_to_4(tmp_path):
     assert proc.returncode == 4
     assert proc.stderr.startswith("load failure:") and proc.stderr.count("\n") == 1, proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+# a locale whose preferred encoding is ASCII: text opened without an
+# explicit encoding cannot hold a byte past 0x7f
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "PYTHONIOENCODING": "utf-8"}
+
+
+def _run_ascii(argv, *python_flags):
+    """groupcast argv in a subprocess under ASCII_LOCALE."""
+    env = {**os.environ, **ASCII_LOCALE, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    return subprocess.run([sys.executable, *python_flags, "-m", "groupcast.cli", *argv],
+                          env=env, capture_output=True, text=True, encoding="utf-8", timeout=120)
+
+
+def test_panel_validate_reads_utf8_whatever_the_locale(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_text("date,CAF\u00c9\n2020-01-02,1.5\n2020-01-03,1.6\n", encoding="utf-8")
+    proc = _run_ascii(_validate(path))
+    assert proc.returncode == 0, proc.stderr
+    assert "CAF\u00c9" in proc.stdout
+
+
+def test_no_command_opens_text_in_the_locale_encoding(tmp_path):
+    """Every command in a subprocess that turns EncodingWarning, which an
+    open() without an encoding gives under -X warn_default_encoding, into
+    an error."""
+    sp = tmp_path / "stocks.csv"
+    save_csv_panel(sp, make_price_panel(STOCK_IDS, date(2019, 1, 1), 400, seed=31))
+    synth_cfg = tmp_path / "synth.json"
+    synth_cfg.write_text(json.dumps({"tsi": {"count": 2, "length": 96}, "independent": {"count": 2, "length": 96}}))
+    evaluate = ["evaluate", "--checkpoint", str(tmp_path / "run" / "model.ckpt"), *_eval_inputs(tmp_path, stub=False)]
+    commands = [
+        ["synth", "--config", str(synth_cfg), "--out", str(tmp_path / "data")],
+        ["train", "--data", str(tmp_path / "data"), "--out", str(tmp_path / "run"), *TRAIN_OVERRIDES,
+         "--set", "train.stage_steps=[2, 1]"],
+        evaluate + ["--workers", "1", "--out", str(tmp_path / "ev1")],
+        evaluate + ["--workers", "2", "--out", str(tmp_path / "ev2")],
+        ["report", "--records", str(tmp_path / "ev1" / "records.csv"), "--out", str(tmp_path / "rep")],
+        _validate(sp),
+    ]
+    for argv in commands:
+        proc = _run_ascii(argv, "-X", "warn_default_encoding", "-W", "error::EncodingWarning")
+        assert proc.returncode == 0 and "Warning" not in proc.stderr, (argv[0], proc.stderr)
 
 
 def test_set_override_parsing(tmp_path):

@@ -105,6 +105,13 @@ def test_short_panel_has_no_origins():
     assert E.rolling_origins(panel, _spec(n=10, m=5)) == []
 
 
+def test_start_from_feb_29_moves_to_march_1():
+    cal = weekday_calendar(date(2016, 2, 29), 900)
+    panel = SeriesPanel(dates=cal, series_ids=["A"], values=np.zeros((1, 900)), mask=np.ones((1, 900)))
+    got = E.rolling_origins(panel, _spec(n=20, m=5, start_years_after=3))
+    assert got[:2] == [date(2019, 3, 1), date(2019, 4, 1)]
+
+
 def test_origins_match_calendar_enumeration_oracle():
     cal = weekday_calendar(date(2010, 7, 1), 4040)  # through ~December 2025
     panel = SeriesPanel(
@@ -756,7 +763,6 @@ def test_cached_trunk_is_not_mutated(tiny_model):
     before = (batch.tokens.data.copy(), batch.block0_time.data.copy())
     mv = M.finish(batch, M.mode_group_ids("MV", 3), weights, cfg)
     uv = M.finish(batch, M.mode_group_ids("UV", 3), weights, cfg)
-    assert batch.group_ids is None
     assert np.array_equal(batch.tokens.data, before[0])
     assert np.array_equal(batch.block0_time.data, before[1])
     assert np.array_equal(mv, M.predict(ctx, np.ones_like(ctx), "MV", 8, weights, cfg))
@@ -781,8 +787,8 @@ def test_model_grid_builds_one_trunk_per_context(tiny_model, counted_trunks, tmp
         def forecast_panel(self, context_values, context_mask, mode, m, realized=None):
             fresh = _fresh(context_values, context_mask, mode, m, self.weights, self.config)
             gids = M.mode_group_ids(mode, len(context_values))
-            batch = M.assemble_batch(context_values, context_mask, gids, m, self.weights, self.config)
-            unpruned = finish_unpruned(batch, self.weights, self.config)[:, :, M.MEDIAN_INDEX]
+            batch = M.assemble_batch(context_values, context_mask, m, self.weights, self.config)
+            unpruned = finish_unpruned(batch, gids, self.weights, self.config)[:, :, M.MEDIAN_INDEX]
             if fresh.tobytes() != unpruned.tobytes():
                 predicted_unlike_unpruned.append((mode, m))
             return unpruned

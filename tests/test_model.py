@@ -35,13 +35,14 @@ def _weights(seed=3, dtype=np.float64, cfg=CFG):
     return M.init_weights(cfg, seed=seed, dtype=dtype)
 
 
-def _random_batch(rng, weights, cfg=CFG, S=3, Lc=16, m=4, group_ids=None, ctx=None):
+def _random_forward(rng, weights, cfg=CFG, S=3, Lc=16, m=4, group_ids=None, ctx=None):
+    """forward's scaled grid of a random (or the given) context under
+    group_ids, MV by default."""
     if ctx is None:
         ctx = rng.normal(10, 3, size=(S, Lc))
     if group_ids is None:
         group_ids = M.mode_group_ids("MV", S)
-    mask = np.ones_like(ctx)
-    return M.assemble_batch(ctx, mask, group_ids, m, weights, cfg)
+    return M.forward(M.assemble_batch(ctx, np.ones_like(ctx), m, weights, cfg), group_ids, weights, cfg)
 
 
 def test_config_invariants():
@@ -120,12 +121,10 @@ def test_insert_reg_position_and_sharing():
 def test_reg_ablation_changes_outputs():
     w = _weights()
     rng = np.random.default_rng(3)
-    batch = _random_batch(rng, w)
-    out1 = M.forward(batch, w, CFG).data
+    out1 = _random_forward(rng, w).data
     w2 = _weights()
     w2["reg"].data = np.zeros_like(w2["reg"].data)
-    batch2 = _random_batch(np.random.default_rng(3), w2)
-    out2 = M.forward(batch2, w2, CFG).data
+    out2 = _random_forward(np.random.default_rng(3), w2).data
     assert np.abs(out1 - out2).max() > 0
 
 
@@ -296,12 +295,10 @@ def test_cross_group_isolation_is_bitwise():
     rng = np.random.default_rng(9)
     gids = np.array([0, 0, 1, 1])
     ctx = rng.normal(5, 2, size=(4, 16))
-    b1 = _random_batch(rng, w, S=4, group_ids=gids, ctx=ctx)
-    out1 = M.forward(b1, w, CFG).data
+    out1 = _random_forward(rng, w, S=4, group_ids=gids, ctx=ctx).data
     ctx2 = ctx.copy()
     ctx2[2:] = rng.normal(50, 9, size=(2, 16))  # rewrite group 1 entirely
-    b2 = _random_batch(rng, w, S=4, group_ids=gids, ctx=ctx2)
-    out2 = M.forward(b2, w, CFG).data
+    out2 = _random_forward(rng, w, S=4, group_ids=gids, ctx=ctx2).data
     assert np.array_equal(out1[:2], out2[:2])
 
 
@@ -310,20 +307,18 @@ def test_within_group_permutation_equivariance():
     rng = np.random.default_rng(10)
     ctx = rng.normal(0, 1, size=(4, 16))
     gids = np.zeros(4, dtype=int)
-    out = M.forward(_random_batch(rng, w, S=4, group_ids=gids, ctx=ctx), w, CFG).data
+    out = _random_forward(rng, w, S=4, group_ids=gids, ctx=ctx).data
     perm = np.array([2, 0, 3, 1])
-    out_p = M.forward(_random_batch(rng, w, S=4, group_ids=gids, ctx=ctx[perm]), w, CFG).data
+    out_p = _random_forward(rng, w, S=4, group_ids=gids, ctx=ctx[perm]).data
     assert np.abs(out_p - out[perm]).max() <= 1e-6
 
 
 def test_forward_shape_and_determinism():
     w = _weights()
     rng = np.random.default_rng(11)
-    batch = _random_batch(rng, w, S=3, m=7)
-    out = M.forward(batch, w, CFG)
+    out = _random_forward(rng, w, S=3, m=7)
     assert out.shape == (3, 2 * CFG.patch_len, 21)  # ceil(7/4)=2 future patches
-    batch2 = _random_batch(np.random.default_rng(11), w, S=3, m=7)
-    assert np.array_equal(out.data, M.forward(batch2, w, CFG).data)
+    assert np.array_equal(out.data, _random_forward(np.random.default_rng(11), w, S=3, m=7).data)
 
 
 def test_forward_zero_blocks_is_embed_then_head():
@@ -333,8 +328,8 @@ def test_forward_zero_blocks_is_embed_then_head():
     w = M.init_weights(cfg0, seed=5, dtype=np.float64)
     rng = np.random.default_rng(12)
     ctx = rng.normal(size=(2, 8))
-    batch = M.assemble_batch(ctx, np.ones_like(ctx), M.mode_group_ids("UV", 2), 4, w, cfg0)
-    out = M.forward(batch, w, cfg0).data
+    batch = M.assemble_batch(ctx, np.ones_like(ctx), 4, w, cfg0)
+    out = M.forward(batch, M.mode_group_ids("UV", 2), w, cfg0).data
     # hand-composed pipeline: take the future token embeddings through the head
     fut_tokens = batch.tokens.data[:, batch.reg_position + 1 :, :]
     expect = fut_tokens @ w["head.w"].data + w["head.b"].data
@@ -482,6 +477,18 @@ def test_checkpoint_corrupt_header_raises_checkpoint_error(tmp_path, corrupt):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda buf: buf[: len(MAGIC)] + struct.pack("<I", 2) + buf[len(MAGIC) + 4 :], "unsupported checkpoint version 2"),
+    (lambda buf: buf + b"\0", "trailing bytes in checkpoint"),
+], ids=["version-2", "trailing-byte"])
+def test_checkpoint_bad_framing_raises_checkpoint_error(tmp_path, corrupt, message):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, M.init_weights(CFG, seed=20), CFG, extra={"step": 1})
+    path.write_bytes(corrupt(path.read_bytes()))
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("moments, corrupt", [
     ({}, lambda buf: buf.replace(b"embed.b1", b"\xffmbed.b1", 1)),
     ({"m.head.b": np.zeros(3)}, lambda buf: buf),
@@ -500,10 +507,10 @@ def test_scaling_never_uses_horizon_values():
     rng = np.random.default_rng(16)
     full = rng.normal(10, 2, size=(2, 30))
     ctx = full[:, :20]
-    b1 = M.assemble_batch(ctx, np.ones_like(ctx), M.mode_group_ids("MV", 2), 8, w, CFG)
+    b1 = M.assemble_batch(ctx, np.ones_like(ctx), 8, w, CFG)
     full2 = full.copy()
     full2[:, 20:] += 1e6  # future perturbation must be invisible
-    b2 = M.assemble_batch(full2[:, :20], np.ones((2, 20)), M.mode_group_ids("MV", 2), 8, w, CFG)
+    b2 = M.assemble_batch(full2[:, :20], np.ones((2, 20)), 8, w, CFG)
     assert b1.loc.tolist() == b2.loc.tolist() and b1.scale.tolist() == b2.scale.tolist()
 
 
@@ -523,7 +530,7 @@ def test_group_batch_w_zeros_where_unknown(monkeypatch):
 
     monkeypatch.setattr(M, "embed_patches", capture)
     batch = M.assemble_batch(
-        ctx, np.ones_like(ctx), M.mode_group_ids("MV", 2), 4, w, CFG,
+        ctx, np.ones_like(ctx), 4, w, CFG,
         future_values=fut, future_known_mask=known,
     )
     _ctx_patches, fut_patches = embedded
@@ -560,7 +567,7 @@ def test_finish_prunes_last_block_bitwise(n_blocks, dtype):
                 for mode in ("MV", "UV"):
                     gids = M.mode_group_ids(mode, S)
                     got = M.finish(batch, gids, w, cfg)
-                    expect = finish_unpruned(replace(batch, group_ids=gids), w, cfg)
+                    expect = finish_unpruned(batch, gids, w, cfg)
                     assert got.tobytes() == expect.tobytes(), (S, m, gaps, mode)
 
 
@@ -575,7 +582,7 @@ def test_finish_inverse_scaling_matches_per_row_inverse_scale(monkeypatch):
         ]
         monkeypatch.setattr(M, "forward", lambda *args, **kwargs: T.constant(raw))
         loc, scale = np.array([st.loc for st in states]), np.array([st.scale for st in states])
-        batch = M.GroupBatch(tokens=None, group_ids=None, reg_position=0, loc=loc, scale=scale, horizon_len=m)
+        batch = M.GroupBatch(tokens=None, reg_position=0, loc=loc, scale=scale, horizon_len=m)
         got = M.finish(batch, M.mode_group_ids("UV", S), {}, CFG)
         grid = np.sort(raw[:, :m], axis=-1)
         expect = np.stack([P.inverse_scale(grid[s], st) for s, st in enumerate(states)])
@@ -630,10 +637,9 @@ def test_assemble_batch_matches_per_row_oracle(monkeypatch, dtype):
     for trial in range(120):
         cfg, ctx, mask, m, future = _oracle_case(rng, trial)
         w = M.init_weights(cfg, seed=trial, dtype=dtype)
-        gids = M.mode_group_ids("UV", ctx.shape[0])
-        got = M.assemble_batch(ctx, mask, gids, m, w, cfg, **future)
+        got = M.assemble_batch(ctx, mask, m, w, cfg, **future)
         got_patches, embedded[:] = embedded[:], []
-        expect = assemble_batch_per_row(ctx, mask, gids, m, w, cfg, **future)
+        expect = assemble_batch_per_row(ctx, mask, m, w, cfg, **future)
         expect_patches, embedded[:] = embedded[:], []
         case = (trial, ctx.shape, cfg.patch_len, cfg.max_context, m)
         assert got.tokens.data.dtype == dtype
@@ -652,4 +658,4 @@ def test_assemble_batch_all_missing_row_still_raises():
     mask = np.ones_like(ctx)
     mask[1] = 0.0
     with pytest.raises(DegenerateInputError):
-        M.assemble_batch(ctx * mask, mask, M.mode_group_ids("UV", 3), 4, w, CFG)
+        M.assemble_batch(ctx * mask, mask, 4, w, CFG)

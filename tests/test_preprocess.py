@@ -86,45 +86,54 @@ def test_scaling_is_odd_on_symmetric_inputs():
     assert np.abs(reflected + scaled).max() <= 1e-12
 
 
-def _meta(n, horizon=0):
-    return P.MetaFeatures(rel_time=P.make_rel_time(n, horizon)[:n], observed_mask=np.ones(n))
+def _patchify(x, patch_len):
+    """patchify of a fully observed series under make_rel_time's context grid."""
+    n = len(x)
+    return P.patchify(x, P.make_rel_time(n, 0), np.ones(n), patch_len)
 
 
 def test_patchify_exact_multiple():
-    seq = P.patchify(np.arange(16.0), _meta(16), 8)
-    assert seq.patches.shape == (2, 8, 3)
-    assert seq.pad_count == 0
+    patches = _patchify(np.arange(16.0), 8)
+    assert patches.shape == (2, 8, 3)
+    assert np.all(patches[:, :, 2] == 1.0)  # no pad position
 
 
 def test_patchify_left_pad_hand_enumeration():
-    seq = P.patchify(np.arange(10.0), _meta(10), 8)
-    assert seq.patches.shape == (2, 8, 3)
-    assert seq.pad_count == 6
-    flat_mask = seq.patches[:, :, 2].reshape(-1)
+    patches = _patchify(np.arange(10.0), 8)
+    assert patches.shape == (2, 8, 3)
+    flat_mask = patches[:, :, 2].reshape(-1)
+    assert int(np.sum(flat_mask == 0.0)) == 6
     assert flat_mask[:6].tolist() == [0.0] * 6
     assert flat_mask[6:].tolist() == [1.0] * 10
-    flat_vals = seq.patches[:, :, 0].reshape(-1)
+    flat_vals = patches[:, :, 0].reshape(-1)
     assert flat_vals[:6].tolist() == [0.0] * 6
     assert np.array_equal(flat_vals[6:], np.arange(10.0))
 
 
 def test_patchify_p1_identity():
-    seq = P.patchify(np.array([3.0, 1.0, 4.0]), _meta(3), 1)
-    assert seq.patches.shape == (3, 1, 3)
-    assert np.array_equal(seq.patches[:, 0, 0], [3.0, 1.0, 4.0])
+    patches = _patchify(np.array([3.0, 1.0, 4.0]), 1)
+    assert patches.shape == (3, 1, 3)
+    assert np.array_equal(patches[:, 0, 0], [3.0, 1.0, 4.0])
 
 
 def test_patchify_rejects_bad_patch_len():
     with pytest.raises(ConfigError):
-        P.patchify(np.zeros(4), _meta(4), 0)
+        _patchify(np.zeros(4), 0)
+
+
+def test_patchify_rejects_side_channels_of_another_length():
+    with pytest.raises(ConfigError, match="lengths must match"):
+        P.patchify(np.zeros(4), P.make_rel_time(5, 0), np.ones(4), 2)
+    with pytest.raises(ConfigError, match="lengths must match"):
+        P.patchify(np.zeros(4), P.make_rel_time(4, 0), np.ones(3), 2)
 
 
 def test_patchify_flatten_roundtrip():
     rng = PortableRng(8)
     for n in (1, 5, 8, 13, 31):
         x = rng.normal(n)
-        seq = P.patchify(x, _meta(int(n)), 8)
-        assert np.array_equal(seq.patches[:, :, 0].reshape(-1)[seq.pad_count :], x)
+        patches = _patchify(x, 8)
+        assert np.array_equal(patches[:, :, 0].reshape(-1)[(-n) % 8 :], x)
 
 
 def test_rel_time_strictly_increasing_and_normalized():

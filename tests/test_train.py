@@ -271,10 +271,10 @@ def test_loss_and_grads_equal_the_spelled_out_batch_bitwise(corpus, mix):
 
         def spelled_out(weights):
             batch = M.assemble_batch(
-                s.context_values, np.ones_like(s.context_values), s.group_ids, 4, weights, CFG,
+                s.context_values, np.ones_like(s.context_values), 4, weights, CFG,
                 future_values=future_values, future_known_mask=known,
             )
-            pred = M.forward(batch, weights, CFG)
+            pred = M.forward(batch, s.group_ids, weights, CFG)
             tv, tm = TR._scaled_targets(s.target_values, 1 - known, batch.loc, batch.scale, pred.shape[1])
             return TR.pinball_loss(pred, tv, tm, CFG.quantile_levels)
 
